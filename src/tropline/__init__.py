@@ -62,7 +62,20 @@ from .moduli import (
     ionel_fan,
     type_table,
 )
-from .amoeba import AmoebaSample, ConvergenceReport, hausdorff, log_image, sample_amoeba
 from .render import RenderSpec, render_fan, render_tropical
 
 __version__ = "0.1.0"
+
+# The amoeba module needs numpy, which the exact layers do not; its names
+# are loaded on first access (PEP 562).
+_AMOEBA_NAMES = frozenset(
+    ("AmoebaSample", "ConvergenceReport", "hausdorff", "log_image", "sample_amoeba")
+)
+
+
+def __getattr__(name: str):
+    if name in _AMOEBA_NAMES:
+        from . import amoeba
+
+        return getattr(amoeba, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -13,6 +13,11 @@ from typing import Sequence
 Row = list[Fraction]
 
 
+class InvariantViolation(RuntimeError):
+    """An internal consistency check failed.  Raised explicitly, so the
+    check also runs under `python -O`."""
+
+
 def _as_rows(matrix: Sequence[Sequence]) -> list[Row]:
     return [[Fraction(x) for x in row] for row in matrix]
 
@@ -86,10 +91,6 @@ def integerize(vector: Sequence[Fraction]) -> list[int]:
     if g > 1:
         ints = [x // g for x in ints]
     return ints
-
-
-def matrix_rank_int(matrix: Sequence[Sequence[int]]) -> int:
-    return rank(matrix)
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -219,5 +220,6 @@ def negative_orthant_point(rows: Sequence[Sequence[int]]) -> list[Fraction] | No
         values[b] = tableau[i][ncols]
     t = [values[k] - values[d + k] for k in range(d)]
     for row in rows:
-        assert sum(Fraction(a) * x for a, x in zip(row, t)) <= -1
+        if sum(Fraction(a) * x for a, x in zip(row, t)) > -1:
+            raise InvariantViolation("simplex point violates row . t <= -1")
     return t

@@ -10,6 +10,9 @@ coordinate divisor becomes distance along an axis.  Sampling the line
 family over the Riemann sphere and measuring the Hausdorff distance of the
 clipped cloud to the tropical curve exhibits the C / log n decay that
 stands in for the Gromov-Hausdorff statement.
+
+The sampler works in log space, so no exponent of n is ever formed for the
+image points: the cloud neither underflows nor overflows, whatever (p, q).
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .tropical import LineFamily, TropicalCurve
 
@@ -35,11 +37,13 @@ __all__ = [
     "convergence_report",
 ]
 
-# Beyond this base, n^(-p) products start brushing the double-precision
-# floor for the exponents this module is used with.
+# Largest rescaling base accepted; the convergence ladders end at 1e8.
 MAX_BASE = 1.0e8
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+# Pair distances computed at once by the brute-force nearest-point search.
+_CHUNK = 1 << 20
 
 
 class ZeroCoordinate(ValueError):
@@ -93,6 +97,19 @@ def sample_amoeba(
     image meets the quadrant boundary; the others reach `depth` (default
     p + q + 2).  The scheme is a fixed function of its arguments, so equal
     inputs give bit-identical clouds.
+
+    The image of f_n(w) = [c1 n^(-p) w : c2 n^(-q) (w + 1) : 1] is
+
+        X = p - log|c1| / log n - log|w| / log n
+        Y = q - log|c2| / log n - log|w + 1| / log n,
+
+    and on each end one of log|w|, log|w + 1| is +-t log n while the other
+    is log|1 +- eps e^(i a)| with eps = n^(-t), taken from the half-angle
+    form |1 +- eps e^(i a)|^2 = (1 - eps)^2 + 4 eps (cos or sin (a/2))^2,
+    which has no cancellation.  Every sample point is kept; a point at
+    infinite depth (a coordinate that is exactly 0) lands at infinity and
+    falls outside every window.  `domain` may hold infinities for depths
+    beyond the float range.
     """
     if not n > 1:
         raise ValueError("rescaling base must exceed 1")
@@ -102,37 +119,32 @@ def sample_amoeba(
         raise ValueError("need at least one sample point")
     p, q = float(family.p), float(family.q)
     max_depth = depth if depth is not None else p + q + 2.0
-    caps = (max_depth, max_depth, min(p, q))
-    x_n = family.c1 * n ** (-p)
-    y_n = family.c2 * n ** (-q)
+    caps = np.array((max_depth, max_depth, min(p, q)))
+    per_end = np.array([len(range(e, count, 3)) for e in range(3)])
 
-    per_end = [len(range(e, count, 3)) for e in range(3)]
-    ws: list[complex] = []
-    points: list[tuple[float, float]] = []
-    for k in range(count):
-        end = k % 3
-        idx = k // 3
-        t = caps[end] * (idx + 0.5) / per_end[end] if per_end[end] else 0.0
-        angle = 2.0 * math.pi * ((k * _GOLDEN) % 1.0)
-        unit = complex(math.cos(angle), math.sin(angle))
-        if end == 0:
-            w = n ** (-t) * unit
-        elif end == 1:
-            w = -1.0 + n ** (-t) * unit
-        else:
-            w = n**t * unit
-        z1 = x_n * w
-        z2 = y_n * (w + 1.0)
-        z3 = 1.0 + 0.0j
-        if z1 == 0 or z2 == 0:
-            continue
-        ws.append(w)
-        points.append(log_image((z1, z2, z3), n))
-    return AmoebaSample(
-        n=float(n),
-        points=np.array(points, dtype=np.float64).reshape(-1, 2),
-        domain=np.array(ws, dtype=np.complex128),
-    )
+    k = np.arange(count)
+    end = k % 3
+    t = caps[end] * (k // 3 + 0.5) / per_end[end]
+    angle = 2.0 * math.pi * ((k * _GOLDEN) % 1.0)
+    log_n = math.log(n)
+    near_zero, near_minus_one, near_infinity = end == 0, end == 1, end == 2
+
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        eps = np.power(n, -t)
+        half = np.where(near_minus_one, np.sin(0.5 * angle), np.cos(0.5 * angle))
+        # log|1 - eps e^(i a)| near -1, log|1 + eps e^(i a)| elsewhere, in units of log n.
+        rest = 0.5 * np.log((1.0 - eps) ** 2 + 4.0 * eps * half**2) / log_n
+        log_w = np.where(near_zero, -t, np.where(near_minus_one, rest, t))
+        log_w1 = np.where(near_zero, rest, np.where(near_minus_one, -t, t + rest))
+        x = p - math.log(abs(family.c1)) / log_n - log_w
+        y = q - math.log(abs(family.c2)) / log_n - log_w1
+
+        radius = np.where(near_infinity, np.power(n, t), eps)
+        domain = np.empty(count, dtype=np.complex128)
+        domain.real = radius * np.cos(angle) - near_minus_one
+        domain.imag = radius * np.sin(angle)
+    points = np.column_stack((np.maximum(0.0, x), np.maximum(0.0, y)))
+    return AmoebaSample(n=float(n), points=points, domain=domain)
 
 
 def discretize_curve(
@@ -142,13 +154,12 @@ def discretize_curve(
     if step is None:
         step = window / 512.0
     pos = {v.id: (float(v.position.x), float(v.position.y)) for v in curve.vertices}
-    points: list[tuple[float, float]] = list(pos.values())
+    points = [np.array(list(pos.values()), dtype=np.float64).reshape(-1, 2)]
 
     def walk(x0, y0, dx, dy, tmax):
         k = max(1, int(math.ceil(tmax / step * math.hypot(dx, dy))))
-        for i in range(1, k + 1):
-            t = tmax * i / k
-            points.append((x0 + t * dx, y0 + t * dy))
+        t = tmax * np.arange(1, k + 1) / k
+        points.append(np.column_stack((x0 + t * dx, y0 + t * dy)))
 
     for s in curve.segments:
         x0, y0 = pos[s.tail]
@@ -165,13 +176,113 @@ def discretize_curve(
         tmax = min(limits) if limits else 0.0
         if tmax > 0:
             walk(x0, y0, dx, dy, tmax)
-    pts = np.array(points, dtype=np.float64)
+    pts = np.concatenate(points)
     inside = (pts[:, 0] <= window + 1e-12) & (pts[:, 1] <= window + 1e-12)
     return pts[inside]
 
 
+def _window_pieces(curve: TropicalCurve, window: float) -> tuple[np.ndarray, np.ndarray]:
+    """The curve inside [0, window]^2 as segments: start points and
+    displacements, one row each, with rays cut where they leave the window.
+    The window edge has the tolerance `discretize_curve` gives it."""
+    window += 1e-12
+    pos = {v.id: (float(v.position.x), float(v.position.y)) for v in curve.vertices}
+    edges = [(pos[s.tail], s.contact, float(s.length)) for s in curve.segments]
+    edges += [(pos[r.base], r.contact, math.inf) for r in curve.rays]
+    starts, moves = [], []
+    for (x0, y0), contact, tmax in edges:
+        dx, dy = float(contact.x), float(contact.y)
+        lo, hi = 0.0, tmax
+        for c0, dc in ((x0, dx), (y0, dy)):
+            if dc > 0:
+                hi = min(hi, (window - c0) / dc)
+            elif dc < 0:
+                lo = max(lo, (window - c0) / dc)
+            elif c0 > window:
+                hi = -1.0
+        if lo <= hi < math.inf:
+            starts.append((x0 + lo * dx, y0 + lo * dy))
+            moves.append(((hi - lo) * dx, (hi - lo) * dy))
+    return np.array(starts).reshape(-1, 2), np.array(moves).reshape(-1, 2)
+
+
+def _squared_distance_to_pieces(
+    points: np.ndarray, starts: np.ndarray, moves: np.ndarray
+) -> np.ndarray:
+    """Squared distance from each point to the nearest of the segments."""
+    rel_x = points[:, :1] - starts[:, 0]
+    rel_y = points[:, 1:] - starts[:, 1]
+    dx, dy = moves[:, 0], moves[:, 1]
+    length2 = dx * dx + dy * dy
+    s = (rel_x * dx + rel_y * dy) / np.where(length2 > 0, length2, 1.0)
+    np.clip(s, 0.0, 1.0, out=s)
+    rel_x -= s * dx
+    rel_y -= s * dy
+    return (rel_x * rel_x + rel_y * rel_y).min(axis=1)
+
+
+def _brute_nearest(targets: np.ndarray, cloud: np.ndarray) -> np.ndarray:
+    """Squared distance from each target to its nearest cloud point, in chunks."""
+    best = np.empty(len(targets))
+    rows = max(1, _CHUNK // len(cloud))
+    for i in range(0, len(targets), rows):
+        chunk = targets[i : i + rows]
+        dx = chunk[:, :1] - cloud[:, 0]
+        dy = chunk[:, 1:] - cloud[:, 1]
+        best[i : i + rows] = (dx * dx + dy * dy).min(axis=1)
+    return best
+
+
+def _squared_nearest(targets: np.ndarray, cloud: np.ndarray, cell: float) -> np.ndarray:
+    """Squared distance from each target to its nearest cloud point.
+
+    Cloud points are bucketed in a grid of side `cell` and each target
+    first searches the 3 x 3 cells around its own.  Every cloud point
+    within `cell` of a target lies there, so a best distance under `cell`
+    is the true minimum; targets without one fall back to a full search.
+    The result equals the minimum over the full distance matrix.
+    """
+    # Only cloud points within `cell` of the targets' bounding box can be
+    # within `cell` of a target.
+    origin = targets.min(axis=0) - cell
+    inner = cloud[((cloud >= origin) & (cloud <= targets.max(axis=0) + cell)).all(axis=1)]
+    inner_cells = np.floor((inner - origin) / cell).astype(np.int64) + 1
+    target_cells = np.floor((targets - origin) / cell).astype(np.int64) + 1
+    stride = int(max(inner_cells[:, 1].max(initial=0), target_cells[:, 1].max() + 1)) + 1
+    keys = inner_cells[:, 0] * stride + inner_cells[:, 1]
+    order = np.argsort(keys, kind="stable")
+    keys, inner = keys[order], inner[order]
+    # The three cells of one column are consecutive keys, so each target
+    # needs three ranges of the sorted cloud.
+    low_keys = (target_cells[:, :1] + np.array((-1, 0, 1))) * stride + target_cells[:, 1:] - 1
+    lo = np.searchsorted(keys, low_keys.ravel(), side="left")
+    hi = np.searchsorted(keys, low_keys.ravel() + 2, side="right")
+    counts = hi - lo
+    firsts = np.cumsum(counts) - counts
+    index = np.arange(counts.sum()) - np.repeat(firsts - lo, counts)
+    per_target = counts.reshape(-1, 3).sum(axis=1)
+    owner = np.repeat(np.arange(len(targets)), per_target)
+    dx = targets[owner, 0] - inner[index, 0]
+    dy = targets[owner, 1] - inner[index, 1]
+    pair = dx * dx + dy * dy
+    best = np.full(len(targets), np.inf)
+    found = np.flatnonzero(per_target)
+    if len(found):
+        best[found] = np.minimum.reduceat(pair, firsts[::3][found])
+    # The margin covers rounding in the cell index of points near `cell` away.
+    far = ~(best <= (cell * (1.0 - 1e-9)) ** 2)
+    if far.any():
+        best[far] = _brute_nearest(targets[far], cloud)
+    return best
+
+
 def hausdorff(sample: AmoebaSample, curve: TropicalCurve, window: float) -> float:
-    """Symmetric Hausdorff distance between cloud and curve inside the window."""
+    """Symmetric Hausdorff distance between cloud and curve inside the window.
+
+    Cloud to curve is the exact distance to the curve's segments and
+    window-cut rays; curve to cloud is measured from the points of
+    `discretize_curve`.
+    """
     pts = sample.points
     keep = (pts[:, 0] <= window) & (pts[:, 1] <= window)
     cloud = pts[keep]
@@ -180,10 +291,11 @@ def hausdorff(sample: AmoebaSample, curve: TropicalCurve, window: float) -> floa
     poly = discretize_curve(curve, window)
     if poly.size == 0:
         raise EmptySample("curve has no points inside the window")
-    distances = cdist(cloud, poly)
-    cloud_to_curve = float(distances.min(axis=1).max())
-    curve_to_cloud = float(distances.min(axis=0).max())
-    return max(cloud_to_curve, curve_to_cloud)
+    cloud_to_curve = _squared_distance_to_pieces(cloud, *_window_pieces(curve, window)).max()
+    # Cells of twice the polyline step: few cloud points per cell, and the
+    # nearest one is almost always within a cell.
+    curve_to_cloud = _squared_nearest(poly, cloud, window / 256.0).max()
+    return float(np.sqrt(max(cloud_to_curve, curve_to_cloud)))
 
 
 def convergence_report(

@@ -143,7 +143,7 @@ class WeightTable:
 
     def rank(self, piece_id: str) -> int:
         rows = [list(r) for r in self.entries[piece_id]]
-        return _linalg.matrix_rank_int(rows)
+        return _linalg.rank(rows)
 
     def lattice(self, piece_id: str) -> tuple[tuple[int, int], ...]:
         rows = self.entries[piece_id]
@@ -302,7 +302,8 @@ def solve(system: MatchingSystem) -> SolutionCone:
         sum(Fraction(vec[i]) * tk for vec, tk in zip(basis, t)) for i in range(nvars)
     )
     for eq in system.equations:
-        assert eq.evaluate(witness) == 0
+        if eq.evaluate(witness) != 0:
+            raise _linalg.InvariantViolation("witness violates a matching equation")
     return SolutionCone(system.variables, basis, witness)
 
 

@@ -1,5 +1,11 @@
 import json
+import math
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction as F
+from pathlib import Path
 
 from tropline.cli import main
 from tropline.tropical import curve_from_json, curves_equal, tropicalize_line, LineFamily
@@ -181,6 +187,19 @@ class TestSvgAndCsv:
         report = json.loads(out)
         assert len(report["entries"]) == 2
 
+    def test_amoeba_extreme_exponents(self, capsys):
+        code, out, err = run(
+            capsys, "amoeba", "--p", "200", "--q", "150", "--n", "1e3,1e4,1e6,1e8"
+        )
+        assert code == 0 and err == ""
+        distances = [e["hausdorff"] for e in json.loads(out)["entries"]]
+        assert len(distances) == 4 and all(math.isfinite(d) for d in distances)
+
+    def test_arithmetic_error_exits_2(self, capsys):
+        huge = "1" + "0" * 400
+        code, out, err = run(capsys, "amoeba", "--p", huge, "--q", "1", "--n", "1e3")
+        assert code == 2 and out == "" and err.startswith("error:")
+
     def test_render_graph(self, capsys, tmp_path, example1_path):
         path = tmp_path / "g.svg"
         code, _, _ = run(capsys, "render", "--graph", str(example1_path), "--svg", str(path))
@@ -209,3 +228,43 @@ class TestDeterminism:
             assert code == 0
             texts.append(path.read_bytes())
         assert texts[0] == texts[1]
+
+
+class TestInvariantChecks:
+    def test_checks_run_under_optimize(self, example1_path):
+        """Both exact invariant checks raise under `python -O`, and a
+        violation exits 3."""
+        script = textwrap.dedent(
+            f"""
+            import sys
+            from fractions import Fraction
+            from tropline import _linalg
+            from tropline.cli import main
+
+            if __debug__:
+                sys.exit("not running under -O")
+
+            class LyingInt(int):
+                def __neg__(self):
+                    return LyingInt(int(self))
+
+            try:
+                _linalg.negative_orthant_point([[LyingInt(1)]])
+            except _linalg.InvariantViolation:
+                pass
+            else:
+                sys.exit("simplex check did not run")
+
+            # A wrong kernel basis yields a witness off the matching equations.
+            _linalg.kernel_basis = lambda rows, nvars: [[Fraction(1)] * nvars]
+            sys.exit(0 if main(["match", "--graph", {str(example1_path)!r}]) == 3 else 1)
+            """
+        )
+        paths = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "internal error:" in proc.stderr
