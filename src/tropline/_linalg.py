@@ -144,51 +144,41 @@ def lattice_canonical(vectors: Sequence[tuple[int, int]]) -> tuple[tuple[int, in
     return ((d, y), (0, g2))
 
 
-def negative_orthant_point(rows: Sequence[Sequence[int]]) -> list[Fraction] | None:
-    """Find exact t with row . t <= -1 for every row, or None if infeasible.
+def negative_orthant_point(rows: Sequence[Sequence[int]], ncols: int) -> list[Fraction] | None:
+    """Find exact x with A x = 0 and every x_i <= -1, or None if infeasible.
 
-    Runs a phase-1 simplex with Bland's rule over the rationals; rows are
-    the coordinates of the original variables in a kernel basis, so a
-    returned t certifies a strictly negative point of the kernel.
+    Substituting x = -1 - y turns the problem into A y = -A.1 with y >= 0,
+    a standard-form phase 1: each row is signed so its right-hand side is
+    non-negative, gets one artificial column, and a Bland-rule simplex over
+    the rationals minimizes the artificial sum.
     """
-    nrows = len(rows)
-    if nrows == 0:
+    if ncols == 0:
         return []
-    d = len(rows[0])
-    if d == 0:
-        return None
-    # row . (u - v) <= -1  ==>  -row.u + row.v - s = 1 with u, v, s >= 0,
-    # plus one artificial per row; minimize the artificial sum.
-    ncols = 2 * d + 2 * nrows
+    nrows = len(rows)
+    width = ncols + nrows
     tableau: list[Row] = []
     for i, row in enumerate(rows):
-        line = [Fraction(0)] * (ncols + 1)
-        for k in range(d):
-            line[k] = Fraction(-row[k])
-            line[d + k] = Fraction(row[k])
-        line[2 * d + i] = Fraction(-1)
-        line[2 * d + nrows + i] = Fraction(1)
-        line[ncols] = Fraction(1)
+        sign = -1 if sum(row) > 0 else 1
+        line = [Fraction(sign * a) for a in row] + [Fraction(0)] * (nrows + 1)
+        line[ncols + i] = Fraction(1)
+        line[width] = -sum(line[:ncols])
         tableau.append(line)
-    basis = [2 * d + nrows + i for i in range(nrows)]
-    # Reduced costs for the phase-1 objective (minimize the artificial sum):
-    # start from the raw costs (1 on artificial columns) and price out the
-    # artificial basis.
-    cost = [Fraction(0)] * (ncols + 1)
-    for j in range(2 * d + nrows, ncols):
-        cost[j] = Fraction(1)
+    basis = [ncols + i for i in range(nrows)]
+    # Reduced costs of the phase-1 objective: raw costs (1 on artificial
+    # columns) with the artificial basis priced out.
+    cost = [Fraction(0)] * ncols + [Fraction(1)] * nrows + [Fraction(0)]
     for line in tableau:
         cost = [c - x for c, x in zip(cost, line)]
 
     while True:
-        entering = next((j for j in range(ncols) if cost[j] < 0), None)
+        entering = next((j for j in range(width) if cost[j] < 0), None)
         if entering is None:
             break
         best_ratio = None
         leaving_row = None
         for i, line in enumerate(tableau):
             if line[entering] > 0:
-                ratio = line[ncols] / line[entering]
+                ratio = line[width] / line[entering]
                 if (
                     best_ratio is None
                     or ratio < best_ratio
@@ -196,9 +186,6 @@ def negative_orthant_point(rows: Sequence[Sequence[int]]) -> list[Fraction] | No
                 ):
                     best_ratio = ratio
                     leaving_row = i
-        if leaving_row is None:
-            # Unbounded phase-1 objective cannot happen; guard anyway.
-            return None
         pivot = tableau[leaving_row][entering]
         tableau[leaving_row] = [x / pivot for x in tableau[leaving_row]]
         for i in range(nrows):
@@ -207,19 +194,14 @@ def negative_orthant_point(rows: Sequence[Sequence[int]]) -> list[Fraction] | No
                 tableau[i] = [
                     a - f * b for a, b in zip(tableau[i], tableau[leaving_row])
                 ]
-        if cost[entering] != 0:
-            f = cost[entering]
-            cost = [a - f * b for a, b in zip(cost, tableau[leaving_row])]
+        f = cost[entering]
+        cost = [a - f * b for a, b in zip(cost, tableau[leaving_row])]
         basis[leaving_row] = entering
 
-    objective = -cost[ncols]
-    if objective != 0:
+    if cost[width] != 0:
         return None
-    values = [Fraction(0)] * ncols
+    x = [Fraction(-1)] * ncols
     for i, b in enumerate(basis):
-        values[b] = tableau[i][ncols]
-    t = [values[k] - values[d + k] for k in range(d)]
-    for row in rows:
-        if sum(Fraction(a) * x for a, x in zip(row, t)) > -1:
-            raise InvariantViolation("simplex point violates row . t <= -1")
-    return t
+        if b < ncols:
+            x[b] -= tableau[i][width]
+    return x

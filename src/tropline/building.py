@@ -12,10 +12,11 @@ consecutive ones.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .geometry import LatticeVector
+from .geometry import LatticeVector, _connected
 from .tropical import TropicalCurve
 
 __all__ = [
@@ -124,16 +125,11 @@ class LevelStructure:
             raise GraphInvalid(f"negative coordinate {value}")
         if value == 0:
             return LevelCoordinate.at(0)
-        lo = 0
-        for a, lv in enumerate(self.values, start=1):
-            if value == lv:
-                return LevelCoordinate.at(a)
-            if value > lv:
-                lo = a
-            else:
-                break
-        if lo >= self.m:
-            raise GraphInvalid(f"coordinate {value} beyond the top level {self.values[-1]}")
+        lo = bisect.bisect_left(self.values, value)
+        if lo < self.m and self.values[lo] == value:
+            return LevelCoordinate.at(lo + 1)
+        if lo == self.m:
+            raise GraphInvalid(f"coordinate {value} beyond the top level {self.phi(lo)}")
         return LevelCoordinate.between(lo)
 
 
@@ -164,12 +160,6 @@ class LeveledDualGraph:
     pieces: tuple[Piece, ...]
     nodes: tuple[NodeEdge, ...]
     ends: tuple[EndEdge, ...]
-
-    def piece(self, piece_id: str) -> Piece:
-        for p in self.pieces:
-            if p.id == piece_id:
-                return p
-        raise GraphInvalid(f"unknown piece id {piece_id!r}")
 
     def check_references(self) -> None:
         ids = [p.id for p in self.pieces]
@@ -241,19 +231,8 @@ class LeveledDualGraph:
                     f"trivial piece {p.id} is not a cylinder: contacts "
                     f"{tuple(outgoing[0])} and {tuple(outgoing[1])}"
                 )
-        if self.pieces:
-            parent = {p.id: p.id for p in self.pieces}
-
-            def find(a: str) -> str:
-                while parent[a] != a:
-                    parent[a] = parent[parent[a]]
-                    a = parent[a]
-                return a
-
-            for n in self.nodes:
-                parent[find(n.tail)] = find(n.head)
-            if len({find(p.id) for p in self.pieces}) != 1:
-                raise GraphInvalid("graph is not connected")
+        if not _connected((p.id for p in self.pieces), ((n.tail, n.head) for n in self.nodes)):
+            raise GraphInvalid("graph is not connected")
 
 
 @dataclass

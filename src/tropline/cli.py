@@ -315,7 +315,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0,) else 0
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, ArithmeticError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (AssertionError, RuntimeError) as exc:

@@ -126,6 +126,22 @@ class LatticeVector:
 ZERO_VECTOR = LatticeVector(0, 0)
 
 
+def _connected(ids: Iterable[str], pairs: Iterable[tuple[str, str]]) -> bool:
+    """Whether the graph on `ids` with edges `pairs` is connected (an empty
+    or single-vertex graph is)."""
+    parent = {i: i for i in ids}
+
+    def find(a: str) -> str:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for a, b in pairs:
+        parent[find(a)] = find(b)
+    return len({find(i) for i in parent}) <= 1
+
+
 def primitive(v: LatticeVector) -> tuple[LatticeVector, int]:
     """Split an integer vector into primitive direction and multiplicity.
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import _linalg
-from .building import Building, LeveledDualGraph, NodeEdge
+from .building import Building, EndEdge, LeveledDualGraph, NodeEdge
 from .geometry import LatticeVector, QuadrantPoint
 from .tropical import Ray, Segment, TropicalCurve, Vertex
 
@@ -86,7 +86,7 @@ class Equation:
     levels: tuple[int, int]  # anchor levels (a, b) with a <= b
 
     def evaluate(self, values: Sequence[Fraction]) -> Fraction:
-        return sum(Fraction(c) * v for c, v in zip(self.coefficients, values))
+        return sum((c * v for c, v in zip(self.coefficients, values) if c), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -111,10 +111,6 @@ class SolutionCone:
     variables: tuple[str, ...]
     basis: tuple[tuple[int, ...], ...]
     witness: tuple[Fraction, ...] | None
-
-    @property
-    def kernel_basis(self) -> tuple[tuple[int, ...], ...]:
-        return self.basis
 
     @property
     def dimension(self) -> int:
@@ -164,6 +160,13 @@ def _other_end(node: NodeEdge, piece: str) -> str:
     return node.head if node.tail == piece else node.tail
 
 
+def _variables(graph: LeveledDualGraph) -> tuple[str, ...]:
+    """The system's variable order: nonzero-contact nodes, then levels."""
+    return tuple(node_var(n.id) for n in graph.nodes if not n.contact.is_zero()) + tuple(
+        level_var(j) for j in range(1, graph.num_levels + 1)
+    )
+
+
 def build_system(graph: LeveledDualGraph) -> MatchingSystem:
     """Generate the minimal per-direction chain equations of a graph.
 
@@ -173,9 +176,7 @@ def build_system(graph: LeveledDualGraph) -> MatchingSystem:
     """
     graph.check_references()
     active_nodes = [n for n in graph.nodes if not n.contact.is_zero()]
-    variables = tuple(node_var(n.id) for n in active_nodes) + tuple(
-        level_var(j) for j in range(1, graph.num_levels + 1)
-    )
+    variables = _variables(graph)
     var_index = {name: i for i, name in enumerate(variables)}
     pieces = {p.id: p for p in graph.pieces}
     incidence = graph.incidences()
@@ -184,14 +185,15 @@ def build_system(graph: LeveledDualGraph) -> MatchingSystem:
     seen_chains: set[tuple[str, ...]] = set()
 
     for direction in (0, 1):
+        def anchored(piece_id: str) -> bool:
+            return _level_of(pieces[piece_id], direction) is not None
+
         for node in active_nodes:
             for anchor_side in (node.tail, node.head):
-                if _level_of(pieces[anchor_side], direction) is None:
+                if not anchored(anchor_side):
                     continue
-                chain, terminal = _walk_chain(
-                    graph, pieces, incidence, node, anchor_side, direction
-                )
-                if terminal is None:
+                chain, terminal = _walk_chain(incidence, anchor_side, node, anchored)
+                if not isinstance(terminal, str):
                     continue  # ran into an end: no equation
                 key = tuple(sorted(n.id for n in chain))
                 if (direction, key) in seen_chains:
@@ -205,32 +207,28 @@ def build_system(graph: LeveledDualGraph) -> MatchingSystem:
     return MatchingSystem(variables=variables, equations=tuple(equations))
 
 
-def _walk_chain(graph, pieces, incidence, first_node, anchor, direction):
-    """Follow trivial-cylinder pieces from an anchored node.
+def _walk_chain(incidence, start, first_node, stop):
+    """Follow bivalent pieces from `start` across `first_node` until `stop`.
 
-    Returns (chain nodes, terminal piece id) where the terminal piece has an
-    integer level in `direction`, or (chain, None) when the walk dies in an
-    end or an excluded node.
+    Returns (chain nodes, terminal): the terminal is the id of the first
+    piece with `stop(piece_id)`, or the end or zero-contact node the walk
+    ran into.
     """
     chain = [first_node]
-    prev_edge = first_node
-    current = _other_end(first_node, anchor)
-    visited = {anchor, current}
-    while _level_of(pieces[current], direction) is None:
+    current = _other_end(first_node, start)
+    visited = {start, current}
+    while not stop(current):
         edges = incidence[current]
         if len(edges) != 2:
             raise AmbiguousChain(
-                f"piece {current} is between levels in direction {direction + 1} "
-                f"but has valence {len(edges)}"
+                f"piece {current} inside a chain has valence {len(edges)}"
             )
-        nxt = next((e for k, e in edges if not (k == "node" and e is prev_edge)), None)
+        nxt = next((e for k, e in edges if not (k == "node" and e is chain[-1])), None)
         if nxt is None:
             raise AmbiguousChain(f"piece {current} only reaches itself")
-        kind = next(k for k, e in edges if e is nxt)
-        if kind == "end" or nxt.contact.is_zero():
-            return chain, None
+        if isinstance(nxt, EndEdge) or nxt.contact.is_zero():
+            return chain, nxt
         chain.append(nxt)
-        prev_edge = nxt
         current = _other_end(nxt, current)
         if current in visited:
             raise AmbiguousChain(f"cycle of between-level pieces at {current}")
@@ -238,13 +236,18 @@ def _walk_chain(graph, pieces, incidence, first_node, anchor, direction):
     return chain, current
 
 
-def _chain_equation(chain, anchor, terminal, pieces, direction, variables, var_index):
-    # Orient every node along the walk and demand one common contact vector.
+def _oriented_chain(chain, start: str) -> list[LatticeVector]:
+    """Contact vectors of a walked chain, each oriented along the walk."""
     oriented = []
-    at = anchor
     for node in chain:
-        oriented.append(_oriented_contact(node, at))
-        at = _other_end(node, at)
+        oriented.append(_oriented_contact(node, start))
+        start = _other_end(node, start)
+    return oriented
+
+
+def _chain_equation(chain, anchor, terminal, pieces, direction, variables, var_index):
+    # Demand one common contact vector along the walk.
+    oriented = _oriented_chain(chain, anchor)
     common = oriented[0]
     for c in oriented[1:]:
         if c != common:
@@ -279,32 +282,29 @@ def _chain_equation(chain, anchor, terminal, pieces, direction, variables, var_i
 def solve(system: MatchingSystem) -> SolutionCone:
     """Exact kernel and strict-negativity certificate of a matching system.
 
-    The kernel is computed by exact Gauss-Jordan elimination; feasibility of
-    the open all-negative cone is decided by a Bland-rule simplex seeking a
-    kernel point with every coordinate <= -1 (homogeneity makes the two
-    formulations equivalent).  Infeasibility is a value, not an error.
+    The kernel is computed by exact Gauss-Jordan elimination and gives the
+    basis and dimension; feasibility of the open all-negative cone is decided
+    by a Bland-rule simplex on the equations themselves, seeking a solution
+    with every coordinate <= -1 (homogeneity makes the two formulations
+    equivalent).  Infeasibility is a value, not an error.
     """
     nvars = len(system.variables)
     rows = system.coefficient_rows()
-    rational_basis = _linalg.kernel_basis(rows, nvars)
     basis = tuple(
-        tuple(-c for c in _linalg.integerize(vec)) for vec in rational_basis
+        tuple(-c for c in _linalg.integerize(vec))
+        for vec in _linalg.kernel_basis(rows, nvars)
     )
-    if nvars == 0:
-        return SolutionCone(system.variables, (), ())
-    if not basis:
-        return SolutionCone(system.variables, (), None)
-    coordinate_rows = [[vec[i] for vec in basis] for i in range(nvars)]
-    t = _linalg.negative_orthant_point(coordinate_rows)
-    if t is None:
+    for vec in basis:
+        if any(eq.evaluate(vec) != 0 for eq in system.equations):
+            raise _linalg.InvariantViolation("kernel vector violates a matching equation")
+    witness = _linalg.negative_orthant_point(rows, nvars)
+    if witness is None:
         return SolutionCone(system.variables, basis, None)
-    witness = tuple(
-        sum(Fraction(vec[i]) * tk for vec, tk in zip(basis, t)) for i in range(nvars)
-    )
-    for eq in system.equations:
-        if eq.evaluate(witness) != 0:
-            raise _linalg.InvariantViolation("witness violates a matching equation")
-    return SolutionCone(system.variables, basis, witness)
+    if any(eq.evaluate(witness) != 0 for eq in system.equations) or any(
+        x > -1 for x in witness
+    ):
+        raise _linalg.InvariantViolation("witness is not a solution with entries <= -1")
+    return SolutionCone(system.variables, basis, tuple(witness))
 
 
 def check_stability(graph: LeveledDualGraph, rule: str = "union") -> StabilityVerdict:
@@ -335,9 +335,7 @@ def check_stability(graph: LeveledDualGraph, rule: str = "union") -> StabilityVe
     return StabilityVerdict(stable=required <= covered, covered=frozenset(covered), rule=rule)
 
 
-def _solution_values(
-    graph: LeveledDualGraph, solution, variables: tuple[str, ...]
-) -> list[Fraction]:
+def _solution_values(solution, variables: tuple[str, ...]) -> list[Fraction]:
     if isinstance(solution, Mapping):
         try:
             return [Fraction(solution[name]) for name in variables]
@@ -361,6 +359,7 @@ def _piece_positions(
     does not solve the system.
     """
     index = {name: i for i, name in enumerate(variables)}
+    pieces = {p.id: p for p in graph.pieces}
 
     def phi(a: int) -> Fraction:
         return -sum(
@@ -399,9 +398,8 @@ def _piece_positions(
             else:
                 # Integer coordinates of the reached piece must agree with
                 # the level map; check the defined ones.
-                piece = graph.piece(other)
                 for direction in (0, 1):
-                    lc = piece.levels[direction]
+                    lc = pieces[other].levels[direction]
                     if lc.is_integer and candidate[direction] != phi(lc.level):
                         raise SolutionNotInCone(
                             f"piece {other} lands at {candidate} but its level "
@@ -452,26 +450,20 @@ def realize(
     their chains and are merged away unless `keep_trivial` is set, in which
     case every piece becomes a (possibly bivalent) vertex.
     """
-    system = build_system(graph)
-    values = _solution_values(graph, solution, system.variables)
+    graph.check_references()
+    variables = _variables(graph)
+    values = _solution_values(solution, variables)
     if any(v >= 0 for v in values):
         raise SolutionNotInCone("solution must be strictly negative in every coordinate")
-    for eq in system.equations:
-        if eq.evaluate(values) != 0:
-            raise SolutionNotInCone(
-                f"solution violates the direction-{eq.direction} equation of "
-                f"chain {list(eq.chain)}"
-            )
     for node in graph.nodes:
         if node.contact.is_zero():
             raise SolutionNotInCone(
                 f"node {node.id} has zero contact and admits no realized edge"
             )
-    positions = _piece_positions(graph, values, system.variables)
-    index = {name: i for i, name in enumerate(system.variables)}
-
-    def length_of(node: NodeEdge) -> Fraction:
-        return -values[index[node_var(node.id)]]
+    # Every node displacement and every integer coordinate is checked here,
+    # which implies each chain equation of the system.
+    positions = _piece_positions(graph, values, variables)
+    index = {name: i for i, name in enumerate(variables)}
 
     keep = {
         p.id
@@ -502,49 +494,25 @@ def realize(
         for kind, edge in incidence[start]:
             if id(edge) in visited_edges:
                 continue
+            visited_edges.add(id(edge))
             if kind == "end":
-                visited_edges.add(id(edge))
                 rays.append(Ray(vertex_ids[start], edge.contact))
                 continue
+            chain, terminal = _walk_chain(incidence, start, edge, vertex_ids.__contains__)
             contact = _oriented_contact(edge, start)
-            total = length_of(edge)
-            chain = [edge]
-            current = _other_end(edge, start)
-            ok = True
-            while current not in vertex_ids:
-                nxt = next(
-                    (e for k, e in incidence[current] if not (k == "node" and e is chain[-1])),
-                    None,
-                )
-                if nxt is None:
-                    ok = False
-                    break
-                nxt_kind = next(k for k, e in incidence[current] if e is nxt)
-                if nxt_kind == "end":
-                    if nxt.contact != contact:
-                        ok = False
-                        break
-                    for e in chain:
-                        visited_edges.add(id(e))
-                    visited_edges.add(id(nxt))
-                    rays.append(Ray(vertex_ids[start], contact))
-                    break
-                if _oriented_contact(nxt, current) != contact:
-                    ok = False
-                    break
-                chain.append(nxt)
-                total += length_of(nxt)
-                current = _other_end(nxt, current)
-            else:
-                for e in chain:
-                    visited_edges.add(id(e))
+            if any(c != contact for c in _oriented_chain(chain, start)) or (
+                not isinstance(terminal, str) and terminal.contact != contact
+            ):
+                raise SolutionNotInCone("trivial chain bends; rerun with keep_trivial=True")
+            visited_edges.update(id(e) for e in chain)
+            if isinstance(terminal, str):
+                total = -sum(values[index[node_var(e.id)]] for e in chain)
                 segments.append(
-                    Segment(vertex_ids[start], vertex_ids[current], contact, total)
+                    Segment(vertex_ids[start], vertex_ids[terminal], contact, total)
                 )
-            if not ok:
-                raise SolutionNotInCone(
-                    "trivial chain bends; rerun with keep_trivial=True"
-                )
+            else:
+                visited_edges.add(id(terminal))
+                rays.append(Ray(vertex_ids[start], contact))
 
     curve = TropicalCurve(vertices, tuple(segments), tuple(rays))
     curve.validate()

@@ -26,6 +26,7 @@ from .geometry import (
     GeometryError,
     LatticeVector,
     QuadrantPoint,
+    _connected,
     parse_rational,
     rational_str,
 )
@@ -116,12 +117,6 @@ class TropicalCurve:
     segments: tuple[Segment, ...]
     rays: tuple[Ray, ...]
 
-    def position(self, vertex_id: str) -> QuadrantPoint:
-        for v in self.vertices:
-            if v.id == vertex_id:
-                return v.position
-        raise CurveInvalid(f"unknown vertex id {vertex_id!r}")
-
     def validate(self) -> None:
         ids = [v.id for v in self.vertices]
         if len(set(ids)) != len(ids):
@@ -148,20 +143,8 @@ class TropicalCurve:
                 raise CurveInvalid("ray with zero contact vector")
             if r.contact.x < 0 or r.contact.y < 0:
                 raise CurveInvalid(f"ray {r} eventually leaves the quadrant")
-        if len(self.vertices) > 1:
-            parent = {i: i for i in ids}
-
-            def find(a: str) -> str:
-                while parent[a] != a:
-                    parent[a] = parent[parent[a]]
-                    a = parent[a]
-                return a
-
-            for s in self.segments:
-                parent[find(s.tail)] = find(s.head)
-            roots = {find(i) for i in ids}
-            if len(roots) != 1:
-                raise CurveInvalid("curve is not connected")
+        if not _connected(ids, ((s.tail, s.head) for s in self.segments)):
+            raise CurveInvalid("curve is not connected")
 
     def canonical(self):
         """Geometry-only normal form, independent of vertex ids and order."""

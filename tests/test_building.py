@@ -176,7 +176,7 @@ class TestBuildBuilding:
     def test_vertex_on_cut_line_is_integer_piece(self):
         # The monovalent vertex (1, 0) sits exactly on the line x = l_1.
         g = building_of(4, 3).graph
-        piece = g.piece("c1")
+        piece = next(p for p in g.pieces if p.id == "c1")
         assert piece.levels[0].is_integer and piece.levels[0].level == 1
 
 

@@ -244,18 +244,14 @@ class TestInvariantChecks:
             if __debug__:
                 sys.exit("not running under -O")
 
-            class LyingInt(int):
-                def __neg__(self):
-                    return LyingInt(int(self))
+            # A simplex point off the matching equations.
+            simplex = _linalg.negative_orthant_point
+            _linalg.negative_orthant_point = lambda rows, ncols: [Fraction(-1)] * ncols
+            if main(["match", "--graph", {str(example1_path)!r}]) != 3:
+                sys.exit("witness check did not run")
+            _linalg.negative_orthant_point = simplex
 
-            try:
-                _linalg.negative_orthant_point([[LyingInt(1)]])
-            except _linalg.InvariantViolation:
-                pass
-            else:
-                sys.exit("simplex check did not run")
-
-            # A wrong kernel basis yields a witness off the matching equations.
+            # A kernel basis vector off the matching equations.
             _linalg.kernel_basis = lambda rows, nvars: [[Fraction(1)] * nvars]
             sys.exit(0 if main(["match", "--graph", {str(example1_path)!r}]) == 3 else 1)
             """
@@ -267,4 +263,5 @@ class TestInvariantChecks:
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "internal error:" in proc.stderr
+        assert "internal error: witness is not a solution" in proc.stderr
+        assert "internal error: kernel vector violates" in proc.stderr

@@ -54,43 +54,55 @@ def test_rank_and_row_span():
     assert not _linalg.in_row_span(rows, [1, 0, 0, 0, 0, 0, 0])
 
 
+def solves_strictly(rows, x) -> bool:
+    """x solves every equation of rows and has every entry <= -1."""
+    return all(sum(F(a) * v for a, v in zip(row, x)) == 0 for row in rows) and all(
+        v <= -1 for v in x
+    )
+
+
 def test_negative_orthant_feasible_line():
-    # Kernel = span{(1, 1)}: every variable can be pushed below -1.
-    rows = [[1], [1]]
-    t = _linalg.negative_orthant_point(rows)
-    assert t is not None
-    assert all(sum(F(a) * x for a, x in zip(row, t)) <= -1 for row in rows)
+    # x1 - x2 = 0: the kernel line (1, 1) reaches below -1.
+    rows = [[1, -1]]
+    x = _linalg.negative_orthant_point(rows, 2)
+    assert x is not None and solves_strictly(rows, x)
 
 
 def test_negative_orthant_infeasible_opposites():
-    # Variables are t and -t: they cannot both be negative.
-    assert _linalg.negative_orthant_point([[1], [-1]]) is None
+    # x1 + x2 = 0: the two variables cannot both be negative.
+    assert _linalg.negative_orthant_point([[1, 1]], 2) is None
 
 
 def test_negative_orthant_two_parameters():
-    rows = [[0, -1], [-1, 1], [0, -1], [0, -1], [0, -1], [-1, 0], [0, -1]]
-    t = _linalg.negative_orthant_point(rows)
-    assert t is not None
-    for row in rows:
-        assert sum(F(a) * x for a, x in zip(row, t)) <= -1
+    # x1 + x2 - x3 = 0 and 2 x4 - x3 = 0: a two-dimensional kernel.
+    rows = [[1, 1, -1, 0], [0, 0, -1, 2]]
+    assert len(_linalg.kernel_basis(rows, 4)) == 2
+    x = _linalg.negative_orthant_point(rows, 4)
+    assert x is not None and solves_strictly(rows, x)
 
 
 def test_negative_orthant_empty():
-    assert _linalg.negative_orthant_point([]) == []
+    assert _linalg.negative_orthant_point([], 0) == []
+    # No equations: every variable is free to sit at -1.
+    assert _linalg.negative_orthant_point([], 3) == [F(-1)] * 3
 
 
 def test_negative_orthant_against_fourier_motzkin():
     rng = random.Random(71)
     for _ in range(300):
-        d = rng.randint(1, 3)
-        nrows = rng.randint(1, 6)
-        rows = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(nrows)]
-        t = _linalg.negative_orthant_point(rows)
-        expected = fourier_motzkin_feasible(rows, [-1] * nrows)
-        assert (t is not None) == expected, rows
-        if t is not None:
-            for row in rows:
-                assert sum(F(a) * x for a, x in zip(row, t)) <= -1
+        ncols = rng.randint(1, 4)
+        nrows = rng.randint(1, 3)
+        rows = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(nrows)]
+        x = _linalg.negative_orthant_point(rows, ncols)
+        # A x <= 0, -A x <= 0 and x <= -1.
+        identity = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+        expected = fourier_motzkin_feasible(
+            rows + [[-a for a in row] for row in rows] + identity,
+            [0] * (2 * nrows) + [-1] * ncols,
+        )
+        assert (x is not None) == expected, rows
+        if x is not None:
+            assert solves_strictly(rows, x), rows
 
 
 def test_lattice_canonical_invariance():

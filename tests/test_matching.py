@@ -389,6 +389,37 @@ class TestRealize:
         with pytest.raises(SolutionNotInCone):
             realize(example1_graph, values)
 
+    def test_rejects_exactly_the_equation_violations(self, example1_graph):
+        # The system's equations are the reference: realize must raise
+        # exactly when one of them evaluates to nonzero.
+        system = build_system(example1_graph)
+        cone = solve(system)
+        witness = list(cone.witness)
+        candidates = []
+        for i in range(len(witness)):
+            moved = list(witness)
+            moved[i] -= F(1, 3)
+            candidates.append(moved)
+        rng = random.Random(11)
+        candidates += [[F(-rng.randint(1, 4)) for _ in witness] for _ in range(10)]
+        for c1 in (0, F(1, 2), 1):
+            for c2 in (0, F(1, 2), 1):
+                candidates.append([
+                    3 * w + c1 * a + c2 * b
+                    for w, a, b in zip(witness, cone.basis[0], cone.basis[1])
+                ])
+        verdicts = set()
+        for values in candidates:
+            assert all(v <= -1 for v in values)
+            violated = any(eq.evaluate(values) != 0 for eq in system.equations)
+            verdicts.add(violated)
+            if violated:
+                with pytest.raises(SolutionNotInCone):
+                    realize(example1_graph, values)
+            else:
+                realize(example1_graph, values)
+        assert verdicts == {True, False}
+
 
 class TestFeasibilityAcrossTypes:
     def test_pipeline_feasible_on_grid(self):
