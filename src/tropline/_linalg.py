@@ -1,16 +1,18 @@
-"""Exact rational linear algebra and a tiny Bland-rule simplex.
+"""Exact integer linear algebra and a tiny Bland-rule simplex.
 
-Sizes here are small (a handful of variables per matching system), so the
-implementations favour clarity and determinism over asymptotics.
+Every elimination runs on an integer tableau through one fraction-free
+Gauss-Jordan step (Edmonds 1967; Bareiss 1968), so no fraction is built
+until a witness is read off.  Sizes here are small (a handful of variables
+per matching system), so the implementations favour clarity and
+determinism over asymptotics.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Sequence
-
-Row = list[Fraction]
 
 
 class InvariantViolation(RuntimeError):
@@ -18,79 +20,74 @@ class InvariantViolation(RuntimeError):
     check also runs under `python -O`."""
 
 
-def _as_rows(matrix: Sequence[Sequence]) -> list[Row]:
-    return [[Fraction(x) for x in row] for row in matrix]
+def _pivot(rows: list[list[int]], r: int, c: int, d: int) -> int:
+    """Fraction-free Gauss-Jordan step on the pivot p = rows[r][c] > 0.
 
-
-def rref(matrix: Sequence[Sequence]) -> tuple[list[Row], list[int]]:
-    """Reduced row echelon form with deterministic first-nonzero pivoting.
-
-    Returns the reduced rows (zero rows dropped) and the pivot column list.
+    Every other row becomes (p*row - row[c]*rows[r]) // d, where d is the
+    previous pivot; the division is exact, and every pivot column then
+    holds p, which is returned as the next d.
     """
-    rows = _as_rows(matrix)
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
+    p, prow = rows[r][c], rows[r]
+    for i, row in enumerate(rows):
+        if i != r:
+            f = row[c]
+            rows[i] = [(p * a - f * b) // d for a, b in zip(row, prow)]
+    return p
+
+
+def rref(matrix: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], int]:
+    """Integer reduced row echelon form with deterministic first-nonzero pivoting.
+
+    Returns the reduced rows (zero rows dropped), the pivot column list and
+    the common pivot d > 0: each pivot column holds d in its own row and 0
+    elsewhere, and the rows divided by d are the rational RREF.  Entries
+    must be integers.
+    """
+    rows = [[operator.index(x) for x in row] for row in matrix]
     pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
+    d = 1
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
         pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        if rows[r][c] < 0:
+            rows[r] = [-x for x in rows[r]]
+        d = _pivot(rows, r, c, d)
         pivots.append(c)
-        r += 1
-        if r == len(rows):
+        if len(pivots) == len(rows):
             break
-    return rows[: len(pivots)], pivots
+    return rows[: len(pivots)], pivots, d
 
 
-def rank(matrix: Sequence[Sequence]) -> int:
+def rank(matrix: Sequence[Sequence[int]]) -> int:
     return len(rref(matrix)[1])
 
 
-def in_row_span(matrix: Sequence[Sequence], row: Sequence) -> bool:
+def in_row_span(matrix: Sequence[Sequence[int]], row: Sequence[int]) -> bool:
     base = [list(r) for r in matrix]
     return rank(base) == rank(base + [list(row)])
 
 
-def kernel_basis(matrix: Sequence[Sequence], ncols: int) -> list[Row]:
+def kernel_basis(matrix: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:
     """Basis of the null space, one vector per free column, in column order.
 
-    Each basis vector carries 1 at its free column; pivot entries are filled
-    by back substitution from the reduced form.
+    Each basis vector is the primitive integer vector on its ray that is
+    negative at its free column and zero at the other free columns.
     """
-    reduced, pivots = rref(matrix)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis: list[Row] = []
-    for f in free:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
+    reduced, pivots, d = rref(matrix)
+    basis: list[list[int]] = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        vec = [0] * ncols
+        vec[f] = -d
         for r, c in enumerate(pivots):
-            vec[c] = -reduced[r][f]
-        basis.append(vec)
+            vec[c] = reduced[r][f]
+        g = math.gcd(*vec)
+        basis.append([x // g for x in vec])
     return basis
-
-
-def integerize(vector: Sequence[Fraction]) -> list[int]:
-    """Scale a rational vector to the primitive integer vector on its ray."""
-    vec = [Fraction(x) for x in vector]
-    den = 1
-    for x in vec:
-        den = den * x.denominator // math.gcd(den, x.denominator)
-    ints = [int(x * den) for x in vec]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, x)
-    if g > 1:
-        ints = [x // g for x in ints]
-    return ints
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -149,59 +146,51 @@ def negative_orthant_point(rows: Sequence[Sequence[int]], ncols: int) -> list[Fr
 
     Substituting x = -1 - y turns the problem into A y = -A.1 with y >= 0,
     a standard-form phase 1: each row is signed so its right-hand side is
-    non-negative, gets one artificial column, and a Bland-rule simplex over
-    the rationals minimizes the artificial sum.
+    non-negative, gets one artificial column, and a Bland-rule simplex on
+    the integer tableau minimizes the artificial sum.
     """
     if ncols == 0:
         return []
     nrows = len(rows)
     width = ncols + nrows
-    tableau: list[Row] = []
+    tableau: list[list[int]] = []
     for i, row in enumerate(rows):
         sign = -1 if sum(row) > 0 else 1
-        line = [Fraction(sign * a) for a in row] + [Fraction(0)] * (nrows + 1)
-        line[ncols + i] = Fraction(1)
+        line = [sign * a for a in row] + [0] * (nrows + 1)
+        line[ncols + i] = 1
         line[width] = -sum(line[:ncols])
         tableau.append(line)
     basis = [ncols + i for i in range(nrows)]
-    # Reduced costs of the phase-1 objective: raw costs (1 on artificial
-    # columns) with the artificial basis priced out.
-    cost = [Fraction(0)] * ncols + [Fraction(1)] * nrows + [Fraction(0)]
+    # The last row holds the reduced costs of the phase-1 objective (1 on
+    # artificial columns, with the artificial basis priced out), scaled by
+    # d > 0 like every other row, so their signs are those of the rationals.
+    cost = [0] * ncols + [1] * nrows + [0]
     for line in tableau:
         cost = [c - x for c, x in zip(cost, line)]
+    tableau.append(cost)
+    d = 1
 
     while True:
-        entering = next((j for j in range(width) if cost[j] < 0), None)
+        entering = next((j for j in range(width) if tableau[nrows][j] < 0), None)
         if entering is None:
             break
-        best_ratio = None
-        leaving_row = None
-        for i, line in enumerate(tableau):
-            if line[entering] > 0:
-                ratio = line[width] / line[entering]
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[leaving_row])
-                ):
-                    best_ratio = ratio
-                    leaving_row = i
-        pivot = tableau[leaving_row][entering]
-        tableau[leaving_row] = [x / pivot for x in tableau[leaving_row]]
+        leaving = None
         for i in range(nrows):
-            if i != leaving_row and tableau[i][entering] != 0:
-                f = tableau[i][entering]
-                tableau[i] = [
-                    a - f * b for a, b in zip(tableau[i], tableau[leaving_row])
-                ]
-        f = cost[entering]
-        cost = [a - f * b for a, b in zip(cost, tableau[leaving_row])]
-        basis[leaving_row] = entering
+            a = tableau[i][entering]
+            if a > 0 and (
+                leaving is None
+                # rhs_i / a < rhs_l / a_l, ties to the smaller basis index.
+                or (tableau[i][width] * tableau[leaving][entering], basis[i])
+                < (tableau[leaving][width] * a, basis[leaving])
+            ):
+                leaving = i
+        d = _pivot(tableau, leaving, entering, d)
+        basis[leaving] = entering
 
-    if cost[width] != 0:
+    if tableau[nrows][width] != 0:
         return None
     x = [Fraction(-1)] * ncols
     for i, b in enumerate(basis):
         if b < ncols:
-            x[b] -= tableau[i][width]
+            x[b] -= Fraction(tableau[i][width], d)
     return x

@@ -266,7 +266,6 @@ def build_building(curve: TropicalCurve, extra_levels=()) -> Building:
     set of non-trivial pieces, it only adds trivial cylinders (used to
     probe the stability rules).
     """
-    curve.validate()
     base = extract_levels(curve)
     values = sorted(set(base.values) | {Fraction(v) for v in extra_levels})
     if any(v <= 0 for v in values):
@@ -450,5 +449,5 @@ def graph_from_json(data: dict) -> LeveledDualGraph:
         graph = LeveledDualGraph(int(data["num_levels"]), pieces, nodes, ends)
     except (KeyError, TypeError, IndexError) as exc:
         raise GraphInvalid(f"malformed graph document: {exc}") from exc
-    graph.check_references()
+    graph.validate()
     return graph

@@ -86,7 +86,7 @@ class Equation:
     levels: tuple[int, int]  # anchor levels (a, b) with a <= b
 
     def evaluate(self, values: Sequence[Fraction]) -> Fraction:
-        return sum((c * v for c, v in zip(self.coefficients, values) if c), Fraction(0))
+        return sum(c * v for c, v in zip(self.coefficients, values) if c)
 
 
 @dataclass(frozen=True)
@@ -282,18 +282,15 @@ def _chain_equation(chain, anchor, terminal, pieces, direction, variables, var_i
 def solve(system: MatchingSystem) -> SolutionCone:
     """Exact kernel and strict-negativity certificate of a matching system.
 
-    The kernel is computed by exact Gauss-Jordan elimination and gives the
-    basis and dimension; feasibility of the open all-negative cone is decided
-    by a Bland-rule simplex on the equations themselves, seeking a solution
-    with every coordinate <= -1 (homogeneity makes the two formulations
-    equivalent).  Infeasibility is a value, not an error.
+    The kernel is computed by fraction-free Gauss-Jordan elimination and
+    gives the basis and dimension; feasibility of the open all-negative cone
+    is decided by a Bland-rule simplex on the equations themselves, seeking a
+    solution with every coordinate <= -1 (homogeneity makes the two
+    formulations equivalent).  Infeasibility is a value, not an error.
     """
     nvars = len(system.variables)
     rows = system.coefficient_rows()
-    basis = tuple(
-        tuple(-c for c in _linalg.integerize(vec))
-        for vec in _linalg.kernel_basis(rows, nvars)
-    )
+    basis = tuple(map(tuple, _linalg.kernel_basis(rows, nvars)))
     for vec in basis:
         if any(eq.evaluate(vec) != 0 for eq in system.equations):
             raise _linalg.InvariantViolation("kernel vector violates a matching equation")
@@ -362,9 +359,7 @@ def _piece_positions(
     pieces = {p.id: p for p in graph.pieces}
 
     def phi(a: int) -> Fraction:
-        return -sum(
-            (values[index[level_var(j)]] for j in range(1, a + 1)), Fraction(0)
-        )
+        return -sum(values[index[level_var(j)]] for j in range(1, a + 1))
 
     positions: dict[str, tuple[Fraction, Fraction]] = {}
     for piece in graph.pieces:
@@ -430,12 +425,11 @@ def torus_weights(
     use_basis = tuple(tuple(int(c) for c in vec) for vec in (basis or cone.basis))
     columns = []
     for vec in use_basis:
-        values = [Fraction(c) for c in vec]
-        columns.append(_piece_positions(graph, values, cone.variables))
+        columns.append(_piece_positions(graph, vec, cone.variables))
     entries: dict[str, tuple[tuple[int, ...], tuple[int, ...]]] = {}
     for piece in graph.pieces:
-        row_x = tuple(int(col[piece.id][0]) for col in columns)
-        row_y = tuple(int(col[piece.id][1]) for col in columns)
+        row_x = tuple(col[piece.id][0] for col in columns)
+        row_y = tuple(col[piece.id][1] for col in columns)
         entries[piece.id] = (row_x, row_y)
     return WeightTable(dimension=len(use_basis), entries=entries)
 

@@ -28,8 +28,6 @@ _CONE_FILLS = ("#f2e8d5", "#dbe9f2")
 class RenderSpec:
     window: Fraction = Fraction(6)
     scale: Fraction = Fraction(60)
-    show_levels: bool = True
-    labels: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "window", Fraction(self.window))
@@ -68,13 +66,6 @@ class _Canvas:
     def polygon(self, pts, fill: str) -> None:
         mapped = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in (self.map(*p) for p in pts))
         self.lines.append(f'<polygon class="cone" points="{mapped}" fill="{fill}"/>')
-
-    def text(self, pos, content: str) -> None:
-        x, y = self.map(*pos)
-        self.lines.append(
-            f'<text class="label" x="{_fmt(x + 4)}" y="{_fmt(y - 4)}" '
-            f'font-size="11" font-family="sans-serif">{content}</text>'
-        )
 
     def axes(self) -> None:
         w = self.spec.window
@@ -154,7 +145,7 @@ def render_tropical(
     spec = spec or RenderSpec()
     canvas = _Canvas(spec)
     window = float(spec.window)
-    if levels is not None and spec.show_levels:
+    if levels is not None:
         style = f'stroke="{_LEVEL_COLOR}" stroke-width="1" stroke-dasharray="6 4"'
         for value in levels.values:
             v = float(value)
@@ -182,9 +173,6 @@ def render_tropical(
     for a, b in _boundary_shadows(curve):
         if a != b:
             canvas.line(a, b, "curve", style)
-    if spec.labels:
-        for v in curve.vertices:
-            canvas.text(pos[v.id], f"({v.position.x},{v.position.y})")
     return canvas.finish()
 
 
@@ -227,6 +215,4 @@ def render_fan(fan: Fan, spec: RenderSpec | None = None) -> str:
                 f'<line class="arrow" x1="{_fmt(tx)}" y1="{_fmt(ty)}" '
                 f'x2="{_fmt(bx)}" y2="{_fmt(by)}" {style}/>'
             )
-        if spec.labels:
-            canvas.text(tip, f"({r.x},{r.y})")
     return canvas.finish()

@@ -302,42 +302,46 @@ def validate_curve(curve: TropicalCurve) -> BalanceReport:
 
 
 def min_squared_distance(curve: TropicalCurve, point) -> Fraction:
-    """Exact squared Euclidean distance from a point to the curve."""
-    px, py = Fraction(point[0]), Fraction(point[1])
-    pos = {v.id: v.position for v in curve.vertices}
-    best: Fraction | None = None
+    """Exact squared Euclidean distance from a point to the curve.
 
-    def consider(d2: Fraction) -> None:
-        nonlocal best
-        if best is None or d2 < best:
-            best = d2
-
-    for v in curve.vertices:
-        consider((px - v.position.x) ** 2 + (py - v.position.y) ** 2)
-
-    def edge_distance(ax, ay, dx, dy, tmax: Fraction | None) -> Fraction:
-        # Project onto a*(t) = (ax + t dx, ay + t dy), clamp t to [0, tmax].
-        num = (px - ax) * dx + (py - ay) * dy
-        den = dx * dx + dy * dy
-        t = num / den
-        if t < 0:
-            t = Fraction(0)
-        if tmax is not None and t > tmax:
-            t = tmax
-        qx, qy = ax + t * dx, ay + t * dy
-        return (px - qx) ** 2 + (py - qy) ** 2
-
-    for s in curve.segments:
-        a = pos[s.tail]
-        consider(
-            edge_distance(a.x, a.y, Fraction(s.contact.x), Fraction(s.contact.y), s.length)
-        )
-    for r in curve.rays:
-        a = pos[r.base]
-        consider(edge_distance(a.x, a.y, Fraction(r.contact.x), Fraction(r.contact.y), None))
-    if best is None:
+    Like :func:`corner_locus_oracle`, everything is computed in a common
+    integer unit; the only fraction built is the result.
+    """
+    if not curve.vertices:
         raise CurveInvalid("curve has no vertices")
-    return best
+    px, py = Fraction(point[0]), Fraction(point[1])
+    unit = math.lcm(
+        px.denominator,
+        py.denominator,
+        *(c.denominator for v in curve.vertices for c in v.position),
+        *(s.length.denominator for s in curve.segments),
+    )
+
+    def scaled(x) -> int:
+        return x.numerator * (unit // x.denominator)
+
+    # Offsets from each vertex to the point, in the unit.
+    offset = {
+        v.id: (scaled(px) - scaled(v.position.x), scaled(py) - scaled(v.position.y))
+        for v in curve.vertices
+    }
+    best, best_den = min(wx * wx + wy * wy for wx, wy in offset.values()), 1
+    edges = [(offset[s.tail], s.contact, scaled(s.length)) for s in curve.segments]
+    edges += [(offset[r.base], r.contact, None) for r in curve.rays]
+    for (wx, wy), c, tmax in edges:
+        # Project onto w - t*c with t clamped to [0, tmax]; t <= 0 is the
+        # base vertex, already counted.  Inside the edge the squared
+        # distance is (|w|^2 den - num^2) / den.
+        num, den = wx * c.x + wy * c.y, c.x * c.x + c.y * c.y
+        if num <= 0:
+            continue
+        if tmax is not None and num >= tmax * den:
+            d2, den = (wx - tmax * c.x) ** 2 + (wy - tmax * c.y) ** 2, 1
+        else:
+            d2 = (wx * wx + wy * wy) * den - num * num
+        if d2 * best_den < best * den:
+            best, best_den = d2, den
+    return Fraction(best, best_den * unit * unit)
 
 
 def curve_to_json(curve: TropicalCurve) -> dict:

@@ -1,14 +1,22 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
 from fractions import Fraction as F
 from pathlib import Path
 
+from hypothesis import given, settings, strategies as st
+
+from tropline.building import graph_from_json
 from tropline.cli import main
 from tropline.tropical import curve_from_json, curves_equal, tropicalize_line, LineFamily
+
+GOLDENS = Path(__file__).parent / "goldens"
 
 
 def run(capsys, *argv):
@@ -86,6 +94,11 @@ class TestPipeline:
         assert code == 0
         result = json.loads(out)
         assert result["dimension"] == 2 and result["stable"] is True
+
+    def test_match_golden_bytes(self, capsys, example1_path):
+        code, out, _ = run(capsys, "match", "--graph", str(example1_path))
+        assert code == 0
+        assert out == (GOLDENS / "match-example1.json").read_text()
 
     def test_match_rule_flag(self, capsys, example1_path):
         code, out, _ = run(
@@ -265,3 +278,68 @@ class TestInvariantChecks:
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "internal error: witness is not a solution" in proc.stderr
         assert "internal error: kernel vector violates" in proc.stderr
+
+
+def mutate(doc, pick):
+    """Apply one structural edit to a graph document in place; `pick(a, b)`
+    draws an integer in [a, b]."""
+    pieces, nodes, ends = doc["pieces"], doc["nodes"], doc["ends"]
+
+    def any_of(items):
+        return items[pick(0, len(items) - 1)]
+
+    op = pick(0, 10)
+    if op == 0 and nodes:
+        any_of(nodes)["contact"][pick(0, 1)] = pick(-2, 2)
+    elif op == 1 and ends:
+        any_of(ends)["contact"][pick(0, 1)] = pick(-2, 2)
+    elif op == 2 and pieces:
+        v = pick(0, 4)
+        any_of(pieces)["levels"][pick(0, 1)] = {"at": v} if pick(0, 1) else {"between": [v, v + 1]}
+    elif op == 3 and pieces:
+        piece = any_of(pieces)
+        piece["trivial"] = not piece["trivial"]
+    elif op == 4 and nodes:
+        node = any_of(nodes)
+        node["tail"], node["head"] = node["head"], node["tail"]
+    elif op == 5 and nodes and pieces:
+        any_of(nodes)[("tail", "head")[pick(0, 1)]] = any_of(pieces)["id"]
+    elif op == 6 and ends and pieces:
+        any_of(ends)["piece"] = any_of(pieces)["id"]
+    elif op == 7:
+        items = (pieces, nodes, ends)[pick(0, 2)]
+        if items:
+            del items[pick(0, len(items) - 1)]
+    elif op == 8:
+        doc["num_levels"] = pick(0, 5)
+    elif op == 9 and pieces:
+        nodes.append({
+            "id": f"m{len(nodes)}",
+            "tail": any_of(pieces)["id"],
+            "head": any_of(pieces)["id"],
+            "contact": [pick(-1, 2), pick(-1, 2)],
+        })
+    elif op == 10 and pieces:
+        ends.append({"piece": any_of(pieces)["id"], "contact": [pick(-1, 2), pick(-1, 2)]})
+
+
+class TestMutatedGraphs:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_match_exits_2_unless_graph_validates(self, data):
+        """`trop match` on a mutated example either rejects the document with
+        exit 2 or was given a graph that passes `validate()`."""
+        with open(Path(__file__).parent / "fixtures" / "example1.json", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        for _ in range(data.draw(st.integers(1, 3))):
+            mutate(doc, lambda a, b: data.draw(st.integers(a, b)))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "graph.json"
+            path.write_text(json.dumps(doc))
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+                io.StringIO()
+            ):
+                code = main(["match", "--graph", str(path)])
+        assert code in (0, 2), doc
+        if code == 0:
+            graph_from_json(doc).validate()

@@ -1,7 +1,13 @@
+import math
 import random
 from fractions import Fraction as F
 
+import pytest
+
 from tropline import _linalg
+from tropline.building import build_building
+from tropline.matching import build_system
+from tropline.tropical import LineFamily, tropicalize_line
 
 
 def fourier_motzkin_feasible(rows, rhs) -> bool:
@@ -23,10 +29,34 @@ def fourier_motzkin_feasible(rows, rhs) -> bool:
     return all(b >= 0 for _, b in ineqs)
 
 
+def fraction_rref(matrix):
+    """Reference: rational Gauss-Jordan elimination, first-nonzero pivoting."""
+    rows = [[F(x) for x in row] for row in matrix]
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        i = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if i is None:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for k in range(len(rows)):
+            if k != r:
+                rows[k] = [a - rows[k][c] * b for a, b in zip(rows[k], rows[r])]
+        pivots.append(c)
+    return rows[: len(pivots)], pivots
+
+
 def test_rref_identifies_pivots():
-    rows, pivots = _linalg.rref([[0, 2, 4], [1, 1, 1]])
-    assert pivots == [0, 1]
-    assert rows == [[F(1), F(0), F(-1)], [F(0), F(1), F(2)]]
+    rows, pivots, d = _linalg.rref([[0, 2, 4], [1, 1, 1]])
+    assert pivots == [0, 1] and d > 0
+    assert [[F(x, d) for x in r] for r in rows] == [[F(1), F(0), F(-1)], [F(0), F(1), F(2)]]
+    # A negative pivot is negated, so the common pivot stays positive.
+    rows, pivots, d = _linalg.rref([[-2, 1], [4, 3]])
+    assert pivots == [0, 1] and d > 0 and rows == [[d, 0], [0, d]]
+    # Non-integer entries raise instead of being truncated.
+    with pytest.raises(TypeError):
+        _linalg.rref([[F(1, 2), 1]])
 
 
 def test_kernel_basis_simple():
@@ -41,10 +71,61 @@ def test_kernel_of_empty_system_is_everything():
     assert len(_linalg.kernel_basis([], 4)) == 4
 
 
-def test_integerize_scales_and_reduces():
-    assert _linalg.integerize([F(1, 2), F(1, 3)]) == [3, 2]
-    assert _linalg.integerize([F(2), F(4)]) == [1, 2]
-    assert _linalg.integerize([F(-1, 2), F(1, 2)]) == [-1, 1]
+def test_kernel_basis_primitive_and_negative():
+    # One primitive integer vector per free column, negative there.
+    assert _linalg.kernel_basis([[2, -3]], 2) == [[-3, -2]]
+    assert _linalg.kernel_basis([[2, -1]], 2) == [[-1, -2]]
+    assert _linalg.kernel_basis([[1, 1]], 2) == [[1, -1]]
+    assert _linalg.kernel_basis([[2, 4]], 2) == [[2, -1]]
+    assert _linalg.kernel_basis([[0, 2, 4], [1, 1, 1]], 3) == [[-1, 2, -1]]
+    assert _linalg.kernel_basis([], 2) == [[-1, 0], [0, -1]]
+
+
+def building_systems():
+    """36-variable matching systems of buildings refined by extra levels."""
+    for p, q, levels in (
+        (9, 4, [F(k, 4) for k in range(1, 40, 3)]),
+        (5, 7, [F(k, 3) for k in range(1, 30, 2)]),
+        (3, 10, [F(k, 4) for k in range(1, 44, 3)]),
+    ):
+        curve = tropicalize_line(LineFamily.of(p, q))
+        system = build_system(build_building(curve, extra_levels=levels).graph)
+        assert len(system.variables) == 36
+        yield system.coefficient_rows(), 36
+
+
+def random_matrices(count):
+    rng = random.Random(29)
+    for _ in range(count):
+        ncols = rng.randint(1, 10)
+        nrows = rng.randint(0, 8)
+        k = rng.choice((1, 2, 5))
+        yield [
+            [rng.randint(-k, k) if rng.random() < 0.6 else 0 for _ in range(ncols)]
+            for _ in range(nrows)
+        ], ncols
+
+
+def test_integer_elimination_against_fractions():
+    for matrix, ncols in list(random_matrices(300)) + list(building_systems()):
+        expected, pivots = fraction_rref(matrix)
+        rows, got_pivots, d = _linalg.rref(matrix)
+        assert got_pivots == pivots and d > 0, matrix
+        assert [[F(x, d) for x in r] for r in rows] == expected, matrix
+        assert _linalg.rank(matrix) == len(pivots)
+        basis = _linalg.kernel_basis(matrix, ncols)
+        free = [f for f in range(ncols) if f not in pivots]
+        assert len(basis) == ncols - len(pivots)
+        for f, vec in zip(free, basis):
+            assert all(sum(a * v for a, v in zip(row, vec)) == 0 for row in matrix)
+            assert math.gcd(*vec) == 1 and vec[f] < 0
+            # A negative multiple of the reference kernel vector of f, so the
+            # basis spans the kernel.
+            ref = [F(0)] * ncols
+            ref[f] = F(1)
+            for r, c in enumerate(pivots):
+                ref[c] = -expected[r][f]
+            assert vec == [vec[f] * x for x in ref], matrix
 
 
 def test_rank_and_row_span():

@@ -150,6 +150,36 @@ def oracle_agrees(curve, hits, window, step) -> bool:
     return all(grid_near(x, y) for x, y in samples if x <= window and y <= window)
 
 
+def fraction_min_squared_distance(curve, point):
+    """Reference: the clamped projection onto every edge, in fractions."""
+    px, py = F(point[0]), F(point[1])
+    pos = {v.id: v.position for v in curve.vertices}
+    edges = [(pos[s.tail], s.contact, s.length) for s in curve.segments]
+    edges += [(pos[r.base], r.contact, None) for r in curve.rays]
+    best = min((px - v.position.x) ** 2 + (py - v.position.y) ** 2 for v in curve.vertices)
+    for a, c, tmax in edges:
+        t = max(F(0), ((px - a.x) * c.x + (py - a.y) * c.y) / F(c.x * c.x + c.y * c.y))
+        if tmax is not None:
+            t = min(t, tmax)
+        best = min(best, (px - a.x - t * c.x) ** 2 + (py - a.y - t * c.y) ** 2)
+    return best
+
+
+def test_min_squared_distance_against_fractions():
+    rng = random.Random(17)
+    for _ in range(200):
+        p = F(rng.randint(0, 30), rng.randint(1, 7))
+        q = F(rng.randint(0, 30), rng.randint(1, 7))
+        curve = tropicalize_line(fam(p, q))
+        for _ in range(5):
+            point = (
+                F(rng.randint(-20, 200), rng.randint(1, 13)),
+                F(rng.randint(-20, 200), rng.randint(1, 13)),
+            )
+            expected = fraction_min_squared_distance(curve, point)
+            assert min_squared_distance(curve, point) == expected, (p, q, point)
+
+
 class TestReflect:
     def test_reflect_swaps_family(self):
         assert curves_equal(
