@@ -42,6 +42,10 @@ MAX_BASE = 1.0e8
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
+# Largest window accepted: squared distances inside it stay far below the
+# float range.
+_MAX_WINDOW = 1.0e150
+
 # Pair distances computed at once by the brute-force nearest-point search.
 _CHUNK = 1 << 20
 
@@ -119,31 +123,35 @@ def sample_amoeba(
         raise ValueError("need at least one sample point")
     p, q = float(family.p), float(family.q)
     max_depth = depth if depth is not None else p + q + 2.0
-    caps = np.array((max_depth, max_depth, min(p, q)))
-    per_end = np.array([len(range(e, count, 3)) for e in range(3)])
-
-    k = np.arange(count)
-    end = k % 3
-    t = caps[end] * (k // 3 + 0.5) / per_end[end]
-    angle = 2.0 * math.pi * ((k * _GOLDEN) % 1.0)
     log_n = math.log(n)
-    near_zero, near_minus_one, near_infinity = end == 0, end == 1, end == 2
+    x0 = p - math.log(abs(family.c1)) / log_n
+    y0 = q - math.log(abs(family.c2)) / log_n
+    points = np.empty((count, 2))
+    domain = np.empty(count, dtype=np.complex128)
 
+    # Sample k lies on end k % 3 (0, -1, infinity), at the (k // 3)-th depth
+    # of that end; each end is the strided slice [end::3].
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        eps = np.power(n, -t)
-        half = np.where(near_minus_one, np.sin(0.5 * angle), np.cos(0.5 * angle))
-        # log|1 - eps e^(i a)| near -1, log|1 + eps e^(i a)| elsewhere, in units of log n.
-        rest = 0.5 * np.log((1.0 - eps) ** 2 + 4.0 * eps * half**2) / log_n
-        log_w = np.where(near_zero, -t, np.where(near_minus_one, rest, t))
-        log_w1 = np.where(near_zero, rest, np.where(near_minus_one, -t, t + rest))
-        x = p - math.log(abs(family.c1)) / log_n - log_w
-        y = q - math.log(abs(family.c2)) / log_n - log_w1
-
-        radius = np.where(near_infinity, np.power(n, t), eps)
-        domain = np.empty(count, dtype=np.complex128)
-        domain.real = radius * np.cos(angle) - near_minus_one
-        domain.imag = radius * np.sin(angle)
-    points = np.column_stack((np.maximum(0.0, x), np.maximum(0.0, y)))
+        for end, cap in enumerate((max_depth, max_depth, min(p, q))):
+            k = np.arange(end, count, 3)
+            t = cap * (np.arange(len(k)) + 0.5) / len(k)
+            angle = 2.0 * math.pi * ((k * _GOLDEN) % 1.0)
+            eps = np.power(n, -t)
+            half = np.sin(0.5 * angle) if end == 1 else np.cos(0.5 * angle)
+            # log|1 - eps e^(i a)| near -1, log|1 + eps e^(i a)| elsewhere, in units of log n.
+            rest = 0.5 * np.log((1.0 - eps) ** 2 + 4.0 * eps * half**2) / log_n
+            if end == 0:
+                log_w, log_w1, radius = -t, rest, eps
+            elif end == 1:
+                log_w, log_w1, radius = rest, -t, eps
+            else:
+                log_w, log_w1, radius = t, t + rest, np.power(n, t)
+            points[end::3, 0] = x0 - log_w
+            points[end::3, 1] = y0 - log_w1
+            domain.real[end::3] = radius * np.cos(angle)
+            domain.imag[end::3] = radius * np.sin(angle)
+    domain.real[1::3] -= 1.0
+    np.maximum(0.0, points, out=points)
     return AmoebaSample(n=float(n), points=points, domain=domain)
 
 
@@ -210,15 +218,17 @@ def _squared_distance_to_pieces(
     points: np.ndarray, starts: np.ndarray, moves: np.ndarray
 ) -> np.ndarray:
     """Squared distance from each point to the nearest of the segments."""
-    rel_x = points[:, :1] - starts[:, 0]
-    rel_y = points[:, 1:] - starts[:, 1]
-    dx, dy = moves[:, 0], moves[:, 1]
-    length2 = dx * dx + dy * dy
-    s = (rel_x * dx + rel_y * dy) / np.where(length2 > 0, length2, 1.0)
-    np.clip(s, 0.0, 1.0, out=s)
-    rel_x -= s * dx
-    rel_y -= s * dy
-    return (rel_x * rel_x + rel_y * rel_y).min(axis=1)
+    px, py = points[:, 0].copy(), points[:, 1].copy()
+    best = np.full(len(points), np.inf)
+    for (sx, sy), (dx, dy) in zip(starts.tolist(), moves.tolist()):
+        length2 = dx * dx + dy * dy
+        rel_x, rel_y = px - sx, py - sy
+        s = (rel_x * dx + rel_y * dy) / (length2 if length2 > 0 else 1.0)
+        np.clip(s, 0.0, 1.0, out=s)
+        rel_x -= s * dx
+        rel_y -= s * dy
+        np.minimum(best, rel_x * rel_x + rel_y * rel_y, out=best)
+    return best
 
 
 def _brute_nearest(targets: np.ndarray, cloud: np.ndarray) -> np.ndarray:
@@ -251,7 +261,9 @@ def _squared_nearest(targets: np.ndarray, cloud: np.ndarray, cell: float) -> np.
     stride = int(max(inner_cells[:, 1].max(initial=0), target_cells[:, 1].max() + 1)) + 1
     keys = inner_cells[:, 0] * stride + inner_cells[:, 1]
     order = np.argsort(keys, kind="stable")
-    keys, inner = keys[order], inner[order]
+    keys = keys[order]
+    ix, iy = inner[order, 0], inner[order, 1]
+    tx, ty = targets[:, 0].copy(), targets[:, 1].copy()
     # The three cells of one column are consecutive keys, so each target
     # needs three ranges of the sorted cloud.
     low_keys = (target_cells[:, :1] + np.array((-1, 0, 1))) * stride + target_cells[:, 1:] - 1
@@ -262,8 +274,8 @@ def _squared_nearest(targets: np.ndarray, cloud: np.ndarray, cell: float) -> np.
     index = np.arange(counts.sum()) - np.repeat(firsts - lo, counts)
     per_target = counts.reshape(-1, 3).sum(axis=1)
     owner = np.repeat(np.arange(len(targets)), per_target)
-    dx = targets[owner, 0] - inner[index, 0]
-    dy = targets[owner, 1] - inner[index, 1]
+    dx = tx[owner] - ix[index]
+    dy = ty[owner] - iy[index]
     pair = dx * dx + dy * dy
     best = np.full(len(targets), np.inf)
     found = np.flatnonzero(per_target)
@@ -304,14 +316,23 @@ def convergence_report(
     count: int,
     window: float,
 ) -> ConvergenceReport:
-    """Hausdorff distances over a ladder of bases, with a 1/log n fit."""
+    """Hausdorff distances over a ladder of bases, with a 1/log n fit.
+
+    The fit needs at least two distinct bases, and the window must be
+    positive and small enough that squared distances inside it stay finite.
+    """
     from .tropical import tropicalize_line
 
+    bases = [float(n) for n in bases]
+    if len(set(bases)) < 2:
+        raise ValueError("a convergence ladder needs at least two distinct bases")
+    if not 0 < window <= _MAX_WINDOW:
+        raise ValueError(f"window {window} must be positive and at most {_MAX_WINDOW:g}")
     curve = tropicalize_line(family)
     entries = []
     for n in bases:
-        sample = sample_amoeba(family, float(n), count)
-        entries.append((float(n), hausdorff(sample, curve, window)))
+        sample = sample_amoeba(family, n, count)
+        entries.append((n, hausdorff(sample, curve, window)))
     xs = np.array([1.0 / math.log(n) for n, _ in entries])
     ys = np.array([d for _, d in entries])
     slope, intercept = np.polyfit(xs, ys, 1)
@@ -320,8 +341,7 @@ def convergence_report(
     ss_tot = float(np.sum((ys - ys.mean()) ** 2))
     r_squared = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
     monotone = all(b < a * 1.1 for (_, a), (_, b) in zip(entries, entries[1:]))
-    if len(entries) >= 2:
-        monotone = monotone and entries[-1][1] < entries[0][1]
+    monotone = monotone and entries[-1][1] < entries[0][1]
     return ConvergenceReport(
         entries=tuple(entries),
         decay_constant=float(slope),

@@ -8,6 +8,7 @@ the output and never nonzero exit codes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -26,6 +27,9 @@ def _rational_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+# Built once per process, on first use: parse_args leaves the parser as it
+# was, and the `append` default is copied before it is extended.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trop",
@@ -245,8 +249,6 @@ def _cmd_amoeba(args) -> int:
         bases = [float(part) for part in args.n.split(",") if part.strip()]
     except ValueError as exc:
         raise ValueError(f"bad base list {args.n!r}") from exc
-    if not bases:
-        raise ValueError("need at least one rescaling base")
     family = tropical_mod.LineFamily(args.p, args.q)
     window = args.window if args.window is not None else float(args.p + args.q + 1)
     report = amoeba_mod.convergence_report(family, bases, args.samples, window)

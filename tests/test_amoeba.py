@@ -52,7 +52,68 @@ class TestLogImage:
             log_image((1.0, 1.0, 1.0), 1.0)
 
 
+def reference_sample(family, n, count, depth=None):
+    """The sampler as one all-ends formulation: every end is computed for
+    every sample and `np.where` keeps the one the sample lies on."""
+    p, q = float(family.p), float(family.q)
+    max_depth = depth if depth is not None else p + q + 2.0
+    caps = np.array((max_depth, max_depth, min(p, q)))
+    per_end = np.array([len(range(e, count, 3)) for e in range(3)])
+    k = np.arange(count)
+    end = k % 3
+    t = caps[end] * (k // 3 + 0.5) / per_end[end]
+    angle = 2.0 * math.pi * ((k * amoeba._GOLDEN) % 1.0)
+    log_n = math.log(n)
+    near_zero, near_minus_one, near_infinity = end == 0, end == 1, end == 2
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        eps = np.power(n, -t)
+        half = np.where(near_minus_one, np.sin(0.5 * angle), np.cos(0.5 * angle))
+        rest = 0.5 * np.log((1.0 - eps) ** 2 + 4.0 * eps * half**2) / log_n
+        log_w = np.where(near_zero, -t, np.where(near_minus_one, rest, t))
+        log_w1 = np.where(near_zero, rest, np.where(near_minus_one, -t, t + rest))
+        x = p - math.log(abs(family.c1)) / log_n - log_w
+        y = q - math.log(abs(family.c2)) / log_n - log_w1
+        radius = np.where(near_infinity, np.power(n, t), eps)
+        domain = np.empty(count, dtype=np.complex128)
+        domain.real = radius * np.cos(angle) - near_minus_one
+        domain.imag = radius * np.sin(angle)
+    points = np.column_stack((np.maximum(0.0, x), np.maximum(0.0, y)))
+    return points, domain
+
+
+def reference_distance_to_pieces(points, starts, moves):
+    """Squared distance to the nearest piece from one (points x pieces)
+    broadcast."""
+    rel_x = points[:, :1] - starts[:, 0]
+    rel_y = points[:, 1:] - starts[:, 1]
+    dx, dy = moves[:, 0], moves[:, 1]
+    length2 = dx * dx + dy * dy
+    s = (rel_x * dx + rel_y * dy) / np.where(length2 > 0, length2, 1.0)
+    np.clip(s, 0.0, 1.0, out=s)
+    rel_x -= s * dx
+    rel_y -= s * dy
+    return (rel_x * rel_x + rel_y * rel_y).min(axis=1)
+
+
 class TestSampler:
+    @pytest.mark.parametrize(
+        "family, depth",
+        [
+            (fam(4, 3), None),
+            (fam(Fraction(7, 3), 2, c1=3.0 - 1.0j, c2=0.25), None),
+            (fam(0, 0), 4.0),
+            (fam(40, 27), None),
+            (fam(200, 150), None),
+        ],
+    )
+    def test_per_end_sampler_equals_all_ends_reference(self, family, depth):
+        for n in (1e3, 1e8):
+            for count in (1, 2, 5, 2000):
+                sample = sample_amoeba(family, n, count, depth=depth)
+                points, domain = reference_sample(family, n, count, depth)
+                assert np.array_equal(sample.points, points)
+                assert np.array_equal(sample.domain, domain, equal_nan=True)
+
     def test_deterministic(self):
         a = sample_amoeba(fam(4, 3), 1e4, 500)
         b = sample_amoeba(fam(4, 3), 1e4, 500)
@@ -167,6 +228,16 @@ class TestHausdorff:
             sample = AmoebaSample(n=10.0, points=points, domain=np.zeros(len(points)))
             assert abs(hausdorff(sample, c, 2.5) - expected) < 1e-9
 
+    def test_per_piece_distance_equals_broadcast_reference(self):
+        rng = np.random.default_rng(3)
+        points = np.concatenate([rng.uniform(-1.0, 9.0, (700, 2)), [[9.0, 9.0]]])
+        for p, q, window in ((4, 3, 8.0), (1, 3, 2.5), (0, 0, 3.0), (Fraction(3, 2), 3, 5.5)):
+            pieces = amoeba._window_pieces(tropicalize_line(fam(p, q)), window)
+            assert np.array_equal(
+                amoeba._squared_distance_to_pieces(points, *pieces),
+                reference_distance_to_pieces(points, *pieces),
+            )
+
     def test_bucketed_nearest_equals_full_matrix(self):
         rng = np.random.default_rng(11)
         targets = rng.uniform(0.0, 8.0, (400, 2))
@@ -205,3 +276,13 @@ class TestConvergence:
         assert report.r_squared >= 0.9
         for n, _ in report.entries:
             assert len(sample_amoeba(family, n, 20000).points) == 20000
+
+    @pytest.mark.parametrize("bases", [[1e3], [1e3, 1e3], []])
+    def test_fewer_than_two_distinct_bases(self, bases):
+        with pytest.raises(ValueError, match="two distinct bases"):
+            convergence_report(fam(1, 2), bases, 200, 4.0)
+
+    @pytest.mark.parametrize("window", [math.inf, math.nan, 0.0, -1.0, 1e300])
+    def test_window_out_of_range(self, window):
+        with pytest.raises(ValueError, match="window .* must be positive"):
+            convergence_report(fam(1, 2), [1e3, 1e4], 200, window)

@@ -10,6 +10,7 @@ import textwrap
 from fractions import Fraction as F
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from tropline.building import graph_from_json
@@ -210,8 +211,34 @@ class TestSvgAndCsv:
 
     def test_arithmetic_error_exits_2(self, capsys):
         huge = "1" + "0" * 400
-        code, out, err = run(capsys, "amoeba", "--p", huge, "--q", "1", "--n", "1e3")
+        code, out, err = run(capsys, "amoeba", "--p", huge, "--q", "1", "--n", "1e3,1e4")
         assert code == 2 and out == "" and err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--n", "1e3"),
+            ("--n", "1e3,1e3"),
+            *(("--n", "1e3,1e4", "--window", w) for w in ("inf", "nan", "0", "-1", "1e300")),
+        ],
+    )
+    def test_amoeba_bad_ladder_exits_2(self, capsys, flags):
+        code, out, err = run(capsys, "amoeba", "--p", "1", "--q", "2", "--samples", "200", *flags)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "name, flags",
+        [
+            ("amoeba-1-2.json", ("--p", "1", "--q", "2", "--samples", "2000")),
+            ("amoeba-3_2-3.json", ("--p", "3/2", "--q", "3", "--samples", "20000")),
+            ("amoeba-200-150.json", ("--p", "200", "--q", "150")),
+        ],
+    )
+    def test_amoeba_golden_bytes(self, capsys, name, flags):
+        code, out, _ = run(capsys, "amoeba", *flags, "--n", "1e3,1e4,1e6,1e8")
+        assert code == 0
+        assert out == (GOLDENS / name).read_text()
 
     def test_render_graph(self, capsys, tmp_path, example1_path):
         path = tmp_path / "g.svg"
@@ -232,6 +259,21 @@ class TestDeterminism:
             assert code == 0
             outputs.append(out)
         assert outputs[0] == outputs[1]
+
+    def test_parser_reuse_keeps_no_state(self, capsys):
+        """A second in-process call prints what a fresh `trop` prints, after
+        a first call extended the `--add-level` list."""
+        code, _, _ = run(capsys, "building", "--p", "4", "--q", "3", "--add-level", "2")
+        assert code == 0
+        code, out, _ = run(capsys, "building", "--p", "4", "--q", "3")
+        assert code == 0
+        paths = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
+        fresh = subprocess.run(
+            [sys.executable, "-m", "tropline.cli", "building", "--p", "4", "--q", "3"],
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths))),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert fresh.returncode == 0 and out == fresh.stdout
 
     def test_svg_bytes_identical(self, capsys, tmp_path):
         texts = []

@@ -168,6 +168,14 @@ def test_negative_orthant_empty():
     assert _linalg.negative_orthant_point([], 3) == [F(-1)] * 3
 
 
+def test_negative_orthant_ratio_ties_to_smaller_basis_index():
+    # A system whose ratio tests tie: the rule that gives a tie to the
+    # smaller basis index ends at this witness; the reversed rule ends at
+    # (-1, -4/3, -4/3, -5/3, -1).
+    rows = [[0, -2, -2, 2, 2], [1, -1, 0, -1, 2], [2, 0, -2, 1, -1]]
+    assert _linalg.negative_orthant_point(rows, 5) == [F(-2), F(-1), F(-3), F(-3), F(-1)]
+
+
 def test_negative_orthant_against_fourier_motzkin():
     rng = random.Random(71)
     for _ in range(300):
