@@ -258,7 +258,7 @@ def _cmd_amoeba(args) -> int:
             for n, d in report.entries:
                 handle.write(f"{n:g},{d:.9g}\n")
     if args.points_csv:
-        sample = amoeba_mod.sample_amoeba(family, bases[-1], args.samples)
+        sample = report.last_sample
         with open(args.points_csv, "w", encoding="utf-8") as handle:
             handle.write("re_w,im_w,X,Y\n")
             for w, (x, y) in zip(sample.domain, sample.points):

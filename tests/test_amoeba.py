@@ -95,6 +95,42 @@ def reference_distance_to_pieces(points, starts, moves):
     return (rel_x * rel_x + rel_y * rel_y).min(axis=1)
 
 
+def reference_hausdorff(sample, curve, window):
+    """sqrt(max(cloud -> curve, max over polyline points of the minimum of
+    the full distance matrix)), the matrix taken in row blocks."""
+    pts = sample.points
+    cloud = pts[(pts[:, 0] <= window) & (pts[:, 1] <= window)]
+    pieces = amoeba._window_pieces(curve, window)
+    cloud_to_curve = reference_distance_to_pieces(cloud, *pieces).max()
+    poly = discretize_curve(curve, window)
+    curve_to_cloud = max(
+        ((poly[i : i + 64, None, :] - cloud[None]) ** 2).sum(-1).min(axis=1).max()
+        for i in range(0, len(poly), 64)
+    )
+    return float(np.sqrt(max(cloud_to_curve, curve_to_cloud)))
+
+
+@pytest.fixture
+def branches(monkeypatch):
+    """Counts of polyline points certified within the cloud -> curve
+    distance and of those sent to the exact nearest-point search."""
+    seen = {"certified": 0, "searched": 0}
+    certified, nearest = amoeba._certified, amoeba._squared_nearest
+
+    def counting_certified(targets, cloud, bound):
+        mask = certified(targets, cloud, bound)
+        seen["certified"] += int(mask.sum())
+        return mask
+
+    def counting_nearest(targets, cloud, cell):
+        seen["searched"] += len(targets)
+        return nearest(targets, cloud, cell)
+
+    monkeypatch.setattr(amoeba, "_certified", counting_certified)
+    monkeypatch.setattr(amoeba, "_squared_nearest", counting_nearest)
+    return seen
+
+
 class TestSampler:
     @pytest.mark.parametrize(
         "family, depth",
@@ -246,6 +282,52 @@ class TestHausdorff:
             cloud = np.concatenate([rng.uniform(0.0, 8.0, (size, 2)), outliers])
             full = ((targets[:, None, :] - cloud[None]) ** 2).sum(-1).min(axis=1)
             assert np.array_equal(amoeba._squared_nearest(targets, cloud, cell), full)
+
+    @pytest.mark.parametrize("p, q", [(2, 1), (Fraction(3, 2), 3)])
+    def test_certified_ladder_equals_full_matrix(self, branches, p, q):
+        curve = tropicalize_line(fam(p, q))
+        for n in (1e3, 1e4, 1e6, 1e8):
+            sample = sample_amoeba(fam(p, q), n, 20000)
+            window = float(p + q + 1)
+            assert hausdorff(sample, curve, window) == reference_hausdorff(sample, curve, window)
+        assert branches["certified"] > 0
+
+    def test_deep_family_falls_back_to_exact_search(self, branches):
+        # At 2000 samples the (40, 27) polyline has gaps wider than the
+        # cloud's distance to the curve, so curve -> cloud decides.
+        curve = tropicalize_line(fam(40, 27))
+        sample = sample_amoeba(fam(40, 27), 1e4, 2000)
+        d = hausdorff(sample, curve, 68.0)
+        assert d == reference_hausdorff(sample, curve, 68.0)
+        cloud = sample.points[(sample.points <= 68.0).all(axis=1)]
+        pieces = amoeba._window_pieces(curve, 68.0)
+        cloud_to_curve = amoeba._squared_distance_to_pieces(cloud, *pieces).max()
+        assert d > math.sqrt(cloud_to_curve)
+        assert branches["searched"] > 0
+
+    def test_wide_window_falls_back_to_exact_search(self, branches):
+        curve = tropicalize_line(fam(1, 2))
+        sample = sample_amoeba(fam(1, 2), 1e6, 2000)
+        assert hausdorff(sample, curve, 10.0) == reference_hausdorff(sample, curve, 10.0)
+        assert branches["searched"] > 0
+
+    def test_one_point_cloud(self, branches):
+        curve = tropicalize_line(fam(1, 2))
+        sample = AmoebaSample(n=10.0, points=np.array([[2.5, 0.5]]), domain=np.zeros(1))
+        assert hausdorff(sample, curve, 4.0) == reference_hausdorff(sample, curve, 4.0)
+        assert branches["certified"] > 0 and branches["searched"] > 0
+
+    def test_cloud_on_the_curve_certifies_nothing(self, branches):
+        # The polyline points at distance exactly 0 from the pieces: the
+        # cloud -> curve distance is 0, so every point is searched.
+        curve = tropicalize_line(fam(4, 3))
+        poly = discretize_curve(curve, 8.0)
+        pieces = amoeba._window_pieces(curve, 8.0)
+        points = poly[amoeba._squared_distance_to_pieces(poly, *pieces) == 0]
+        sample = AmoebaSample(n=10.0, points=points, domain=np.zeros(len(points)))
+        d = hausdorff(sample, curve, 8.0)
+        assert d == reference_hausdorff(sample, curve, 8.0) and d > 0
+        assert branches == {"certified": 0, "searched": len(poly)}
 
     def test_mirror_family_statistics(self):
         d1 = hausdorff(sample_amoeba(fam(4, 3), 1e4, 2000), tropicalize_line(fam(4, 3)), 8.0)

@@ -13,6 +13,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tropline import amoeba
+from tropline.amoeba import sample_amoeba
 from tropline.building import graph_from_json
 from tropline.cli import main
 from tropline.tropical import curve_from_json, curves_equal, tropicalize_line, LineFamily
@@ -179,25 +181,38 @@ class TestSvgAndCsv:
         assert code == 0
         assert 'class="ray"' in path.read_text()
 
-    def test_amoeba_csv(self, capsys, tmp_path):
+    def test_amoeba_csv(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "a.csv"
         points = tmp_path / "pts.csv"
+        sampled = []
+
+        def counting(family, n, count, depth=None):
+            sampled.append(n)
+            return sample_amoeba(family, n, count, depth)
+
+        monkeypatch.setattr(amoeba, "sample_amoeba", counting)
         code, out, _ = run(
             capsys,
             "amoeba",
             "--p", "4", "--q", "3",
-            "--n", "1e3,1e4",
+            "--n", "1e3,1e8",
             "--samples", "400",
             "--csv", str(path),
             "--points-csv", str(points),
         )
         assert code == 0
+        # The points CSV reuses the ladder's last cloud.
+        assert sampled == [1e3, 1e8]
         lines = path.read_text().splitlines()
         assert lines[0] == "n,hausdorff"
         assert len(lines) == 3
         point_lines = points.read_text().splitlines()
         assert point_lines[0] == "re_w,im_w,X,Y"
-        assert len(point_lines) == 401
+        fresh = sample_amoeba(LineFamily(4, 3), 1e8, 400)
+        assert point_lines[1:] == [
+            f"{w.real:.9g},{w.imag:.9g},{x:.9g},{y:.9g}"
+            for w, (x, y) in zip(fresh.domain, fresh.points)
+        ]
         report = json.loads(out)
         assert len(report["entries"]) == 2
 
