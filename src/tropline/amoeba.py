@@ -17,6 +17,7 @@ image points: the cloud neither underflows nor overflows, whatever (p, q).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -90,6 +91,27 @@ def log_image(point, n: float) -> tuple[float, float]:
     return (max(0.0, x), max(0.0, y))
 
 
+@functools.lru_cache(maxsize=1)
+def _sphere(count: int, max_depth: float, cap: float) -> tuple[tuple[np.ndarray, ...], ...]:
+    """The part of a `count`-point sample that does not depend on the base:
+    for each end (0, -1, infinity, the last capped at depth `cap`), the
+    depths t, their negatives -t, the squared half-angle factor (sin(a/2)^2
+    near -1, cos(a/2)^2 elsewhere) and cos a, sin a of the golden angles.
+    The arrays are read-only, since every caller with the same key shares
+    them."""
+    ends = []
+    for end, reach in enumerate((max_depth, max_depth, cap)):
+        k = np.arange(end, count, 3)
+        t = reach * (np.arange(len(k)) + 0.5) / len(k)
+        angle = 2.0 * math.pi * ((k * _GOLDEN) % 1.0)
+        half = np.sin(0.5 * angle) if end == 1 else np.cos(0.5 * angle)
+        arrays = (t, -t, half**2, np.cos(angle), np.sin(angle))
+        for a in arrays:
+            a.flags.writeable = False
+        ends.append(arrays)
+    return tuple(ends)
+
+
 def sample_amoeba(
     family: LineFamily, n: float, count: int, depth: float | None = None
 ) -> AmoebaSample:
@@ -116,6 +138,13 @@ def sample_amoeba(
     infinite depth (a coordinate that is exactly 0) lands at infinity and
     falls outside every window.  `domain` may hold infinities for depths
     beyond the float range.
+
+    A ladder of bases shares all but the base: the depths t and -t, the
+    half-angle factors and the cosines and sines of the golden angles come
+    from `_sphere`, a memo keyed by (count, depth, min(p, q)).  It holds
+    one entry, 5 arrays of about count / 3 floats per end (about 40 B per
+    sample), which the next call with another key replaces.  Each base
+    computes only eps = n^(-t), the log term, the points and the domain.
     """
     if not n > 1:
         raise ValueError("rescaling base must exceed 1")
@@ -134,24 +163,21 @@ def sample_amoeba(
     # Sample k lies on end k % 3 (0, -1, infinity), at the (k // 3)-th depth
     # of that end; each end is the strided slice [end::3].
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        for end, cap in enumerate((max_depth, max_depth, min(p, q))):
-            k = np.arange(end, count, 3)
-            t = cap * (np.arange(len(k)) + 0.5) / len(k)
-            angle = 2.0 * math.pi * ((k * _GOLDEN) % 1.0)
-            eps = np.power(n, -t)
-            half = np.sin(0.5 * angle) if end == 1 else np.cos(0.5 * angle)
+        sphere = _sphere(count, max_depth, min(p, q))
+        for end, (t, minus_t, half2, cos_a, sin_a) in enumerate(sphere):
+            eps = np.power(n, minus_t)
             # log|1 - eps e^(i a)| near -1, log|1 + eps e^(i a)| elsewhere, in units of log n.
-            rest = 0.5 * np.log((1.0 - eps) ** 2 + 4.0 * eps * half**2) / log_n
+            rest = 0.5 * np.log((1.0 - eps) ** 2 + 4.0 * eps * half2) / log_n
             if end == 0:
-                log_w, log_w1, radius = -t, rest, eps
+                log_w, log_w1, radius = minus_t, rest, eps
             elif end == 1:
-                log_w, log_w1, radius = rest, -t, eps
+                log_w, log_w1, radius = rest, minus_t, eps
             else:
                 log_w, log_w1, radius = t, t + rest, np.power(n, t)
             points[end::3, 0] = x0 - log_w
             points[end::3, 1] = y0 - log_w1
-            domain.real[end::3] = radius * np.cos(angle)
-            domain.imag[end::3] = radius * np.sin(angle)
+            domain.real[end::3] = radius * cos_a
+            domain.imag[end::3] = radius * sin_a
     domain.real[1::3] -= 1.0
     np.maximum(0.0, points, out=points)
     return AmoebaSample(n=float(n), points=points, domain=domain)
@@ -217,11 +243,10 @@ def _window_pieces(curve: TropicalCurve, window: float) -> tuple[np.ndarray, np.
 
 
 def _squared_distance_to_pieces(
-    points: np.ndarray, starts: np.ndarray, moves: np.ndarray
+    px: np.ndarray, py: np.ndarray, starts: np.ndarray, moves: np.ndarray
 ) -> np.ndarray:
-    """Squared distance from each point to the nearest of the segments."""
-    px, py = points[:, 0].copy(), points[:, 1].copy()
-    best = np.full(len(points), np.inf)
+    """Squared distance from each point (px, py) to the nearest of the segments."""
+    best = np.full(len(px), np.inf)
     for (sx, sy), (dx, dy) in zip(starts.tolist(), moves.tolist()):
         length2 = dx * dx + dy * dy
         rel_x, rel_y = px - sx, py - sy
@@ -233,20 +258,22 @@ def _squared_distance_to_pieces(
     return best
 
 
-def _brute_nearest(targets: np.ndarray, cloud: np.ndarray) -> np.ndarray:
+def _brute_nearest(targets: np.ndarray, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
     """Squared distance from each target to its nearest cloud point, in chunks."""
     best = np.empty(len(targets))
-    rows = max(1, _CHUNK // len(cloud))
+    rows = max(1, _CHUNK // len(cx))
     for i in range(0, len(targets), rows):
         chunk = targets[i : i + rows]
-        dx = chunk[:, :1] - cloud[:, 0]
-        dy = chunk[:, 1:] - cloud[:, 1]
+        dx = chunk[:, :1] - cx
+        dy = chunk[:, 1:] - cy
         best[i : i + rows] = (dx * dx + dy * dy).min(axis=1)
     return best
 
 
-def _squared_nearest(targets: np.ndarray, cloud: np.ndarray, cell: float) -> np.ndarray:
-    """Squared distance from each target to its nearest cloud point.
+def _squared_nearest(
+    targets: np.ndarray, cx: np.ndarray, cy: np.ndarray, cell: float
+) -> np.ndarray:
+    """Squared distance from each target to its nearest cloud point (cx, cy).
 
     Cloud points are bucketed in a grid of side `cell` and each target
     first searches the 3 x 3 cells around its own.  Every cloud point
@@ -254,21 +281,24 @@ def _squared_nearest(targets: np.ndarray, cloud: np.ndarray, cell: float) -> np.
     is the true minimum; targets without one fall back to a full search.
     The result equals the minimum over the full distance matrix.
     """
+    tx, ty = targets[:, 0].copy(), targets[:, 1].copy()
     # Only cloud points within `cell` of the targets' bounding box can be
     # within `cell` of a target.
-    origin = targets.min(axis=0) - cell
-    inner = cloud[((cloud >= origin) & (cloud <= targets.max(axis=0) + cell)).all(axis=1)]
-    inner_cells = np.floor((inner - origin) / cell).astype(np.int64) + 1
-    target_cells = np.floor((targets - origin) / cell).astype(np.int64) + 1
-    stride = int(max(inner_cells[:, 1].max(initial=0), target_cells[:, 1].max() + 1)) + 1
-    keys = inner_cells[:, 0] * stride + inner_cells[:, 1]
+    x0, y0 = tx.min() - cell, ty.min() - cell
+    inner = (cx >= x0) & (cx <= tx.max() + cell) & (cy >= y0) & (cy <= ty.max() + cell)
+    ix, iy = cx[inner], cy[inner]
+    inner_x = np.floor((ix - x0) / cell).astype(np.int64) + 1
+    inner_y = np.floor((iy - y0) / cell).astype(np.int64) + 1
+    target_x = np.floor((tx - x0) / cell).astype(np.int64) + 1
+    target_y = np.floor((ty - y0) / cell).astype(np.int64) + 1
+    stride = int(max(inner_y.max(initial=0), target_y.max() + 1)) + 1
+    keys = inner_x * stride + inner_y
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
-    ix, iy = inner[order, 0], inner[order, 1]
-    tx, ty = targets[:, 0].copy(), targets[:, 1].copy()
+    ix, iy = ix[order], iy[order]
     # The three cells of one column are consecutive keys, so each target
     # needs three ranges of the sorted cloud.
-    low_keys = (target_cells[:, :1] + np.array((-1, 0, 1))) * stride + target_cells[:, 1:] - 1
+    low_keys = (target_x[:, None] + np.array((-1, 0, 1))) * stride + target_y[:, None] - 1
     lo = np.searchsorted(keys, low_keys.ravel(), side="left")
     hi = np.searchsorted(keys, low_keys.ravel() + 2, side="right")
     counts = hi - lo
@@ -286,13 +316,15 @@ def _squared_nearest(targets: np.ndarray, cloud: np.ndarray, cell: float) -> np.
     # The margin covers rounding in the cell index of points near `cell` away.
     far = ~(best <= (cell * (1.0 - 1e-9)) ** 2)
     if far.any():
-        best[far] = _brute_nearest(targets[far], cloud)
+        best[far] = _brute_nearest(targets[far], cx, cy)
     return best
 
 
-def _certified(targets: np.ndarray, cloud: np.ndarray, bound: float) -> np.ndarray:
-    """Mask of the targets shown to have a cloud point at squared distance
-    at most `bound`.
+def _certified(
+    targets: np.ndarray, cx: np.ndarray, cy: np.ndarray, bound: float
+) -> np.ndarray:
+    """Mask of the targets shown to have a cloud point (cx, cy) at squared
+    distance at most `bound`.
 
     One cloud point represents each cell of a square grid over a box
     holding the targets and the cloud; a target is certified when the
@@ -304,26 +336,28 @@ def _certified(targets: np.ndarray, cloud: np.ndarray, bound: float) -> np.ndarr
     """
     if not 0 < bound < math.inf:
         return np.zeros(len(targets), dtype=bool)
-    lo = min(targets.min(), cloud.min())
-    extent = max(targets.max(), cloud.max()) - lo
+    lo = min(targets.min(), cx.min(), cy.min())
+    extent = max(targets.max(), cx.max(), cy.max()) - lo
     # Side sqrt(bound) / 2, floored so the grid has about 4 cells per point.
-    cell = max(math.sqrt(bound) / 2.0, extent / (2.0 * math.sqrt(len(cloud))))
+    cell = max(math.sqrt(bound) / 2.0, extent / (2.0 * math.sqrt(len(cx))))
     # Cell indices start at 1, leaving an empty border for the 3 x 3 search.
     side = int(extent / cell) + 3
-    keys = ((cloud - lo) / cell).astype(np.int64) + 1
+
+    def cells(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        column = ((x - lo) / cell).astype(np.int64) + 1
+        return column * side + ((y - lo) / cell).astype(np.int64) + 1
+
     rep = np.full(side * side, -1)
-    rep[keys[:, 0] * side + keys[:, 1]] = np.arange(len(cloud))
+    rep[cells(cx, cy)] = np.arange(len(cx))
     # Index -1 of an empty cell picks a point at infinity, which never passes.
-    cx = np.append(cloud[:, 0], math.inf)
-    cy = np.append(cloud[:, 1], math.inf)
+    rx, ry = np.append(cx, math.inf), np.append(cy, math.inf)
     tx, ty = targets[:, 0].copy(), targets[:, 1].copy()
-    cells = ((targets - lo) / cell).astype(np.int64) + 1
-    centre = cells[:, 0] * side + cells[:, 1]
+    centre = cells(tx, ty)
     certified = np.zeros(len(targets), dtype=bool)
     for offset in (-side - 1, -side, -side + 1, -1, 0, 1, side - 1, side, side + 1):
         r = rep[centre + offset]
-        dx = tx - cx[r]
-        dy = ty - cy[r]
+        dx = tx - rx[r]
+        dy = ty - ry[r]
         certified |= dx * dx + dy * dy <= bound
     return certified
 
@@ -339,21 +373,25 @@ def hausdorff(sample: AmoebaSample, curve: TropicalCurve, window: float) -> floa
     The others, all of them when the bound is 0, get their exact nearest
     distance from `_squared_nearest`.  The result is the float that the
     full distance matrix gives.
+
+    The cloud inside the window is gathered once into two contiguous
+    columns, cx and cy, one 1-D gather each from the (k, 2) points; the
+    helpers take those columns, not a (k, 2) array.
     """
-    pts = sample.points
-    keep = (pts[:, 0] <= window) & (pts[:, 1] <= window)
-    cloud = pts[keep]
-    if cloud.size == 0:
+    xs, ys = sample.points[:, 0], sample.points[:, 1]
+    keep = (xs <= window) & (ys <= window)
+    cx, cy = xs[keep], ys[keep]
+    if cx.size == 0:
         raise EmptySample("no sample points inside the window")
     poly = discretize_curve(curve, window)
     if poly.size == 0:
         raise EmptySample("curve has no points inside the window")
-    cloud_to_curve = _squared_distance_to_pieces(cloud, *_window_pieces(curve, window)).max()
-    far = poly[~_certified(poly, cloud, cloud_to_curve)]
+    cloud_to_curve = _squared_distance_to_pieces(cx, cy, *_window_pieces(curve, window)).max()
+    far = poly[~_certified(poly, cx, cy, cloud_to_curve)]
     # Exact minima for the uncertified points.  Cells of twice the polyline
     # step: few cloud points per cell, and the nearest one is almost always
     # within a cell; a point without one is searched in full.
-    curve_to_cloud = _squared_nearest(far, cloud, window / 256.0).max() if len(far) else 0.0
+    curve_to_cloud = _squared_nearest(far, cx, cy, window / 256.0).max() if len(far) else 0.0
     return float(np.sqrt(max(cloud_to_curve, curve_to_cloud)))
 
 

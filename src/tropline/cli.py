@@ -320,6 +320,9 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 2
     except (AssertionError, RuntimeError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3

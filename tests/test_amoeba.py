@@ -117,14 +117,14 @@ def branches(monkeypatch):
     seen = {"certified": 0, "searched": 0}
     certified, nearest = amoeba._certified, amoeba._squared_nearest
 
-    def counting_certified(targets, cloud, bound):
-        mask = certified(targets, cloud, bound)
+    def counting_certified(targets, cx, cy, bound):
+        mask = certified(targets, cx, cy, bound)
         seen["certified"] += int(mask.sum())
         return mask
 
-    def counting_nearest(targets, cloud, cell):
+    def counting_nearest(targets, cx, cy, cell):
         seen["searched"] += len(targets)
-        return nearest(targets, cloud, cell)
+        return nearest(targets, cx, cy, cell)
 
     monkeypatch.setattr(amoeba, "_certified", counting_certified)
     monkeypatch.setattr(amoeba, "_squared_nearest", counting_nearest)
@@ -149,6 +149,28 @@ class TestSampler:
                 points, domain = reference_sample(family, n, count, depth)
                 assert np.array_equal(sample.points, points)
                 assert np.array_equal(sample.domain, domain, equal_nan=True)
+
+    def test_ladder_builds_one_sphere(self):
+        amoeba._sphere.cache_clear()
+        convergence_report(fam(1, 2), [1e3, 1e4, 1e6, 1e8], 2000, 4.0)
+        info = amoeba._sphere.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
+
+    def test_sphere_arrays_are_read_only(self):
+        sphere = amoeba._sphere(2000, 5.0, 1.0)
+        assert len(sphere) == 3 and all(len(arrays) == 5 for arrays in sphere)
+        for arrays in sphere:
+            for a in arrays:
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 0.0
+
+    def test_sphere_key_holds_the_infinity_cap(self):
+        # (1, 3) and (2, 2) share p + q + 2 but not min(p, q).
+        for p, q in ((1, 3), (2, 2)):
+            sample = sample_amoeba(fam(p, q), 1e4, 2000)
+            points, domain = reference_sample(fam(p, q), 1e4, 2000)
+            assert np.array_equal(sample.points, points)
+            assert np.array_equal(sample.domain, domain)
 
     def test_deterministic(self):
         a = sample_amoeba(fam(4, 3), 1e4, 500)
@@ -270,7 +292,7 @@ class TestHausdorff:
         for p, q, window in ((4, 3, 8.0), (1, 3, 2.5), (0, 0, 3.0), (Fraction(3, 2), 3, 5.5)):
             pieces = amoeba._window_pieces(tropicalize_line(fam(p, q)), window)
             assert np.array_equal(
-                amoeba._squared_distance_to_pieces(points, *pieces),
+                amoeba._squared_distance_to_pieces(points[:, 0], points[:, 1], *pieces),
                 reference_distance_to_pieces(points, *pieces),
             )
 
@@ -281,7 +303,9 @@ class TestHausdorff:
         for size, cell in ((5000, 8.0 / 256), (40, 8.0 / 256), (3000, 1.0), (1, 0.1), (0, 0.1)):
             cloud = np.concatenate([rng.uniform(0.0, 8.0, (size, 2)), outliers])
             full = ((targets[:, None, :] - cloud[None]) ** 2).sum(-1).min(axis=1)
-            assert np.array_equal(amoeba._squared_nearest(targets, cloud, cell), full)
+            assert np.array_equal(
+                amoeba._squared_nearest(targets, cloud[:, 0], cloud[:, 1], cell), full
+            )
 
     @pytest.mark.parametrize("p, q", [(2, 1), (Fraction(3, 2), 3)])
     def test_certified_ladder_equals_full_matrix(self, branches, p, q):
@@ -301,7 +325,9 @@ class TestHausdorff:
         assert d == reference_hausdorff(sample, curve, 68.0)
         cloud = sample.points[(sample.points <= 68.0).all(axis=1)]
         pieces = amoeba._window_pieces(curve, 68.0)
-        cloud_to_curve = amoeba._squared_distance_to_pieces(cloud, *pieces).max()
+        cloud_to_curve = amoeba._squared_distance_to_pieces(
+            cloud[:, 0], cloud[:, 1], *pieces
+        ).max()
         assert d > math.sqrt(cloud_to_curve)
         assert branches["searched"] > 0
 
@@ -323,7 +349,7 @@ class TestHausdorff:
         curve = tropicalize_line(fam(4, 3))
         poly = discretize_curve(curve, 8.0)
         pieces = amoeba._window_pieces(curve, 8.0)
-        points = poly[amoeba._squared_distance_to_pieces(poly, *pieces) == 0]
+        points = poly[amoeba._squared_distance_to_pieces(poly[:, 0], poly[:, 1], *pieces) == 0]
         sample = AmoebaSample(n=10.0, points=points, domain=np.zeros(len(points)))
         d = hausdorff(sample, curve, 8.0)
         assert d == reference_hausdorff(sample, curve, 8.0) and d > 0

@@ -230,6 +230,22 @@ class TestSvgAndCsv:
         assert code == 2 and out == "" and err.startswith("error:")
 
     @pytest.mark.parametrize(
+        "message, line",
+        [
+            ("Unable to allocate 2.98 GiB", "error: Unable to allocate 2.98 GiB"),
+            ("", "error: out of memory"),
+        ],
+    )
+    def test_memory_error_exits_2(self, capsys, monkeypatch, message, line):
+        def exhausted(family, n, count, depth=None):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(amoeba, "sample_amoeba", exhausted)
+        code, out, err = run(capsys, "amoeba", "--p", "1", "--q", "2", "--n", "1e3,1e4")
+        assert code == 2 and out == ""
+        assert err == line + "\n"
+
+    @pytest.mark.parametrize(
         "flags",
         [
             ("--n", "1e3"),
