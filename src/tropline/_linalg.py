@@ -65,11 +65,6 @@ def rank(matrix: Sequence[Sequence[int]]) -> int:
     return len(rref(matrix)[1])
 
 
-def in_row_span(matrix: Sequence[Sequence[int]], row: Sequence[int]) -> bool:
-    base = [list(r) for r in matrix]
-    return rank(base) == rank(base + [list(row)])
-
-
 def kernel_basis(matrix: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:
     """Basis of the null space, one vector per free column, in column order.
 

@@ -16,7 +16,7 @@ import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .geometry import LatticeVector, _connected
+from .geometry import LatticeVector, _connected, _json_typed
 from .tropical import TropicalCurve
 
 __all__ = [
@@ -82,12 +82,12 @@ class LevelCoordinate:
     @classmethod
     def from_json(cls, data: dict) -> "LevelCoordinate":
         if "at" in data:
-            return cls.at(int(data["at"]))
+            return cls.at(_json_typed(data["at"], int))
         if "between" in data:
             a, b = data["between"]
-            if int(b) != int(a) + 1:
+            if _json_typed(b, int) != _json_typed(a, int) + 1:
                 raise GraphInvalid(f"between-pair {data['between']} is not consecutive")
-            return cls.between(int(a))
+            return cls.between(a)
         raise GraphInvalid(f"bad level coordinate document {data!r}")
 
 
@@ -147,11 +147,27 @@ class NodeEdge:
     head: str
     contact: LatticeVector
 
+    def away_from(self, piece: str) -> LatticeVector:
+        """The contact vector oriented away from `piece`, one of the node's ends."""
+        return self.contact if self.tail == piece else -self.contact
+
+    def other_end(self, piece: str) -> str:
+        """The piece at the far side from `piece`."""
+        return self.head if self.tail == piece else self.tail
+
 
 @dataclass(frozen=True)
 class EndEdge:
     piece: str
     contact: LatticeVector
+
+    def away_from(self, piece: str) -> LatticeVector:
+        """An end always points away from its one piece."""
+        return self.contact
+
+    def other_end(self, piece: str) -> None:
+        """An end is unbounded: no piece lies at its far side."""
+        return None
 
 
 @dataclass(frozen=True)
@@ -184,14 +200,15 @@ class LeveledDualGraph:
             if e.piece not in known:
                 raise GraphInvalid(f"end {e} references a missing piece")
 
-    def incidences(self) -> dict[str, list[tuple[str, object]]]:
-        """Per piece, the incident edges as ("node", NodeEdge) / ("end", EndEdge)."""
-        inc: dict[str, list[tuple[str, object]]] = {p.id: [] for p in self.pieces}
+    def incidences(self) -> dict[str, list[NodeEdge | EndEdge]]:
+        """Per piece, its incident nodes, then its ends; a node joining a piece
+        to itself is listed twice."""
+        inc: dict[str, list[NodeEdge | EndEdge]] = {p.id: [] for p in self.pieces}
         for n in self.nodes:
-            inc[n.tail].append(("node", n))
-            inc[n.head].append(("node", n))
+            inc[n.tail].append(n)
+            inc[n.head].append(n)
         for e in self.ends:
-            inc[e.piece].append(("end", e))
+            inc[e.piece].append(e)
         return inc
 
     def validate(self) -> None:
@@ -218,14 +235,7 @@ class LeveledDualGraph:
             edges = inc[p.id]
             if len(edges) != 2:
                 raise GraphInvalid(f"trivial piece {p.id} has valence {len(edges)}")
-            outgoing = []
-            for kind, edge in edges:
-                if kind == "end":
-                    outgoing.append(edge.contact)
-                elif edge.tail == p.id:
-                    outgoing.append(edge.contact)
-                else:
-                    outgoing.append(-edge.contact)
+            outgoing = [edge.away_from(p.id) for edge in edges]
             if outgoing[0] != -outgoing[1]:
                 raise GraphInvalid(
                     f"trivial piece {p.id} is not a cylinder: contacts "
@@ -429,7 +439,7 @@ def graph_from_json(data: dict) -> LeveledDualGraph:
                     LevelCoordinate.from_json(p["levels"][0]),
                     LevelCoordinate.from_json(p["levels"][1]),
                 ),
-                bool(p["trivial"]),
+                _json_typed(p["trivial"], bool),
             )
             for p in data["pieces"]
         )
@@ -438,15 +448,14 @@ def graph_from_json(data: dict) -> LeveledDualGraph:
                 str(n["id"]),
                 str(n["tail"]),
                 str(n["head"]),
-                LatticeVector(int(n["contact"][0]), int(n["contact"][1])),
+                LatticeVector.from_json(n["contact"]),
             )
             for n in data["nodes"]
         )
         ends = tuple(
-            EndEdge(str(e["piece"]), LatticeVector(int(e["contact"][0]), int(e["contact"][1])))
-            for e in data["ends"]
+            EndEdge(str(e["piece"]), LatticeVector.from_json(e["contact"])) for e in data["ends"]
         )
-        graph = LeveledDualGraph(int(data["num_levels"]), pieces, nodes, ends)
+        graph = LeveledDualGraph(_json_typed(data["num_levels"], int), pieces, nodes, ends)
     except (KeyError, TypeError, IndexError) as exc:
         raise GraphInvalid(f"malformed graph document: {exc}") from exc
     graph.validate()

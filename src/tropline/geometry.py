@@ -1,15 +1,15 @@
 """Exact planar lattice geometry: rationals, lattice vectors, cones and fans.
 
 Everything here is exact.  Scalars are `fractions.Fraction`, directions are
-integer vectors, and all cone/fan predicates are decided with integer cross
-products.  Fans are rank-2 only: rays are kept sorted counterclockwise
-starting from the most clockwise ray at or above the positive x-axis, and
-every two-dimensional cone is spanned by a pair of adjacent rays.
+integer vectors, and all cone/fan predicates are decided by one integer side
+test, `Cone.side`, on integer directions.  Fans are rank-2 only: rays are
+kept sorted counterclockwise starting from the most clockwise ray at or
+above the positive x-axis, and every two-dimensional cone is spanned by a
+pair of adjacent rays.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 from dataclasses import dataclass
@@ -67,11 +67,22 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse `N` or `N/D` into an exact rational; decimals are rejected."""
+    """Parse `N` or `N/D` into an exact rational; decimals are rejected, and
+    anything but a string raises TypeError."""
+    if not isinstance(text, str):
+        raise TypeError(f"not an exact rational literal: {text!r}")
     text = text.strip()
     if not _RATIONAL_RE.match(text):
         raise ValueError(f"not an exact rational literal: {text!r}")
     return Fraction(text)
+
+
+def _json_typed(value, kind: type):
+    """`value` itself when its type is exactly `kind`, so that a JSON `true`
+    is not an integer; raises TypeError otherwise."""
+    if type(value) is not kind:
+        raise TypeError(f"expected a JSON {kind.__name__}, got {value!r}")
+    return value
 
 
 def rational_str(value: Fraction) -> str:
@@ -91,6 +102,11 @@ class LatticeVector:
         if not isinstance(self.x, int) or not isinstance(self.y, int):
             raise GeometryError(f"lattice vector needs integer entries, got {self!r}")
 
+    @classmethod
+    def from_json(cls, pair) -> "LatticeVector":
+        """The vector of a JSON pair of integers; raises TypeError otherwise."""
+        return cls(_json_typed(pair[0], int), _json_typed(pair[1], int))
+
     def __iter__(self) -> Iterator[int]:
         yield self.x
         yield self.y
@@ -109,9 +125,6 @@ class LatticeVector:
 
     def cross(self, other: "LatticeVector") -> int:
         return self.x * other.y - self.y * other.x
-
-    def dot(self, other: "LatticeVector") -> int:
-        return self.x * other.x + self.y * other.y
 
     def is_zero(self) -> bool:
         return self.x == 0 and self.y == 0
@@ -154,24 +167,19 @@ def primitive(v: LatticeVector) -> tuple[LatticeVector, int]:
     return LatticeVector(v.x // g, v.y // g), g
 
 
-def _ccw_sorted(rays: Iterable[LatticeVector]) -> tuple[LatticeVector, ...]:
+def _ccw_key(v: LatticeVector) -> tuple[int, Fraction | float]:
     # Counterclockwise order over [0, 2pi) starting from (1, 0), decided
-    # exactly: split into half planes, compare within a half by cross product.
-    def half(v: LatticeVector) -> int:
-        return 0 if (v.y > 0 or (v.y == 0 and v.x > 0)) else 1
+    # exactly: the half plane, then -x/y, which grows with the angle inside
+    # each half; the horizontal ray opens its half.
+    half = 0 if (v.y > 0 or (v.y == 0 and v.x > 0)) else 1
+    return (half, -math.inf if v.y == 0 else Fraction(-v.x, v.y))
 
-    def cmp(u: LatticeVector, v: LatticeVector) -> int:
-        hu, hv = half(u), half(v)
-        if hu != hv:
-            return -1 if hu < hv else 1
-        c = u.cross(v)
-        if c > 0:
-            return -1
-        if c < 0:
-            return 1
-        return 0
 
-    return tuple(sorted(rays, key=functools.cmp_to_key(cmp)))
+def _integer_direction(x, y) -> tuple[int, int]:
+    """The rational point (x, y) scaled by the least common denominator."""
+    x, y = Fraction(x), Fraction(y)
+    den = math.lcm(x.denominator, y.denominator)
+    return x.numerator * (den // x.denominator), y.numerator * (den // y.denominator)
 
 
 @dataclass(frozen=True)
@@ -196,7 +204,9 @@ class QuadrantPoint:
 class Cone:
     """A strongly convex rational cone spanned by 0, 1 or 2 primitive rays.
 
-    Two-dimensional cones list their generators counterclockwise.
+    Two-dimensional cones list their generators counterclockwise.  Membership
+    is decided on integer directions by :meth:`side`; a rational point is
+    first scaled to one.
     """
 
     generators: tuple[LatticeVector, ...]
@@ -223,33 +233,32 @@ class Cone:
             return 0
         return self.generators[0].cross(self.generators[1])
 
-    def _coordinates(self, px, py) -> tuple[Fraction, Fraction]:
-        u, v = self.generators
-        det = u.cross(v)
-        s = Fraction(px * v.y - py * v.x, det)
-        t = Fraction(u.x * py - u.y * px, det)
-        return s, t
+    def side(self, x: int, y: int) -> int:
+        """Where the integer direction (x, y) lies: 1 in the relative interior,
+        0 on the relative boundary, -1 outside the cone.
+
+        The values tested are the generator coordinates of (x, y) times the
+        positive determinant, or, on a ray, the dot product with it.
+        """
+        if self.dim == 0:
+            return 1 if x == 0 and y == 0 else -1
+        u = self.generators[0]
+        if self.dim == 1:
+            if u.x * y != u.y * x:
+                return -1
+            low = u.x * x + u.y * y
+        else:
+            v = self.generators[1]
+            low = min(x * v.y - y * v.x, u.x * y - u.y * x)
+        return (low > 0) - (low < 0)
 
     def contains(self, px, py) -> bool:
-        px, py = Fraction(px), Fraction(py)
-        if self.dim == 0:
-            return px == 0 and py == 0
-        if self.dim == 1:
-            g = self.generators[0]
-            return g.x * py == g.y * px and (px * g.x + py * g.y) >= 0
-        s, t = self._coordinates(px, py)
-        return s >= 0 and t >= 0
+        """Membership of the rational point (px, py) in the closed cone."""
+        return self.side(*_integer_direction(px, py)) >= 0
 
     def interior_contains(self, px, py) -> bool:
-        """Membership in the relative interior."""
-        px, py = Fraction(px), Fraction(py)
-        if self.dim == 0:
-            return px == 0 and py == 0
-        if self.dim == 1:
-            g = self.generators[0]
-            return g.x * py == g.y * px and (px * g.x + py * g.y) > 0
-        s, t = self._coordinates(px, py)
-        return s > 0 and t > 0
+        """Membership of the rational point (px, py) in the relative interior."""
+        return self.side(*_integer_direction(px, py)) > 0
 
 
 ZERO_CONE = Cone(())
@@ -274,7 +283,7 @@ class Fan:
     cones: tuple[Cone, ...]
 
     def __post_init__(self) -> None:
-        rays = _ccw_sorted(self.rays)
+        rays = tuple(sorted(self.rays, key=_ccw_key))
         if len(set(rays)) != len(rays):
             raise StructuralInvalid("duplicate rays")
         for r in rays:
@@ -341,39 +350,23 @@ def fan_from_cones(cones: Iterable[Cone]) -> Fan:
     return Fan(rays=tuple(rays), cones=tuple(c for c in cones if c.dim == 2))
 
 
-def _normalize_point(p) -> tuple[Fraction, Fraction]:
-    if isinstance(p, QuadrantPoint):
-        return p.x, p.y
-    x, y = p
-    return Fraction(x), Fraction(y)
-
-
 def locate(fan: Fan, p) -> Cone:
     """Find the unique smallest cone whose relative interior contains `p`.
 
     The origin locates to the zero cone, ray points to their ray cone, and
-    everything else to a two-dimensional cone.  Raises
+    everything else to a two-dimensional cone.  The point is scaled to an
+    integer direction once, and each cone of `fan.cones` (zero cone, rays,
+    then two-dimensional cones) is asked for its side of it.  Raises
     :class:`PointOutsideSupport` when `p` misses the fan's support.
     """
-    px, py = _normalize_point(p)
-    if px == 0 and py == 0:
-        return ZERO_CONE
-    # Scale to an integer direction once so that all tests below are integer.
-    den = px.denominator * py.denominator // math.gcd(px.denominator, py.denominator)
-    ix, iy = int(px * den), int(py * den)
-    for r in fan.rays:
-        if r.x * iy == r.y * ix and (ix * r.x + iy * r.y) > 0:
-            return Cone((r,))
-    for cone in fan.cones2d:
-        u, v = cone.generators
-        det = u.cross(v)
-        s = ix * v.y - iy * v.x
-        t = u.x * iy - u.y * ix
-        if det < 0:
-            s, t = -s, -t
-        if s > 0 and t > 0:
+    px, py = p
+    direction = _integer_direction(px, py)
+    for cone in fan.cones:
+        if cone.side(*direction) > 0:
             return cone
-    raise PointOutsideSupport(f"point ({px}, {py}) lies outside the fan support")
+    raise PointOutsideSupport(
+        f"point ({Fraction(px)}, {Fraction(py)}) lies outside the fan support"
+    )
 
 
 def stellar_subdivide(fan: Fan, target: Cone, ray: LatticeVector) -> Fan:
@@ -387,7 +380,7 @@ def stellar_subdivide(fan: Fan, target: Cone, ray: LatticeVector) -> Fan:
         raise TargetNotInFan(f"{target} is not a 2D cone of the fan")
     if not ray.is_primitive():
         raise RayNotInterior(f"subdivision ray {ray} must be primitive")
-    if not target.interior_contains(Fraction(ray.x), Fraction(ray.y)):
+    if not target.interior_contains(ray.x, ray.y):
         raise RayNotInterior(f"ray {ray} is not interior to {target}")
     u, v = target.generators
     new_cones = [c for c in fan.cones2d if c != target]

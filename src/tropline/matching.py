@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import _linalg
-from .building import Building, EndEdge, LeveledDualGraph, NodeEdge
+from .building import Building, LeveledDualGraph
 from .geometry import LatticeVector, QuadrantPoint
 from .tropical import Ray, Segment, TropicalCurve, Vertex
 
@@ -152,14 +152,6 @@ def _level_of(piece, direction: int):
     return lc.level if lc.is_integer else None
 
 
-def _oriented_contact(node: NodeEdge, from_piece: str) -> LatticeVector:
-    return node.contact if node.tail == from_piece else -node.contact
-
-
-def _other_end(node: NodeEdge, piece: str) -> str:
-    return node.head if node.tail == piece else node.tail
-
-
 def _variables(graph: LeveledDualGraph) -> tuple[str, ...]:
     """The system's variable order: nonzero-contact nodes, then levels."""
     return tuple(node_var(n.id) for n in graph.nodes if not n.contact.is_zero()) + tuple(
@@ -215,7 +207,7 @@ def _walk_chain(incidence, start, first_node, stop):
     ran into.
     """
     chain = [first_node]
-    current = _other_end(first_node, start)
+    current = first_node.other_end(start)
     visited = {start, current}
     while not stop(current):
         edges = incidence[current]
@@ -223,13 +215,14 @@ def _walk_chain(incidence, start, first_node, stop):
             raise AmbiguousChain(
                 f"piece {current} inside a chain has valence {len(edges)}"
             )
-        nxt = next((e for k, e in edges if not (k == "node" and e is chain[-1])), None)
+        nxt = next((e for e in edges if e is not chain[-1]), None)
         if nxt is None:
             raise AmbiguousChain(f"piece {current} only reaches itself")
-        if isinstance(nxt, EndEdge) or nxt.contact.is_zero():
+        following = nxt.other_end(current)
+        if following is None or nxt.contact.is_zero():
             return chain, nxt
         chain.append(nxt)
-        current = _other_end(nxt, current)
+        current = following
         if current in visited:
             raise AmbiguousChain(f"cycle of between-level pieces at {current}")
         visited.add(current)
@@ -240,8 +233,8 @@ def _oriented_chain(chain, start: str) -> list[LatticeVector]:
     """Contact vectors of a walked chain, each oriented along the walk."""
     oriented = []
     for node in chain:
-        oriented.append(_oriented_contact(node, start))
-        start = _other_end(node, start)
+        oriented.append(node.away_from(start))
+        start = node.other_end(start)
     return oriented
 
 
@@ -357,34 +350,30 @@ def _piece_positions(
     """
     index = {name: i for i, name in enumerate(variables)}
     pieces = {p.id: p for p in graph.pieces}
-
-    def phi(a: int) -> Fraction:
-        return -sum(values[index[level_var(j)]] for j in range(1, a + 1))
+    # Level a sits at height[a] = -(alpha_1 + ... + alpha_a).
+    height = [0]
+    for j in range(1, graph.num_levels + 1):
+        height.append(height[-1] - values[index[level_var(j)]])
 
     positions: dict[str, tuple[Fraction, Fraction]] = {}
     for piece in graph.pieces:
         if piece.levels[0].is_integer and piece.levels[1].is_integer:
-            positions[piece.id] = (phi(piece.levels[0].level), phi(piece.levels[1].level))
+            positions[piece.id] = (height[piece.levels[0].level], height[piece.levels[1].level])
 
     pending = [pid for pid in positions]
     incidence = graph.incidences()
     while pending:
         current = pending.pop()
-        for kind, edge in incidence[current]:
-            if kind != "node":
-                continue
-            if edge.contact.is_zero():
+        for edge in incidence[current]:
+            other = edge.other_end(current)
+            if other is None or edge.contact.is_zero():
                 continue
             if node_var(edge.id) not in index:
                 continue
             length = -values[index[node_var(edge.id)]]
-            other = _other_end(edge, current)
-            sign = 1 if edge.tail == current else -1
+            dx, dy = edge.away_from(current)
             cx, cy = positions[current]
-            candidate = (
-                cx + sign * length * edge.contact.x,
-                cy + sign * length * edge.contact.y,
-            )
+            candidate = (cx + length * dx, cy + length * dy)
             if other in positions:
                 if positions[other] != candidate:
                     raise SolutionNotInCone(
@@ -395,10 +384,10 @@ def _piece_positions(
                 # the level map; check the defined ones.
                 for direction in (0, 1):
                     lc = pieces[other].levels[direction]
-                    if lc.is_integer and candidate[direction] != phi(lc.level):
+                    if lc.is_integer and candidate[direction] != height[lc.level]:
                         raise SolutionNotInCone(
                             f"piece {other} lands at {candidate} but its level "
-                            f"pins coordinate {direction + 1} to {phi(lc.level)}"
+                            f"pins coordinate {direction + 1} to {height[lc.level]}"
                         )
                 positions[other] = candidate
                 pending.append(other)
@@ -485,15 +474,15 @@ def realize(
     visited_edges: set[int] = set()
 
     for start in vertex_ids:
-        for kind, edge in incidence[start]:
+        for edge in incidence[start]:
             if id(edge) in visited_edges:
                 continue
             visited_edges.add(id(edge))
-            if kind == "end":
-                rays.append(Ray(vertex_ids[start], edge.contact))
+            contact = edge.away_from(start)
+            if edge.other_end(start) is None:
+                rays.append(Ray(vertex_ids[start], contact))
                 continue
             chain, terminal = _walk_chain(incidence, start, edge, vertex_ids.__contains__)
-            contact = _oriented_contact(edge, start)
             if any(c != contact for c in _oriented_chain(chain, start)) or (
                 not isinstance(terminal, str) and terminal.contact != contact
             ):

@@ -174,10 +174,7 @@ def _check_refinement(coarse: Fan, fine: Fan) -> None:
     for fc in fine.cones2d:
         u, v = fc.generators
         mid = u + v
-        carrier = next(
-            (cc for cc in coarse.cones2d if cc.contains(Fraction(mid.x), Fraction(mid.y))),
-            None,
-        )
+        carrier = next((cc for cc in coarse.cones2d if cc.contains(mid.x, mid.y)), None)
         if carrier is None:
             raise NotARefinement(f"fine cone {fc} sticks out of the coarse support")
         cone_of[fc.generators] = carrier
@@ -224,9 +221,8 @@ def type_table() -> list[TypeRow]:
     torus quotient; the two always sum to the dimension of the space of
     lines.
     """
-    fan = ionel_fan()
     rows = []
-    for cone in (ZERO_CONE,) + tuple(Cone((r,)) for r in fan.rays) + fan.cones2d:
+    for cone in ionel_fan().cones:
         lt = _limit_type(cone)
         kernel_dim, quotient_dim = _EXPECTED_DIMS[lt.kind]
         rows.append(

@@ -13,11 +13,12 @@ from fractions import Fraction
 
 from .building import LevelStructure
 from .geometry import Fan, LatticeVector
-from .tropical import TropicalCurve, validate_curve
+from .tropical import BalanceReport, TropicalCurve, validate_curve
 
 __all__ = ["RenderSpec", "render_tropical", "render_fan"]
 
 _MARGIN = 40.0
+_SCALE = 60  # pixels per unit; an integer, so window * scale stays exact
 _CURVE_COLOR = "#1f4fd8"
 _LEVEL_COLOR = "#888888"
 _AXIS_COLOR = "#222222"
@@ -27,13 +28,11 @@ _CONE_FILLS = ("#f2e8d5", "#dbe9f2")
 @dataclass(frozen=True)
 class RenderSpec:
     window: Fraction = Fraction(6)
-    scale: Fraction = Fraction(60)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "window", Fraction(self.window))
-        object.__setattr__(self, "scale", Fraction(self.scale))
-        if self.window <= 0 or self.scale <= 0:
-            raise ValueError("window and scale must be positive")
+        if self.window <= 0:
+            raise ValueError("window must be positive")
 
 
 def _fmt(x: float) -> str:
@@ -43,7 +42,7 @@ def _fmt(x: float) -> str:
 class _Canvas:
     def __init__(self, spec: RenderSpec):
         self.spec = spec
-        side = float(spec.window * spec.scale)
+        side = float(spec.window * _SCALE)
         self.size = side + 2 * _MARGIN
         self.lines: list[str] = []
         self.lines.append(
@@ -53,8 +52,7 @@ class _Canvas:
         )
 
     def map(self, x, y) -> tuple[float, float]:
-        s = float(self.spec.scale)
-        return (_MARGIN + float(x) * s, self.size - _MARGIN - float(y) * s)
+        return (_MARGIN + float(x) * _SCALE, self.size - _MARGIN - float(y) * _SCALE)
 
     def line(self, a, b, cls: str, style: str) -> None:
         (x1, y1), (x2, y2) = self.map(*a), self.map(*b)
@@ -79,23 +77,14 @@ class _Canvas:
 
 
 def _clip_ray(x0: float, y0: float, dx: float, dy: float, window: float):
-    """Largest t >= 0 with the ray still inside [0, window]^2, or None."""
-    limits = []
-    if dx > 0:
-        limits.append((window - x0) / dx)
-    elif dx < 0:
-        limits.append(-x0 / dx)
-    if dy > 0:
-        limits.append((window - y0) / dy)
-    elif dy < 0:
-        limits.append(-y0 / dy)
-    if not limits:
-        return None
-    t = min(limits)
+    """Largest t > 0 with the ray of direction (dx, dy) >= 0 still inside
+    [0, window]^2, or None."""
+    limits = [(window - c) / d for c, d in ((x0, dx), (y0, dy)) if d > 0]
+    t = min(limits, default=0.0)
     return t if t > 0 else None
 
 
-def _boundary_shadows(curve: TropicalCurve):
+def _boundary_shadows(curve: TropicalCurve, report: BalanceReport):
     """Clipped continuations of unbalanced boundary vertices.
 
     A boundary vertex with outgoing contact sum d has lost an edge of
@@ -103,7 +92,6 @@ def _boundary_shadows(curve: TropicalCurve):
     boundary toward the origin.  These strokes are part of the pictures of
     limit curves.
     """
-    report = validate_curve(curve)
     pos = {v.id: (float(v.position.x), float(v.position.y)) for v in curve.vertices}
     shadows = []
     for entry in report.entries:
@@ -142,6 +130,7 @@ def render_tropical(
     spec: RenderSpec | None = None,
 ) -> str:
     """SVG picture of a curve, with dashed level lines when `levels` given."""
+    report = validate_curve(curve)
     spec = spec or RenderSpec()
     canvas = _Canvas(spec)
     window = float(spec.window)
@@ -170,7 +159,7 @@ def render_tropical(
                 "curve",
                 style,
             )
-    for a, b in _boundary_shadows(curve):
+    for a, b in _boundary_shadows(curve, report):
         if a != b:
             canvas.line(a, b, "curve", style)
     return canvas.finish()
@@ -183,11 +172,8 @@ def render_fan(fan: Fan, spec: RenderSpec | None = None) -> str:
     window = float(spec.window)
 
     def boundary_point(v: LatticeVector):
-        t = _clip_ray(0.0, 0.0, float(v.x), float(v.y), window)
         # Rays of a fan may leave the positive window; clip on the full box.
-        m = max(abs(v.x), abs(v.y))
-        t2 = window / m if m else 0.0
-        t = t2 if t is None else min(t, t2)
+        t = window / max(abs(v.x), abs(v.y))
         return (t * v.x, t * v.y)
 
     for i, cone in enumerate(fan.cones2d):

@@ -169,36 +169,22 @@ def curves_equal(a: TropicalCurve, b: TropicalCurve) -> bool:
 def tropicalize_line(family: LineFamily) -> TropicalCurve:
     """Corner locus of min(q + X, p + Y, p + q) inside the quadrant.
 
-    Case analysis on the exponents (p, q):
+    Two cases on the exponents (p, q):
 
-    * both positive, p != q: a boundary vertex at (p - q, 0) (or its mirror)
-      joined by a (1, 1) segment to the vertex (p, q), which emits rays
-      (1, 0) and (0, 1);
-    * p == q > 0: same picture with the boundary vertex at the origin;
-    * exactly one positive: a single vertex on the corresponding axis with
-      rays (1, 0) and (0, 1);
-    * p == q == 0: a single vertex at the origin with the two axis rays.
+    * p == 0 or q == 0: a single vertex at (p, q) with rays (1, 0) and (0, 1);
+    * otherwise, with m = min(p, q): a boundary vertex at (p - m, q - m)
+      joined by a (1, 1) segment of length m to the vertex (p, q), which
+      emits the two rays.  The boundary vertex is the origin when p == q.
     """
     p, q = family.p, family.q
-    e10, e01, e11 = LatticeVector(1, 0), LatticeVector(0, 1), LatticeVector(1, 1)
-    if p == 0 and q == 0:
-        v0 = Vertex("v0", QuadrantPoint(Fraction(0), Fraction(0)))
+    e10, e01 = LatticeVector(1, 0), LatticeVector(0, 1)
+    if p == 0 or q == 0:
+        v0 = Vertex("v0", QuadrantPoint(p, q))
         return TropicalCurve((v0,), (), (Ray("v0", e10), Ray("v0", e01)))
-    if q == 0:
-        v0 = Vertex("v0", QuadrantPoint(p, Fraction(0)))
-        return TropicalCurve((v0,), (), (Ray("v0", e10), Ray("v0", e01)))
-    if p == 0:
-        v0 = Vertex("v0", QuadrantPoint(Fraction(0), q))
-        return TropicalCurve((v0,), (), (Ray("v0", e10), Ray("v0", e01)))
-    if p >= q:
-        base = QuadrantPoint(p - q, Fraction(0))
-        length = q
-    else:
-        base = QuadrantPoint(Fraction(0), q - p)
-        length = p
-    v0 = Vertex("v0", base)
+    m = min(p, q)
+    v0 = Vertex("v0", QuadrantPoint(p - m, q - m))
     v1 = Vertex("v1", QuadrantPoint(p, q))
-    seg = Segment("v0", "v1", e11, length)
+    seg = Segment("v0", "v1", LatticeVector(1, 1), m)
     return TropicalCurve((v0, v1), (seg,), (Ray("v1", e10), Ray("v1", e01)))
 
 
@@ -375,14 +361,13 @@ def curve_from_json(data: dict) -> TropicalCurve:
             Segment(
                 s["tail"],
                 s["head"],
-                LatticeVector(int(s["contact"][0]), int(s["contact"][1])),
+                LatticeVector.from_json(s["contact"]),
                 parse_rational(s["length"]),
             )
             for s in data["segments"]
         )
         rays = tuple(
-            Ray(r["base"], LatticeVector(int(r["contact"][0]), int(r["contact"][1])))
-            for r in data["rays"]
+            Ray(r["base"], LatticeVector.from_json(r["contact"])) for r in data["rays"]
         )
     except (KeyError, TypeError, GeometryError) as exc:
         raise CurveInvalid(f"malformed tropical curve document: {exc}") from exc

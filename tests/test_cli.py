@@ -17,7 +17,13 @@ from tropline import amoeba
 from tropline.amoeba import sample_amoeba
 from tropline.building import graph_from_json
 from tropline.cli import main
-from tropline.tropical import curve_from_json, curves_equal, tropicalize_line, LineFamily
+from tropline.tropical import (
+    LineFamily,
+    curve_from_json,
+    curve_to_json,
+    curves_equal,
+    tropicalize_line,
+)
 
 GOLDENS = Path(__file__).parent / "goldens"
 
@@ -165,6 +171,29 @@ class TestFanCommands:
         assert code == 0
         assert len(out.splitlines()) == 14
 
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("types.txt", ("types",)),
+            ("types.json", ("types", "--json")),
+            ("fan-exploded.txt", ("fan", "--which", "exploded")),
+            ("fan-ionel.txt", ("fan", "--which", "ionel")),
+            ("fan-complete.txt", ("fan", "--which", "complete")),
+            ("blowups.txt", ("blowups",)),
+        ],
+    )
+    def test_golden_bytes(self, capsys, name, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        assert out == (GOLDENS / name).read_text()
+
+    @pytest.mark.parametrize("which", ["exploded", "ionel", "complete"])
+    def test_fan_svg_golden_bytes(self, capsys, tmp_path, which):
+        path = tmp_path / "f.svg"
+        code, out, _ = run(capsys, "fan", "--which", which, "--svg", str(path))
+        assert code == 0 and out == (GOLDENS / f"fan-{which}.txt").read_text()
+        assert path.read_text() == (GOLDENS / f"fan-{which}.svg").read_text()
+
 
 class TestSvgAndCsv:
     def test_tropicalize_svg(self, capsys, tmp_path):
@@ -280,6 +309,57 @@ class TestSvgAndCsv:
     def test_unreadable_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "match", "--graph", str(tmp_path / "missing.json"))
         assert code == 2 and err
+
+
+class TestJsonTypes:
+    @pytest.mark.parametrize(
+        "command, keys, value",
+        [
+            ("match", ("ends", 0, "contact"), [1.5, 0]),
+            ("match", ("nodes", 0, "contact"), [True, 1]),
+            ("match", ("pieces", 1, "trivial"), "false"),
+            ("match", ("pieces", 0, "trivial"), 0),
+            ("match", ("num_levels",), "3"),
+            ("match", ("pieces", 0, "levels", 0, "at"), 1.0),
+            ("match", ("pieces", 1, "levels", 0, "between"), ["1", 2]),
+            ("building", ("vertices", 0, "x"), 1),
+            ("building", ("segments", 0, "length"), 3),
+            ("building", ("segments", 0, "contact"), [1.0, 1]),
+            ("building", ("rays", 0, "contact"), [True, False]),
+        ],
+        ids=[
+            "end-contact-float",
+            "node-contact-bool",
+            "trivial-string",
+            "trivial-int",
+            "num-levels-string",
+            "at-float",
+            "between-string",
+            "vertex-x-int",
+            "length-int",
+            "segment-contact-float",
+            "ray-contact-bool",
+        ],
+    )
+    def test_wrong_json_type_exits_2(self, capsys, tmp_path, example1_path, command, keys, value):
+        """Contacts, levels and `num_levels` must be JSON integers, `trivial` a
+        JSON boolean and curve coordinates rational strings; nothing is coerced."""
+        if command == "match":
+            doc = json.loads(example1_path.read_text())
+            flag, what = "--graph", "graph"
+        else:
+            doc = curve_to_json(tropicalize_line(LineFamily(4, 3)))
+            flag, what = "--curve", "tropical curve"
+        target = doc
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, command, flag, str(path))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: malformed {what} document: ")
 
 
 class TestDeterminism:

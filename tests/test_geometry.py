@@ -78,6 +78,38 @@ class TestLocate:
         assert cone.generators == (V(1, 0), V(1, 1))
 
 
+class TestConeSide:
+    """`Cone.side` on integer directions: 1 in the relative interior, 0 on the
+    relative boundary, -1 outside."""
+
+    @pytest.mark.parametrize(
+        "generators, direction, side",
+        [
+            ((), (0, 0), 1),
+            ((), (1, 0), -1),
+            (((1, 1),), (2, 2), 1),
+            (((1, 1),), (0, 0), 0),
+            (((1, 1),), (-1, -1), -1),
+            (((1, 1),), (1, 0), -1),
+            (((1, 0), (1, 1)), (2, 1), 1),
+            (((1, 0), (1, 1)), (3, 0), 0),
+            (((1, 0), (1, 1)), (3, 3), 0),
+            (((1, 0), (1, 1)), (0, 0), 0),
+            (((1, 0), (1, 1)), (1, 2), -1),
+            (((1, 0), (1, 1)), (1, -1), -1),
+        ],
+    )
+    def test_side(self, generators, direction, side):
+        assert Cone(tuple(V(*g) for g in generators)).side(*direction) == side
+
+    def test_rational_points(self):
+        cone = Cone((V(1, 0), V(1, 1)))
+        for p in [(F(3, 2), F(0)), (F(2, 3), F(2, 3)), (F(0), F(0))]:
+            assert cone.contains(*p) and not cone.interior_contains(*p)
+        assert cone.interior_contains(F(5, 2), F(1, 3))
+        assert not cone.contains(F(1, 3), F(1, 2))
+
+
 class TestStellarSubdivide:
     def test_insert_mid_ray(self):
         fan = quadrant_fan()
@@ -107,6 +139,10 @@ class TestStellarSubdivide:
     def test_ray_not_interior(self):
         with pytest.raises(RayNotInterior):
             stellar_subdivide(quadrant_fan(), Cone((V(1, 0), V(1, 1))), V(1, 2))
+
+    def test_boundary_ray_not_interior(self):
+        with pytest.raises(RayNotInterior):
+            stellar_subdivide(quadrant_fan(), Cone((V(1, 0), V(1, 1))), V(1, 1))
 
     def test_target_not_in_fan(self):
         with pytest.raises(TargetNotInFan):

@@ -131,8 +131,9 @@ def test_integer_elimination_against_fractions():
 def test_rank_and_row_span():
     rows = [[1, 1, 0, 0, 0, -1, 0], [0, 0, 1, 0, 0, 0, -1]]
     assert _linalg.rank(rows) == 2
-    assert _linalg.in_row_span(rows, [1, 1, 1, 0, 0, -1, -1])
-    assert not _linalg.in_row_span(rows, [1, 0, 0, 0, 0, 0, 0])
+    # A row lies in the span exactly when appending it keeps the rank.
+    assert _linalg.rank(rows + [[1, 1, 1, 0, 0, -1, -1]]) == 2
+    assert _linalg.rank(rows + [[1, 0, 0, 0, 0, 0, 0]]) == 3
 
 
 def solves_strictly(rows, x) -> bool:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,7 @@ from tropline.moduli import (
 from tropline.tropical import LineFamily, tropicalize_line
 
 V = LatticeVector
+GOLDENS = Path(__file__).parent / "goldens"
 
 
 class TestFans:
@@ -97,6 +99,16 @@ class TestClassify:
             for j in range(0, 60):
                 labels.add(classify(F(i, 4), F(j, 4)).label)
         assert len(labels) == 14
+
+    def test_grid_golden(self):
+        """Label and mirror on every p, q = k/d with k <= 12 and d <= 4."""
+        values = sorted({F(k, d) for k in range(13) for d in range(1, 5)})
+        lines = []
+        for p in values:
+            for q in values:
+                lt = classify(p, q)
+                lines.append(f"{p} {q} {lt.label} {lt.mirror}\n")
+        assert "".join(lines) == (GOLDENS / "classify-grid.txt").read_text()
 
     def test_mirror_equivariance(self):
         rng = random.Random(3)
