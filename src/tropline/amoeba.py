@@ -405,6 +405,8 @@ def convergence_report(
 
     The fit needs at least two distinct bases, and the window must be
     positive and small enough that squared distances inside it stay finite.
+    It may not reach past the sampled depth p + q + 2 either: beyond it the
+    cloud is empty and the distance reads the unsampled part of the rays.
     """
     from .tropical import tropicalize_line
 
@@ -413,6 +415,9 @@ def convergence_report(
         raise ValueError("a convergence ladder needs at least two distinct bases")
     if not 0 < window <= _MAX_WINDOW:
         raise ValueError(f"window {window} must be positive and at most {_MAX_WINDOW:g}")
+    depth = family.p + family.q + 2
+    if window > depth:
+        raise ValueError(f"window {window:g} reaches past the sampled depth p + q + 2 = {depth}")
     curve = tropicalize_line(family)
     entries = []
     for n in bases:

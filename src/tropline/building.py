@@ -8,6 +8,10 @@ trivial cylinder piece, and the edge fragments in between become nodes (or
 ends, for the unbounded remainders).  Pieces are indexed by a pair of level
 coordinates, each either at an integer level or strictly between two
 consecutive ones.
+
+A `LeveledDualGraph` checks its references when it is built.  Its
+geometric check, `validate()`, runs where graphs enter: in
+`graph_from_json` and `build_building`.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .geometry import LatticeVector, _connected, _json_typed
+from .geometry import LatticeVector, _connected, _json_pair, _json_typed
 from .tropical import TropicalCurve
 
 __all__ = [
@@ -84,7 +88,7 @@ class LevelCoordinate:
         if "at" in data:
             return cls.at(_json_typed(data["at"], int))
         if "between" in data:
-            a, b = data["between"]
+            a, b = _json_pair(data["between"])
             if _json_typed(b, int) != _json_typed(a, int) + 1:
                 raise GraphInvalid(f"between-pair {data['between']} is not consecutive")
             return cls.between(a)
@@ -177,7 +181,7 @@ class LeveledDualGraph:
     nodes: tuple[NodeEdge, ...]
     ends: tuple[EndEdge, ...]
 
-    def check_references(self) -> None:
+    def __post_init__(self) -> None:
         ids = [p.id for p in self.pieces]
         if len(set(ids)) != len(ids):
             raise GraphInvalid("duplicate piece ids")
@@ -212,8 +216,8 @@ class LeveledDualGraph:
         return inc
 
     def validate(self) -> None:
-        """Full invariant check: references, orientation, triviality, connectivity."""
-        self.check_references()
+        """Geometric check: orientation, triviality, connectivity.  References
+        were checked when the graph was built."""
         levels = {p.id: p.levels for p in self.pieces}
         for n in self.nodes:
             for i in (0, 1):
@@ -256,7 +260,6 @@ class Building:
 
 def extract_levels(curve: TropicalCurve) -> LevelStructure:
     """Sorted deduplicated nonzero vertex coordinates of the curve."""
-    curve.validate()
     values = set()
     for v in curve.vertices:
         for c in (v.position.x, v.position.y):
@@ -435,10 +438,7 @@ def graph_from_json(data: dict) -> LeveledDualGraph:
         pieces = tuple(
             Piece(
                 str(p["id"]),
-                (
-                    LevelCoordinate.from_json(p["levels"][0]),
-                    LevelCoordinate.from_json(p["levels"][1]),
-                ),
+                tuple(LevelCoordinate.from_json(lc) for lc in _json_pair(p["levels"])),
                 _json_typed(p["trivial"], bool),
             )
             for p in data["pieces"]

@@ -110,7 +110,7 @@ def _cmd_tropicalize(args) -> int:
     curve = tropical_mod.tropicalize_line(_family(args))
     levels = building_mod.extract_levels(curve)
     if args.svg:
-        window = max(Fraction(v) for v in (args.p + args.q + 2, Fraction(2)))
+        window = args.p + args.q + 2
         doc = render.render_tropical(curve, levels, render.RenderSpec(window=window))
         with open(args.svg, "w", encoding="utf-8") as handle:
             handle.write(doc)
@@ -283,11 +283,7 @@ def _cmd_render(args) -> int:
         raise ValueError("graph has no strictly negative solution to realize")
     curve = matching.realize(graph, cone.witness)
     levels = building_mod.extract_levels(curve)
-    window = max(
-        (v.position.x for v in curve.vertices),
-        default=Fraction(0),
-    )
-    window = max(window, *(v.position.y for v in curve.vertices)) + 2
+    window = max(c for v in curve.vertices for c in v.position) + 2
     doc = render.render_tropical(curve, levels, render.RenderSpec(window=window))
     with open(args.svg, "w", encoding="utf-8") as handle:
         handle.write(doc)

@@ -5,7 +5,8 @@ integer vectors, and all cone/fan predicates are decided by one integer side
 test, `Cone.side`, on integer directions.  Fans are rank-2 only: rays are
 kept sorted counterclockwise starting from the most clockwise ray at or
 above the positive x-axis, and every two-dimensional cone is spanned by a
-pair of adjacent rays.
+pair of adjacent rays.  Lattice vectors, quadrant points, cones and fans
+check themselves when they are built, so a `Fan` in hand is a genuine fan.
 """
 
 from __future__ import annotations
@@ -85,6 +86,14 @@ def _json_typed(value, kind: type):
     return value
 
 
+def _json_pair(value) -> list:
+    """`value` itself when it is a JSON list of exactly two entries; raises
+    TypeError otherwise."""
+    if type(value) is not list or len(value) != 2:
+        raise TypeError(f"expected a JSON pair, got {value!r}")
+    return value
+
+
 def rational_str(value: Fraction) -> str:
     """Serialize a rational as the canonical exact string `num/den`."""
     value = Fraction(value)
@@ -105,7 +114,8 @@ class LatticeVector:
     @classmethod
     def from_json(cls, pair) -> "LatticeVector":
         """The vector of a JSON pair of integers; raises TypeError otherwise."""
-        return cls(_json_typed(pair[0], int), _json_typed(pair[1], int))
+        x, y = _json_pair(pair)
+        return cls(_json_typed(x, int), _json_typed(y, int))
 
     def __iter__(self) -> Iterator[int]:
         yield self.x
@@ -275,8 +285,9 @@ class Fan:
     """A rational polyhedral fan in the plane.
 
     `cones` holds every cone of the fan: the zero cone, one ray cone per
-    ray, and the two-dimensional cones.  Construction normalizes ordering;
-    use :func:`fan_from_cones` to build from the maximal cones alone.
+    ray, and the two-dimensional cones.  Construction normalizes ordering
+    and runs :meth:`validate_structure`; use :func:`fan_from_cones` to build
+    from the maximal cones alone.
     """
 
     rays: tuple[LatticeVector, ...]
@@ -296,39 +307,30 @@ class Fan:
         normalized = (ZERO_CONE,) + tuple(Cone((r,)) for r in rays) + tuple(cones2)
         object.__setattr__(self, "rays", rays)
         object.__setattr__(self, "cones", normalized)
+        self.validate_structure()
 
     @property
     def cones2d(self) -> tuple[Cone, ...]:
         return tuple(c for c in self.cones if c.dim == 2)
 
     def validate_structure(self) -> None:
-        """Raise :class:`StructuralInvalid` unless the fan is a genuine fan."""
-        index = {r: i for i, r in enumerate(self.rays)}
-        for cone in self.cones2d:
-            u, v = cone.generators
-            if u not in index or v not in index:
-                raise StructuralInvalid(f"cone generator of {cone} missing from ray list")
-            # Generators must be angularly adjacent: no third ray strictly inside.
-            for r in self.rays:
-                if r not in (u, v) and cone.interior_contains(r.x, r.y):
-                    raise StructuralInvalid(f"ray {r} lies inside cone {cone}")
+        """Raise :class:`StructuralInvalid` unless the fan is a genuine fan.
+
+        Every 2-D cone must span two angularly adjacent rays, and no cone may
+        repeat.  Such cones cannot overlap: each one is the gap after its
+        first ray.
+        """
         seen = set()
         for cone in self.cones2d:
+            u, v = cone.generators
+            if u not in self.rays or v not in self.rays:
+                raise StructuralInvalid(f"cone generator of {cone} missing from ray list")
+            for r in self.rays:
+                if r not in (u, v) and cone.side(r.x, r.y) > 0:
+                    raise StructuralInvalid(f"ray {r} lies inside cone {cone}")
             if cone.generators in seen:
                 raise StructuralInvalid(f"duplicate cone {cone}")
             seen.add(cone.generators)
-        # Overlap: distinct 2D cones may only share boundary rays.
-        cones = self.cones2d
-        for i in range(len(cones)):
-            for j in range(i + 1, len(cones)):
-                u, v = cones[i].generators
-                a, b = cones[j].generators
-                mid_i = u + v
-                mid_j = a + b
-                if cones[j].interior_contains(mid_i.x, mid_i.y) or cones[i].interior_contains(
-                    mid_j.x, mid_j.y
-                ):
-                    raise StructuralInvalid(f"cones {cones[i]} and {cones[j]} overlap")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Fan):
@@ -389,8 +391,7 @@ def stellar_subdivide(fan: Fan, target: Cone, ray: LatticeVector) -> Fan:
 
 
 def validate_fan(fan: Fan) -> FanReport:
-    """Report smoothness and completeness of a structurally valid fan."""
-    fan.validate_structure()
+    """Report smoothness and completeness of a fan."""
     smooth = all(abs(c.determinant()) == 1 for c in fan.cones2d)
     rays = fan.rays
     complete = len(rays) >= 3

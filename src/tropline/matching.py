@@ -166,7 +166,6 @@ def build_system(graph: LeveledDualGraph) -> MatchingSystem:
     chain that runs into an end (no anchor on that side) contributes
     nothing; its constraints are implied by the anchored chains.
     """
-    graph.check_references()
     active_nodes = [n for n in graph.nodes if not n.contact.is_zero()]
     variables = _variables(graph)
     var_index = {name: i for i, name in enumerate(variables)}
@@ -307,7 +306,6 @@ def check_stability(graph: LeveledDualGraph, rule: str = "union") -> StabilityVe
     """
     if rule not in ("union", "per-direction"):
         raise ValueError(f"unknown stability rule {rule!r}")
-    graph.check_references()
     required = set(range(1, graph.num_levels + 1))
     per_direction: list[set[int]] = [set(), set()]
     for piece in graph.pieces:
@@ -433,7 +431,6 @@ def realize(
     their chains and are merged away unless `keep_trivial` is set, in which
     case every piece becomes a (possibly bivalent) vertex.
     """
-    graph.check_references()
     variables = _variables(graph)
     values = _solution_values(solution, variables)
     if any(v >= 0 for v in values):
@@ -497,9 +494,7 @@ def realize(
                 visited_edges.add(id(terminal))
                 rays.append(Ray(vertex_ids[start], contact))
 
-    curve = TropicalCurve(vertices, tuple(segments), tuple(rays))
-    curve.validate()
-    return curve
+    return TropicalCurve(vertices, tuple(segments), tuple(rays))
 
 
 def building_solution(building: Building) -> dict[str, Fraction]:

@@ -13,7 +13,8 @@ coordinates (v(n^(-t)) = t) its tropicalization is the corner locus of
 intersected with the quadrant [0, oo)^2.  Traveling right means moving
 toward the first coordinate divisor, traveling up toward the second.
 Curves are stored with exact rational positions, integral edge directions,
-and segments and rays kept separate.
+and segments and rays kept separate.  A `TropicalCurve` checks its
+structure when it is built, so every curve in hand is valid.
 """
 
 from __future__ import annotations
@@ -116,6 +117,9 @@ class TropicalCurve:
     vertices: tuple[Vertex, ...]
     segments: tuple[Segment, ...]
     rays: tuple[Ray, ...]
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
         ids = [v.id for v in self.vertices]
@@ -258,13 +262,12 @@ class BalanceReport:
 
 
 def validate_curve(curve: TropicalCurve) -> BalanceReport:
-    """Check structure and report the outgoing contact sum per vertex.
+    """Report the outgoing contact sum per vertex.
 
     Vertices on the open boundary strata of the quadrant are routinely
     unbalanced (an edge has left through the boundary); they are reported,
     never rejected.
     """
-    curve.validate()
     sums = {v.id: LatticeVector(0, 0) for v in curve.vertices}
     for s in curve.segments:
         sums[s.tail] = sums[s.tail] + s.contact
@@ -369,8 +372,6 @@ def curve_from_json(data: dict) -> TropicalCurve:
         rays = tuple(
             Ray(r["base"], LatticeVector.from_json(r["contact"])) for r in data["rays"]
         )
+        return TropicalCurve(vertices, segments, rays)
     except (KeyError, TypeError, GeometryError) as exc:
         raise CurveInvalid(f"malformed tropical curve document: {exc}") from exc
-    curve = TropicalCurve(vertices, segments, rays)
-    curve.validate()
-    return curve

@@ -394,3 +394,12 @@ class TestConvergence:
     def test_window_out_of_range(self, window):
         with pytest.raises(ValueError, match="window .* must be positive"):
             convergence_report(fam(1, 2), [1e3, 1e4], 200, window)
+
+    def test_window_beyond_sampled_depth(self):
+        """The cloud reaches depth p + q + 2; a wider window would measure the
+        unsampled part of the rays, so it is refused, and the bound itself is
+        accepted."""
+        with pytest.raises(ValueError, match=r"sampled depth p \+ q \+ 2 = 9/2"):
+            convergence_report(fam(Fraction(1, 2), 2), [1e3, 1e4], 200, 4.75)
+        report = convergence_report(fam(Fraction(1, 2), 2), [1e3, 1e4], 200, 4.5)
+        assert len(report.entries) == 2

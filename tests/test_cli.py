@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -287,6 +288,13 @@ class TestSvgAndCsv:
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error:")
 
+    def test_amoeba_window_beyond_sampled_depth_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "amoeba", "--p", "1", "--q", "2", "--n", "1e3,1e4,1e6,1e8", "--window", "10"
+        )
+        assert code == 2 and out == ""
+        assert err == "error: window 10 reaches past the sampled depth p + q + 2 = 5\n"
+
     @pytest.mark.parametrize(
         "name, flags",
         [
@@ -326,6 +334,10 @@ class TestJsonTypes:
             ("building", ("segments", 0, "length"), 3),
             ("building", ("segments", 0, "contact"), [1.0, 1]),
             ("building", ("rays", 0, "contact"), [True, False]),
+            ("match", ("nodes", 0, "contact"), [1, 1, 7]),
+            ("match", ("pieces", 0, "levels"), [{"at": 1}, {"at": 0}, {"at": 0}]),
+            ("match", ("pieces", 1, "levels", 0, "between"), [1, 2, 3]),
+            ("building", ("rays", 0, "contact"), [1, 0, 5]),
         ],
         ids=[
             "end-contact-float",
@@ -339,11 +351,16 @@ class TestJsonTypes:
             "length-int",
             "segment-contact-float",
             "ray-contact-bool",
+            "node-contact-triple",
+            "levels-triple",
+            "between-triple",
+            "ray-contact-triple",
         ],
     )
     def test_wrong_json_type_exits_2(self, capsys, tmp_path, example1_path, command, keys, value):
         """Contacts, levels and `num_levels` must be JSON integers, `trivial` a
-        JSON boolean and curve coordinates rational strings; nothing is coerced."""
+        JSON boolean and curve coordinates rational strings; contacts, level
+        pairs and `between` have exactly two entries.  Nothing is coerced."""
         if command == "match":
             doc = json.loads(example1_path.read_text())
             flag, what = "--graph", "graph"
@@ -399,16 +416,43 @@ class TestDeterminism:
 class TestInvariantChecks:
     def test_checks_run_under_optimize(self, example1_path):
         """Both exact invariant checks raise under `python -O`, and a
-        violation exits 3."""
+        violation exits 3.  Curves, graphs and fans still check themselves
+        when they are built."""
         script = textwrap.dedent(
             f"""
             import sys
             from fractions import Fraction
             from tropline import _linalg
+            from tropline.building import GraphInvalid, LeveledDualGraph, NodeEdge
             from tropline.cli import main
+            from tropline.geometry import (
+                Cone, Fan, LatticeVector as V, QuadrantPoint, StructuralInvalid,
+            )
+            from tropline.tropical import CurveInvalid, Segment, TropicalCurve, Vertex
 
             if __debug__:
                 sys.exit("not running under -O")
+
+            builds = [
+                (CurveInvalid, lambda: TropicalCurve(
+                    (Vertex("a", QuadrantPoint(0, 0)), Vertex("b", QuadrantPoint(1, 2))),
+                    (Segment("a", "b", V(1, 1), Fraction(1)),),
+                    (),
+                )),
+                (GraphInvalid, lambda: LeveledDualGraph(
+                    0, (), (NodeEdge("n1", "c1", "c2", V(1, 0)),), ()
+                )),
+                (StructuralInvalid, lambda: Fan(
+                    rays=(V(1, 0), V(1, 1), V(1, 2)),
+                    cones=(Cone((V(1, 0), V(1, 2))), Cone((V(1, 0), V(1, 1)))),
+                )),
+            ]
+            for exc, build in builds:
+                try:
+                    build()
+                except exc:
+                    continue
+                sys.exit(f"building an invalid object did not raise {{exc.__name__}}")
 
             # A simplex point off the matching equations.
             simplex = _linalg.negative_orthant_point
@@ -496,3 +540,31 @@ class TestMutatedGraphs:
         assert code in (0, 2), doc
         if code == 0:
             graph_from_json(doc).validate()
+
+
+def match_mutation_lines():
+    """`trop match` on 400 seeded mutations of `example1.json`, one line
+    each: the exit code, then stderr as a JSON string."""
+    rng = random.Random(1089)
+    text = (Path(__file__).parent / "fixtures" / "example1.json").read_text()
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "graph.json"
+        for _ in range(400):
+            doc = json.loads(text)
+            for _ in range(rng.randint(1, 3)):
+                mutate(doc, rng.randint)
+            path.write_text(json.dumps(doc))
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["match", "--graph", str(path)])
+            lines.append(f"{code} {json.dumps(err.getvalue())}")
+    return lines
+
+
+class TestMatchMutationGolden:
+    def test_exit_codes_and_messages_pinned(self):
+        """Which mutated documents `trop match` rejects, and with which
+        message, is pinned line by line in `goldens/match-mutations.txt`."""
+        golden = (GOLDENS / "match-mutations.txt").read_text().splitlines()
+        assert match_mutation_lines() == golden

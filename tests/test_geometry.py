@@ -173,11 +173,11 @@ class TestValidateFan:
         assert not validate_fan(fan).smooth
 
     def test_overlapping_cones_rejected(self):
-        fan = Fan(
-            rays=(V(1, 0), V(1, 1), V(1, 2)),
-            cones=(Cone((V(1, 0), V(1, 2))), Cone((V(1, 0), V(1, 1)))),
-        )
         with pytest.raises(StructuralInvalid):
+            fan = Fan(
+                rays=(V(1, 0), V(1, 1), V(1, 2)),
+                cones=(Cone((V(1, 0), V(1, 2))), Cone((V(1, 0), V(1, 1)))),
+            )
             validate_fan(fan)
 
 
