@@ -7,11 +7,8 @@ each transversal interior crossing of an edge with a cut line becomes a
 trivial cylinder piece, and the edge fragments in between become nodes (or
 ends, for the unbounded remainders).  Pieces are indexed by a pair of level
 coordinates, each either at an integer level or strictly between two
-consecutive ones.
-
-A `LeveledDualGraph` checks its references when it is built.  Its
-geometric check, `validate()`, runs where graphs enter: in
-`graph_from_json` and `build_building`.
+consecutive ones.  A `LeveledDualGraph` checks its references when it is
+built; `validate()` checks its geometry in `graph_from_json` and `build_building`.
 """
 
 from __future__ import annotations
@@ -438,7 +435,7 @@ def graph_from_json(data: dict) -> LeveledDualGraph:
         pieces = tuple(
             Piece(
                 str(p["id"]),
-                tuple(LevelCoordinate.from_json(lc) for lc in _json_pair(p["levels"])),
+                tuple(LevelCoordinate.from_json(lc) for lc in p["levels"]),
                 _json_typed(p["trivial"], bool),
             )
             for p in data["pieces"]

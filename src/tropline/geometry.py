@@ -87,8 +87,7 @@ def _json_typed(value, kind: type):
 
 
 def _json_pair(value) -> list:
-    """`value` itself when it is a JSON list of exactly two entries; raises
-    TypeError otherwise."""
+    """`value` if it is a JSON list of two entries; raises TypeError otherwise."""
     if type(value) is not list or len(value) != 2:
         raise TypeError(f"expected a JSON pair, got {value!r}")
     return value

@@ -13,8 +13,8 @@ coordinates (v(n^(-t)) = t) its tropicalization is the corner locus of
 intersected with the quadrant [0, oo)^2.  Traveling right means moving
 toward the first coordinate divisor, traveling up toward the second.
 Curves are stored with exact rational positions, integral edge directions,
-and segments and rays kept separate.  A `TropicalCurve` checks its
-structure when it is built, so every curve in hand is valid.
+and segments and rays kept separate.  A `TropicalCurve` checks its structure
+when it is built; `validate()` checks head - tail = length * contact.
 """
 
 from __future__ import annotations
@@ -119,20 +119,30 @@ class TropicalCurve:
     rays: tuple[Ray, ...]
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
-        ids = [v.id for v in self.vertices]
-        if len(set(ids)) != len(ids):
+        known = {v.id for v in self.vertices}
+        if len(known) != len(self.vertices):
             raise CurveInvalid("duplicate vertex ids")
-        pos = {v.id: v.position for v in self.vertices}
         for s in self.segments:
-            if s.tail not in pos or s.head not in pos:
+            if s.tail not in known or s.head not in known:
                 raise CurveInvalid(f"segment {s} references a missing vertex")
             if s.contact.is_zero():
                 raise CurveInvalid("segment with zero contact vector")
             if s.length <= 0:
                 raise CurveInvalid("segment with non-positive length")
+        for r in self.rays:
+            if r.base not in known:
+                raise CurveInvalid(f"ray {r} references a missing vertex")
+            if r.contact.is_zero():
+                raise CurveInvalid("ray with zero contact vector")
+            if r.contact.x < 0 or r.contact.y < 0:
+                raise CurveInvalid(f"ray {r} eventually leaves the quadrant")
+        if not _connected(known, ((s.tail, s.head) for s in self.segments)):
+            raise CurveInvalid("curve is not connected")
+
+    def validate(self) -> None:
+        """Check head - tail = length * contact on every segment."""
+        pos = {v.id: v.position for v in self.vertices}
+        for s in self.segments:
             dx = pos[s.head].x - pos[s.tail].x
             dy = pos[s.head].y - pos[s.tail].y
             if dx != s.length * s.contact.x or dy != s.length * s.contact.y:
@@ -140,15 +150,6 @@ class TropicalCurve:
                     f"segment identity broken on {s.tail}->{s.head}: "
                     f"delta ({dx}, {dy}) != {s.length} * {tuple(s.contact)}"
                 )
-        for r in self.rays:
-            if r.base not in pos:
-                raise CurveInvalid(f"ray {r} references a missing vertex")
-            if r.contact.is_zero():
-                raise CurveInvalid("ray with zero contact vector")
-            if r.contact.x < 0 or r.contact.y < 0:
-                raise CurveInvalid(f"ray {r} eventually leaves the quadrant")
-        if not _connected(ids, ((s.tail, s.head) for s in self.segments)):
-            raise CurveInvalid("curve is not connected")
 
     def canonical(self):
         """Geometry-only normal form, independent of vertex ids and order."""
@@ -262,12 +263,13 @@ class BalanceReport:
 
 
 def validate_curve(curve: TropicalCurve) -> BalanceReport:
-    """Report the outgoing contact sum per vertex.
+    """Check the segment identity and report the outgoing contact sum per vertex.
 
     Vertices on the open boundary strata of the quadrant are routinely
     unbalanced (an edge has left through the boundary); they are reported,
     never rejected.
     """
+    curve.validate()
     sums = {v.id: LatticeVector(0, 0) for v in curve.vertices}
     for s in curve.segments:
         sums[s.tail] = sums[s.tail] + s.contact
@@ -372,6 +374,8 @@ def curve_from_json(data: dict) -> TropicalCurve:
         rays = tuple(
             Ray(r["base"], LatticeVector.from_json(r["contact"])) for r in data["rays"]
         )
-        return TropicalCurve(vertices, segments, rays)
+        curve = TropicalCurve(vertices, segments, rays)
     except (KeyError, TypeError, GeometryError) as exc:
         raise CurveInvalid(f"malformed tropical curve document: {exc}") from exc
+    curve.validate()
+    return curve

@@ -335,7 +335,6 @@ class TestJsonTypes:
             ("building", ("segments", 0, "contact"), [1.0, 1]),
             ("building", ("rays", 0, "contact"), [True, False]),
             ("match", ("nodes", 0, "contact"), [1, 1, 7]),
-            ("match", ("pieces", 0, "levels"), [{"at": 1}, {"at": 0}, {"at": 0}]),
             ("match", ("pieces", 1, "levels", 0, "between"), [1, 2, 3]),
             ("building", ("rays", 0, "contact"), [1, 0, 5]),
         ],
@@ -352,15 +351,14 @@ class TestJsonTypes:
             "segment-contact-float",
             "ray-contact-bool",
             "node-contact-triple",
-            "levels-triple",
             "between-triple",
             "ray-contact-triple",
         ],
     )
     def test_wrong_json_type_exits_2(self, capsys, tmp_path, example1_path, command, keys, value):
         """Contacts, levels and `num_levels` must be JSON integers, `trivial` a
-        JSON boolean and curve coordinates rational strings; contacts, level
-        pairs and `between` have exactly two entries.  Nothing is coerced."""
+        JSON boolean and curve coordinates rational strings; contacts and
+        `between` have exactly two entries.  Nothing is coerced."""
         if command == "match":
             doc = json.loads(example1_path.read_text())
             flag, what = "--graph", "graph"
@@ -377,6 +375,17 @@ class TestJsonTypes:
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith(f"error: malformed {what} document: ")
+
+    def test_piece_with_three_levels_exits_2(self, capsys, tmp_path, example1_path):
+        """A piece has exactly two level coordinates; the graph's constructor
+        rejects any other count."""
+        doc = json.loads(example1_path.read_text())
+        doc["pieces"][0]["levels"].append({"at": 0})
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "match", "--graph", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: piece {doc['pieces'][0]['id']} needs exactly 2 level coordinates\n"
 
 
 class TestDeterminism:
@@ -417,7 +426,8 @@ class TestInvariantChecks:
     def test_checks_run_under_optimize(self, example1_path):
         """Both exact invariant checks raise under `python -O`, and a
         violation exits 3.  Curves, graphs and fans still check themselves
-        when they are built."""
+        when they are built, and a curve's `validate()` still checks the
+        segment identity."""
         script = textwrap.dedent(
             f"""
             import sys
@@ -428,17 +438,20 @@ class TestInvariantChecks:
             from tropline.geometry import (
                 Cone, Fan, LatticeVector as V, QuadrantPoint, StructuralInvalid,
             )
-            from tropline.tropical import CurveInvalid, Segment, TropicalCurve, Vertex
+            from tropline.tropical import CurveInvalid, Ray, Segment, TropicalCurve, Vertex
 
             if __debug__:
                 sys.exit("not running under -O")
 
             builds = [
                 (CurveInvalid, lambda: TropicalCurve(
+                    (Vertex("a", QuadrantPoint(1, 1)),), (), (Ray("a", V(-1, 0)),)
+                )),
+                (CurveInvalid, lambda: TropicalCurve(
                     (Vertex("a", QuadrantPoint(0, 0)), Vertex("b", QuadrantPoint(1, 2))),
                     (Segment("a", "b", V(1, 1), Fraction(1)),),
                     (),
-                )),
+                ).validate()),
                 (GraphInvalid, lambda: LeveledDualGraph(
                     0, (), (NodeEdge("n1", "c1", "c2", V(1, 0)),), ()
                 )),
@@ -452,7 +465,7 @@ class TestInvariantChecks:
                     build()
                 except exc:
                     continue
-                sys.exit(f"building an invalid object did not raise {{exc.__name__}}")
+                sys.exit(f"an invalid object did not raise {{exc.__name__}}")
 
             # A simplex point off the matching equations.
             simplex = _linalg.negative_orthant_point

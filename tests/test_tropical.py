@@ -245,15 +245,15 @@ class TestValidateCurve:
                     assert entry.balanced
 
     def test_broken_segment_identity(self):
+        curve = TropicalCurve(
+            vertices=(
+                Vertex("a", QuadrantPoint(F(0), F(0))),
+                Vertex("b", QuadrantPoint(F(1), F(2))),
+            ),
+            segments=(Segment("a", "b", V(1, 1), F(1)),),
+            rays=(),
+        )
         with pytest.raises(CurveInvalid):
-            curve = TropicalCurve(
-                vertices=(
-                    Vertex("a", QuadrantPoint(F(0), F(0))),
-                    Vertex("b", QuadrantPoint(F(1), F(2))),
-                ),
-                segments=(Segment("a", "b", V(1, 1), F(1)),),
-                rays=(),
-            )
             validate_curve(curve)
 
     def test_escaping_ray_rejected(self):
