@@ -7,8 +7,10 @@ each transversal interior crossing of an edge with a cut line becomes a
 trivial cylinder piece, and the edge fragments in between become nodes (or
 ends, for the unbounded remainders).  Pieces are indexed by a pair of level
 coordinates, each either at an integer level or strictly between two
-consecutive ones.  A `LeveledDualGraph` checks its references when it is
-built; `validate()` checks its geometry in `graph_from_json` and `build_building`.
+consecutive ones.  `build_building` collects the pieces as exact points and
+names them c1, c2, ... by one sort on their level coordinates and position.
+A `LeveledDualGraph` checks its references when it is built; `validate()`
+checks its geometry in `graph_from_json` and `build_building`.
 """
 
 from __future__ import annotations
@@ -108,7 +110,10 @@ class LevelStructure:
         values = tuple(Fraction(v) for v in self.values)
         object.__setattr__(self, "values", values)
         if any(v <= 0 for v in values) or list(values) != sorted(set(values)):
-            raise GraphInvalid(f"levels must be strictly increasing and positive: {values}")
+            raise GraphInvalid(
+                "levels must be strictly increasing and positive: "
+                + ", ".join(str(v) for v in values)
+            )
 
     @property
     def m(self) -> int:
@@ -265,120 +270,72 @@ def extract_levels(curve: TropicalCurve) -> LevelStructure:
     return LevelStructure(tuple(sorted(values)))
 
 
-def _multilevel(levels: LevelStructure, x: Fraction, y: Fraction) -> Multilevel:
-    return (levels.coordinate(x), levels.coordinate(y))
-
-
 def build_building(curve: TropicalCurve, extra_levels=()) -> Building:
     """Refine a curve by its level planes into a leveled dual graph.
 
-    `extra_levels` inserts additional cut values; this never changes the
-    set of non-trivial pieces, it only adds trivial cylinders (used to
-    probe the stability rules).
+    Every vertex is a piece, and each edge is cut where it crosses a level
+    line: each crossing is a trivial piece, and the fragments between are
+    nodes, or ends for the last fragment of a ray.  One sort of the pieces by
+    their level coordinates, then by position, names them c1, c2, ...; nodes
+    and ends are listed in the order of their pieces.  `extra_levels` inserts
+    additional cut values; this never changes the set of non-trivial pieces,
+    it only adds trivial cylinders (used to probe the stability rules).
     """
-    base = extract_levels(curve)
-    values = sorted(set(base.values) | {Fraction(v) for v in extra_levels})
-    if any(v <= 0 for v in values):
-        raise GraphInvalid("extra level values must be positive")
-    levels = LevelStructure(tuple(values))
+    levels = LevelStructure(
+        tuple(sorted(set(extract_levels(curve).values) | {Fraction(v) for v in extra_levels}))
+    )
+    # (position, trivial) per piece, vertices first: vertex k is piece k.
+    pieces = [((v.position.x, v.position.y), False) for v in curve.vertices]
+    nodes: list[tuple[int, int, LatticeVector]] = []
+    ends: list[tuple[int, LatticeVector]] = []
 
-    pos = {v.id: (v.position.x, v.position.y) for v in curve.vertices}
+    def cut(k: int, contact: LatticeVector, t_end: Fraction | None) -> int:
+        """Cut the edge leaving piece k along `contact` at every level line it
+        crosses for 0 < t < t_end (a ray has no end); return the last piece."""
+        (x0, y0), _ = pieces[k]
+        ts = {
+            t
+            for c0, c in ((x0, contact.x), (y0, contact.y))
+            if c
+            for t in ((v - c0) / c for v in levels.values)
+            if t > 0 and (t_end is None or t < t_end)
+        }
+        for t in sorted(ts):
+            pieces.append(((x0 + t * contact.x, y0 + t * contact.y), True))
+            nodes.append((k, len(pieces) - 1, contact))
+            k = len(pieces) - 1
+        return k
 
-    # Raw pieces keyed by a synthetic handle; identity is fixed after sorting.
-    raw: list[dict] = []
-    handle_of_vertex: dict[str, int] = {}
-    for v in curve.vertices:
-        handle_of_vertex[v.id] = len(raw)
-        raw.append(
-            {
-                "levels": _multilevel(levels, v.position.x, v.position.y),
-                "trivial": False,
-                "position": pos[v.id],
-            }
-        )
-
-    raw_nodes: list[tuple[int, int, LatticeVector]] = []
-    raw_ends: list[tuple[int, LatticeVector]] = []
-
-    def crossing_parameters(x0, y0, contact: LatticeVector, t_end: Fraction | None):
-        """Interior parameters where the edge meets a cut line, ascending."""
-        ts: set[Fraction] = set()
-        for value in levels.values:
-            if contact.x != 0:
-                t = Fraction(value - x0, contact.x)
-                if t > 0 and (t_end is None or t < t_end):
-                    ts.add(t)
-            if contact.y != 0:
-                t = Fraction(value - y0, contact.y)
-                if t > 0 and (t_end is None or t < t_end):
-                    ts.add(t)
-        return sorted(ts)
-
-    def fragment(start_handle: int, x0, y0, contact: LatticeVector, t_end: Fraction | None):
-        """Split one edge at its crossings, collecting pieces, nodes, ends."""
-        prev_handle = start_handle
-        for t in crossing_parameters(x0, y0, contact, t_end):
-            cx, cy = x0 + t * contact.x, y0 + t * contact.y
-            handle = len(raw)
-            raw.append(
-                {
-                    "levels": _multilevel(levels, cx, cy),
-                    "trivial": True,
-                    "position": (cx, cy),
-                }
-            )
-            raw_nodes.append((prev_handle, handle, contact))
-            prev_handle = handle
-        if t_end is None:
-            raw_ends.append((prev_handle, contact))
-            return None
-        return prev_handle
-
+    vertex = {v.id: k for k, v in enumerate(curve.vertices)}
     for s in curve.segments:
-        x0, y0 = pos[s.tail]
-        # Orient the fragmenting walk upward so nodes run tail -> head in
-        # the level order whenever the contact is sign-definite.
-        if s.contact.x < 0 or (s.contact.x == 0 and s.contact.y < 0):
-            x0, y0 = pos[s.head]
-            contact = -s.contact
-            last = fragment(handle_of_vertex[s.head], x0, y0, contact, s.length)
-            raw_nodes.append((last, handle_of_vertex[s.tail], contact))
-        else:
-            last = fragment(handle_of_vertex[s.tail], x0, y0, s.contact, s.length)
-            raw_nodes.append((last, handle_of_vertex[s.head], s.contact))
+        # Cut upward, so nodes run tail -> head in the level order whenever
+        # the contact is sign-definite.
+        tail, head, contact = vertex[s.tail], vertex[s.head], s.contact
+        if (contact.x, contact.y) < (0, 0):
+            tail, head, contact = head, tail, -contact
+        nodes.append((cut(tail, contact, s.length), head, contact))
     for r in curve.rays:
-        x0, y0 = pos[r.base]
-        fragment(handle_of_vertex[r.base], x0, y0, r.contact, None)
+        ends.append((cut(vertex[r.base], r.contact, None), r.contact))
 
+    coords = [(levels.coordinate(x), levels.coordinate(y)) for (x, y), _ in pieces]
     order = sorted(
-        range(len(raw)),
-        key=lambda h: (
-            raw[h]["levels"][0].sort_key(),
-            raw[h]["levels"][1].sort_key(),
-            raw[h]["position"],
+        range(len(pieces)),
+        key=lambda k: (coords[k][0].sort_key(), coords[k][1].sort_key(), pieces[k][0]),
+    )
+    rank = {k: i for i, k in enumerate(order, 1)}
+    nodes.sort(key=lambda n: (rank[n[0]], rank[n[1]]))
+    ends.sort(key=lambda e: (rank[e[0]], tuple(e[1])))
+    graph = LeveledDualGraph(
+        levels.m,
+        tuple(Piece(f"c{rank[k]}", coords[k], pieces[k][1]) for k in order),
+        tuple(
+            NodeEdge(f"n{i + 1}", f"c{rank[t]}", f"c{rank[h]}", c)
+            for i, (t, h, c) in enumerate(nodes)
         ),
+        tuple(EndEdge(f"c{rank[k]}", c) for k, c in ends),
     )
-    id_of_handle = {h: f"c{i + 1}" for i, h in enumerate(order)}
-    pieces = tuple(
-        Piece(id_of_handle[h], raw[h]["levels"], raw[h]["trivial"]) for h in order
-    )
-    index = {id_of_handle[h]: i for i, h in enumerate(order)}
-
-    sorted_nodes = sorted(
-        raw_nodes, key=lambda tr: (index[id_of_handle[tr[0]]], index[id_of_handle[tr[1]]])
-    )
-    nodes = tuple(
-        NodeEdge(f"n{i + 1}", id_of_handle[t], id_of_handle[h], c)
-        for i, (t, h, c) in enumerate(sorted_nodes)
-    )
-    ends = tuple(
-        EndEdge(id_of_handle[h], c)
-        for h, c in sorted(raw_ends, key=lambda e: (index[id_of_handle[e[0]]], tuple(e[1])))
-    )
-    graph = LeveledDualGraph(levels.m, pieces, nodes, ends)
     graph.validate()
-    positions = {id_of_handle[h]: raw[h]["position"] for h in order}
-    return Building(graph=graph, levels=levels, positions=positions)
+    return Building(graph, levels, {f"c{rank[k]}": pieces[k][0] for k in order})
 
 
 def describe_building(building: Building) -> str:

@@ -8,6 +8,7 @@ the output and never nonzero exit codes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -218,21 +219,7 @@ def _cmd_blowups(args) -> int:
 def _cmd_types(args) -> int:
     rows = moduli.type_table()
     if args.json:
-        print(
-            json.dumps(
-                [
-                    {
-                        "label": r.label,
-                        "kind": r.kind,
-                        "conditions": r.conditions,
-                        "kernel_dim": r.kernel_dim,
-                        "quotient_dim": r.quotient_dim,
-                        "mirror": r.mirror,
-                    }
-                    for r in rows
-                ]
-            )
-        )
+        print(json.dumps([dataclasses.asdict(r) for r in rows]))
     else:
         width = max(len(r.label) for r in rows)
         cwidth = max(len(r.conditions) for r in rows)

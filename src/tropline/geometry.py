@@ -68,13 +68,15 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse `N` or `N/D` into an exact rational; decimals are rejected, and
-    anything but a string raises TypeError."""
+    """Parse `N` or `N/D` into an exact rational; decimals and a zero `D` are
+    rejected, and anything but a string raises TypeError."""
     if not isinstance(text, str):
         raise TypeError(f"not an exact rational literal: {text!r}")
     text = text.strip()
     if not _RATIONAL_RE.match(text):
         raise ValueError(f"not an exact rational literal: {text!r}")
+    if re.search(r"/0+$", text):
+        raise ValueError(f"zero denominator in rational literal: {text!r}")
     return Fraction(text)
 
 

@@ -395,30 +395,22 @@ def _piece_positions(
     return positions
 
 
-def torus_weights(
-    graph: LeveledDualGraph,
-    cone: SolutionCone,
-    basis: Sequence[Sequence[int]] | None = None,
-) -> WeightTable:
+def torus_weights(graph: LeveledDualGraph, cone: SolutionCone) -> WeightTable:
     """Integer exponents of the residual torus action on each piece.
 
     The position of a piece is a linear function of the kernel parameters;
     its weight matrix collects the integer coefficients, one column per
-    basis vector.  `basis` overrides the cone's canonical basis (used to
-    check invariance under unimodular change of basis).
+    vector of `cone.basis`.
     """
     if not cone.feasible:
         raise InfeasibleCone("torus weights need a feasible solution cone")
-    use_basis = tuple(tuple(int(c) for c in vec) for vec in (basis or cone.basis))
-    columns = []
-    for vec in use_basis:
-        columns.append(_piece_positions(graph, vec, cone.variables))
+    columns = [_piece_positions(graph, vec, cone.variables) for vec in cone.basis]
     entries: dict[str, tuple[tuple[int, ...], tuple[int, ...]]] = {}
     for piece in graph.pieces:
         row_x = tuple(col[piece.id][0] for col in columns)
         row_y = tuple(col[piece.id][1] for col in columns)
         entries[piece.id] = (row_x, row_y)
-    return WeightTable(dimension=len(use_basis), entries=entries)
+    return WeightTable(dimension=len(cone.basis), entries=entries)
 
 
 def realize(

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; every tolerance is pinned here.
 """
 
+import dataclasses
 import json
 import random
 import time
@@ -155,7 +156,7 @@ def test_c05_torus_weights(example1_graph):
             [u[0][0] * a + u[0][1] * b for a, b in zip(cone1.basis[0], cone1.basis[1])],
             [u[1][0] * a + u[1][1] * b for a, b in zip(cone1.basis[0], cone1.basis[1])],
         ]
-        other = torus_weights(example1_graph, cone1, basis=changed)
+        other = torus_weights(example1_graph, dataclasses.replace(cone1, basis=changed))
         for p in example1_graph.pieces:
             ok = ok and w1.rank(p.id) == other.rank(p.id)
             ok = ok and w1.lattice(p.id) == other.lattice(p.id)

@@ -23,6 +23,7 @@ from tropline.tropical import (
     curve_from_json,
     curve_to_json,
     curves_equal,
+    reflect,
     tropicalize_line,
 )
 
@@ -62,6 +63,20 @@ class TestClassify:
     def test_unknown_flag(self, capsys):
         code, _, _ = run(capsys, "classify", "--p", "1", "--q", "0", "--bogus")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("classify", "--p", "1/0", "--q", "1"), "--p"),
+            (("classify", "--p", "1", "--q", "1/0"), "--q"),
+            (("building", "--p", "4", "--q", "3", "--add-level", "1/0"), "--add-level"),
+        ],
+    )
+    def test_zero_denominator_exits_2(self, capsys, argv, flag):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: argument {flag}: zero denominator in rational literal: '1/0'\n")
+        assert "Traceback" not in err
 
 
 class TestPipeline:
@@ -132,6 +147,21 @@ class TestPipeline:
         code, out, _ = run(capsys, "match", "--graph", str(doc))
         assert code == 0
         assert json.loads(out)["stable"] is False
+
+    @pytest.mark.parametrize("level", ["0", "-1"])
+    def test_building_non_positive_extra_level_exits_2(self, capsys, level):
+        code, out, err = run(capsys, "building", "--p", "4", "--q", "3", "--add-level", level)
+        assert (code, out) == (2, "")
+        assert err == f"error: levels must be strictly increasing and positive: {level}, 1, 3, 4\n"
+
+    def test_building_curve_with_zero_denominator_exits_2(self, capsys, tmp_path):
+        doc = curve_to_json(tropicalize_line(LineFamily(4, 3)))
+        doc["vertices"][0]["x"] = "1/0"
+        path = tmp_path / "curve.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "building", "--curve", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: zero denominator in rational literal: '1/0'\n"
 
     def test_building_needs_input(self, capsys):
         code, _, err = run(capsys, "building", "--json")
@@ -426,19 +456,23 @@ class TestInvariantChecks:
     def test_checks_run_under_optimize(self, example1_path):
         """Both exact invariant checks raise under `python -O`, and a
         violation exits 3.  Curves, graphs and fans still check themselves
-        when they are built, and a curve's `validate()` still checks the
-        segment identity."""
+        when they are built, a curve's `validate()` still checks the segment
+        identity, and `build_building` rejects a non-positive extra level."""
         script = textwrap.dedent(
             f"""
             import sys
             from fractions import Fraction
             from tropline import _linalg
-            from tropline.building import GraphInvalid, LeveledDualGraph, NodeEdge
+            from tropline.building import (
+                GraphInvalid, LeveledDualGraph, NodeEdge, build_building,
+            )
             from tropline.cli import main
             from tropline.geometry import (
                 Cone, Fan, LatticeVector as V, QuadrantPoint, StructuralInvalid,
             )
-            from tropline.tropical import CurveInvalid, Ray, Segment, TropicalCurve, Vertex
+            from tropline.tropical import (
+                CurveInvalid, LineFamily, Ray, Segment, TropicalCurve, Vertex, tropicalize_line,
+            )
 
             if __debug__:
                 sys.exit("not running under -O")
@@ -459,6 +493,7 @@ class TestInvariantChecks:
                     rays=(V(1, 0), V(1, 1), V(1, 2)),
                     cones=(Cone((V(1, 0), V(1, 2))), Cone((V(1, 0), V(1, 1)))),
                 )),
+                (GraphInvalid, lambda: build_building(tropicalize_line(LineFamily(4, 3)), [0])),
             ]
             for exc, build in builds:
                 try:
@@ -581,3 +616,81 @@ class TestMatchMutationGolden:
         message, is pinned line by line in `goldens/match-mutations.txt`."""
         golden = (GOLDENS / "match-mutations.txt").read_text().splitlines()
         assert match_mutation_lines() == golden
+
+
+def building_curve_documents():
+    """Small `--curve` inputs for `trop building`, by file name."""
+    flipped = curve_to_json(tropicalize_line(LineFamily(4, 3)))
+    flipped["segments"] = [{"tail": "v1", "head": "v0", "contact": [-1, -1], "length": "3"}]
+    return {
+        "reflected-4-3.json": curve_to_json(reflect(tropicalize_line(LineFamily(4, 3)))),
+        "flipped-4-3.json": flipped,
+        "two-segments.json": {
+            "vertices": [
+                {"id": "a", "x": "0", "y": "1/2"},
+                {"id": "b", "x": "3/2", "y": "2"},
+                {"id": "c", "x": "3/2", "y": "7/2"},
+            ],
+            "segments": [
+                {"tail": "b", "head": "a", "contact": [-1, -1], "length": "3/2"},
+                {"tail": "c", "head": "b", "contact": [0, -1], "length": "3/2"},
+            ],
+            "rays": [{"base": "b", "contact": [1, 0]}, {"base": "c", "contact": [0, 1]}],
+        },
+        "ray-past-top.json": {
+            "vertices": [{"id": "a", "x": "3/2", "y": "7/2"}],
+            "segments": [],
+            "rays": [{"base": "a", "contact": [1, 1]}],
+        },
+        "downward.json": {
+            "vertices": [{"id": "a", "x": "0", "y": "2"}, {"id": "b", "x": "1", "y": "1"}],
+            "segments": [{"tail": "a", "head": "b", "contact": [1, -1], "length": "1"}],
+            "rays": [{"base": "b", "contact": [1, 0]}, {"base": "b", "contact": [0, 1]}],
+        },
+    }
+
+
+def building_grid_argvs():
+    """The `trop building` runs pinned in `goldens/building-grid.txt`."""
+    values = ["0", "1/2", "1", "3/2", "2", "3", "4", "7/3"]
+    extra = ["--add-level", "1/2", "--add-level", "5"]
+    argvs = []
+    for p in values:
+        for q in values:
+            argvs.append(["building", "--p", p, "--q", q])
+            argvs.append(["building", "--p", p, "--q", q, *extra])
+    for p, q in [("4", "3"), ("7/3", "3/2"), ("0", "1/2"), ("2", "2")]:
+        argvs.append(["building", "--p", p, "--q", q, "--json"])
+        argvs.append(["building", "--p", p, "--q", q, "--json", *extra])
+    for name in building_curve_documents():
+        argvs.append(["building", "--curve", name])
+        argvs.append(["building", "--curve", name, *extra])
+        argvs.append(["building", "--curve", name, "--json"])
+    return argvs
+
+
+def building_grid_lines():
+    """`trop building` on every run of `building_grid_argvs`, one JSON line
+    each: argv (curve documents by file name), exit code, stdout, stderr."""
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, doc in building_curve_documents().items():
+            (Path(tmp) / name).write_text(json.dumps(doc))
+        for argv in building_grid_argvs():
+            run_argv = [str(Path(tmp) / a) if a.endswith(".json") else a for a in argv]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(run_argv)
+            lines.append(json.dumps({
+                "argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue(),
+            }))
+    return lines
+
+
+class TestBuildingGolden:
+    def test_building_runs_pinned(self):
+        """Pieces, names, nodes, ends and errors of `trop building` on a grid
+        of families and small curve documents are pinned in
+        `goldens/building-grid.txt`."""
+        golden = (GOLDENS / "building-grid.txt").read_text().splitlines()
+        assert building_grid_lines() == golden

@@ -199,3 +199,8 @@ class TestSerialization:
     def test_rational_rejects_decimals(self):
         with pytest.raises(ValueError):
             parse_rational("3.5")
+
+    @pytest.mark.parametrize("text", ["1/0", "-3/00", " 0/0 "])
+    def test_rational_rejects_zero_denominator(self, text):
+        with pytest.raises(ValueError, match="zero denominator in rational literal"):
+            parse_rational(text)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -275,7 +276,7 @@ class TestTorusWeights:
                     for a, b in zip(cone.basis[0], cone.basis[1])
                 ],
             ]
-            other = torus_weights(example1_graph, cone, basis=changed_basis)
+            other = torus_weights(example1_graph, dataclasses.replace(cone, basis=changed_basis))
             for piece in example1_graph.pieces:
                 assert weights.rank(piece.id) == other.rank(piece.id)
                 assert weights.lattice(piece.id) == other.lattice(piece.id)
