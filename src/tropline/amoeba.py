@@ -47,10 +47,6 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # float range.
 _MAX_WINDOW = 1.0e150
 
-# Pair distances computed at once by the brute-force nearest-point search.
-_CHUNK = 1 << 20
-
-
 class ZeroCoordinate(ValueError):
     """log_image needs all three homogeneous coordinates nonzero."""
 
@@ -258,125 +254,99 @@ def _squared_distance_to_pieces(
     return best
 
 
-def _brute_nearest(targets: np.ndarray, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
-    """Squared distance from each target to its nearest cloud point, in chunks."""
-    best = np.empty(len(targets))
-    rows = max(1, _CHUNK // len(cx))
-    for i in range(0, len(targets), rows):
-        chunk = targets[i : i + rows]
-        dx = chunk[:, :1] - cx
-        dy = chunk[:, 1:] - cy
-        best[i : i + rows] = (dx * dx + dy * dy).min(axis=1)
-    return best
-
-
 def _squared_nearest(
-    targets: np.ndarray, cx: np.ndarray, cy: np.ndarray, cell: float
-) -> np.ndarray:
-    """Squared distance from each target to its nearest cloud point (cx, cy).
-
-    Cloud points are bucketed in a grid of side `cell` and each target
-    first searches the 3 x 3 cells around its own.  Every cloud point
-    within `cell` of a target lies there, so a best distance under `cell`
-    is the true minimum; targets without one fall back to a full search.
-    The result equals the minimum over the full distance matrix.
-    """
-    tx, ty = targets[:, 0].copy(), targets[:, 1].copy()
-    # Only cloud points within `cell` of the targets' bounding box can be
-    # within `cell` of a target.
-    x0, y0 = tx.min() - cell, ty.min() - cell
-    inner = (cx >= x0) & (cx <= tx.max() + cell) & (cy >= y0) & (cy <= ty.max() + cell)
-    ix, iy = cx[inner], cy[inner]
-    inner_x = np.floor((ix - x0) / cell).astype(np.int64) + 1
-    inner_y = np.floor((iy - y0) / cell).astype(np.int64) + 1
-    target_x = np.floor((tx - x0) / cell).astype(np.int64) + 1
-    target_y = np.floor((ty - y0) / cell).astype(np.int64) + 1
-    stride = int(max(inner_y.max(initial=0), target_y.max() + 1)) + 1
-    keys = inner_x * stride + inner_y
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    ix, iy = ix[order], iy[order]
-    # The three cells of one column are consecutive keys, so each target
-    # needs three ranges of the sorted cloud.
-    low_keys = (target_x[:, None] + np.array((-1, 0, 1))) * stride + target_y[:, None] - 1
-    lo = np.searchsorted(keys, low_keys.ravel(), side="left")
-    hi = np.searchsorted(keys, low_keys.ravel() + 2, side="right")
-    counts = hi - lo
-    firsts = np.cumsum(counts) - counts
-    index = np.arange(counts.sum()) - np.repeat(firsts - lo, counts)
-    per_target = counts.reshape(-1, 3).sum(axis=1)
-    owner = np.repeat(np.arange(len(targets)), per_target)
-    dx = tx[owner] - ix[index]
-    dy = ty[owner] - iy[index]
-    pair = dx * dx + dy * dy
-    best = np.full(len(targets), np.inf)
-    found = np.flatnonzero(per_target)
-    if len(found):
-        best[found] = np.minimum.reduceat(pair, firsts[::3][found])
-    # The margin covers rounding in the cell index of points near `cell` away.
-    far = ~(best <= (cell * (1.0 - 1e-9)) ** 2)
-    if far.any():
-        best[far] = _brute_nearest(targets[far], cx, cy)
-    return best
-
-
-def _certified(
     targets: np.ndarray, cx: np.ndarray, cy: np.ndarray, bound: float
 ) -> np.ndarray:
-    """Mask of the targets shown to have a cloud point (cx, cy) at squared
-    distance at most `bound`.
+    """Squared distance from each target to its nearest cloud point (cx, cy),
+    exact where it exceeds `bound` and at most `bound` elsewhere.
 
-    One cloud point represents each cell of a square grid over a box
-    holding the targets and the cloud; a target is certified when the
-    representative of one of the 3 x 3 cells around it passes the exact
-    test `dx * dx + dy * dy <= bound`.  Which point represents a cell
-    changes only which targets are marked, never the truth of a mark.  An
-    unmarked target may still have such a point; a bound of 0 (or one that
-    is not finite) marks none.
+    One grid of square cells covers a box holding the targets and the
+    cloud, and one cloud point represents each cell.  A target is
+    certified when the representative of one of its 3 x 3 cells passes the
+    exact test `dx * dx + dy * dy <= bound`, and keeps that distance.  A
+    bound of 0 certifies none.  The others get `_grid_search` on the same
+    grid.
     """
-    if not 0 < bound < math.inf:
-        return np.zeros(len(targets), dtype=bool)
     lo = min(targets.min(), cx.min(), cy.min())
     extent = max(targets.max(), cx.max(), cy.max()) - lo
-    # Side sqrt(bound) / 2, floored so the grid has about 4 cells per point.
-    cell = max(math.sqrt(bound) / 2.0, extent / (2.0 * math.sqrt(len(cx))))
-    # Cell indices start at 1, leaving an empty border for the 3 x 3 search.
+    # Side sqrt(bound) / 2, floored so the grid has about 4 cells per point;
+    # 1 when every target and cloud point is one point.
+    cell = max(math.sqrt(bound) / 2.0, extent / (2.0 * math.sqrt(len(cx)))) or 1.0
+    # Cell indices start at 1, leaving an empty border for the 3 x 3 cells.
     side = int(extent / cell) + 3
 
     def cells(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         column = ((x - lo) / cell).astype(np.int64) + 1
         return column * side + ((y - lo) / cell).astype(np.int64) + 1
 
-    rep = np.full(side * side, -1)
-    rep[cells(cx, cy)] = np.arange(len(cx))
-    # Index -1 of an empty cell picks a point at infinity, which never passes.
-    rx, ry = np.append(cx, math.inf), np.append(cy, math.inf)
+    keys = cells(cx, cy)
     tx, ty = targets[:, 0].copy(), targets[:, 1].copy()
     centre = cells(tx, ty)
-    certified = np.zeros(len(targets), dtype=bool)
-    for offset in (-side - 1, -side, -side + 1, -1, 0, 1, side - 1, side, side + 1):
-        r = rep[centre + offset]
-        dx = tx - rx[r]
-        dy = ty - ry[r]
-        certified |= dx * dx + dy * dy <= bound
-    return certified
+    best = np.full(len(tx), math.inf)
+    if bound > 0:
+        rep = np.full(side * side, -1)
+        rep[keys] = np.arange(len(cx))
+        # Index -1 of an empty cell picks a point at infinity, which never passes.
+        rx, ry = np.append(cx, math.inf), np.append(cy, math.inf)
+        for offset in (-side - 1, -side, -side + 1, -1, 0, 1, side - 1, side, side + 1):
+            r = rep[centre + offset]
+            dx = tx - rx[r]
+            dy = ty - ry[r]
+            np.minimum(best, dx * dx + dy * dy, out=best)
+    far = np.flatnonzero(~(best <= bound))
+    if len(far):
+        best[far] = _grid_search(tx[far], ty[far], centre[far], cx, cy, keys, side, cell)
+    return best
+
+
+def _grid_search(tx, ty, centre, cx, cy, keys, side: int, cell: float) -> np.ndarray:
+    """Exact squared distance from each target (tx, ty) in grid cell
+    `centre` to its nearest cloud point (cx, cy) in cell `keys`.
+
+    A target searches the square of cells within `radius` of its own, the
+    radius doubling until the best distance is at most `radius` cells,
+    which every cloud point outside the square exceeds, or until the
+    square covers the grid.
+    """
+    order = np.argsort(keys)
+    keys, sx, sy = keys[order], cx[order], cy[order]
+    best = np.full(len(tx), math.inf)
+    todo = np.arange(len(tx))
+    radius = 1
+    while len(todo):
+        # Each column of the square, its rows cut to the grid, is one range
+        # of the sorted keys.
+        c = centre[todo, None]
+        r = c % side
+        columns = np.arange(-radius, radius + 1) * side
+        start = np.searchsorted(keys, (c - np.minimum(r, radius) + columns).ravel())
+        top = c + np.minimum(side - 1 - r, radius) + columns
+        counts = np.searchsorted(keys, top.ravel(), side="right") - start
+        index = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - start, counts)
+        per_target = counts.reshape(len(todo), -1).sum(axis=1)
+        dx = np.repeat(tx[todo], per_target) - sx[index]
+        dy = np.repeat(ty[todo], per_target) - sy[index]
+        found = np.flatnonzero(per_target)
+        firsts = (np.cumsum(per_target) - per_target)[found]
+        best[todo[found]] = np.minimum.reduceat(dx * dx + dy * dy, firsts)
+        # The margin covers rounding in the cell index of points near the edge.
+        done = (best[todo] <= (radius * cell * (1.0 - 1e-9)) ** 2) | (radius >= side)
+        todo = todo[~done]
+        radius *= 2
+    return best
 
 
 def hausdorff(sample: AmoebaSample, curve: TropicalCurve, window: float) -> float:
     """Symmetric Hausdorff distance between cloud and curve inside the window.
 
     Cloud to curve is the exact distance to the curve's segments and
-    window-cut rays; curve to cloud is measured from the points of
-    `discretize_curve`.  Cloud to curve is computed first and bounds the
-    other side: a polyline point with a cloud point no farther away cannot
-    raise the maximum, so the points `_certified` to have one are skipped.
-    The others, all of them when the bound is 0, get their exact nearest
-    distance from `_squared_nearest`.  The result is the float that the
-    full distance matrix gives.
-
-    The cloud inside the window is gathered once into two contiguous
-    columns, cx and cy, one 1-D gather each from the (k, 2) points; the
-    helpers take those columns, not a (k, 2) array.
+    window-cut rays.  It is computed first and bounds the other side, curve
+    to cloud, measured from the points of `discretize_curve`: a polyline
+    point certified to have a cloud point no farther away cannot raise the
+    maximum, and every other point gets its exact nearest distance, both
+    from one grid in `_squared_nearest`.  The result is the float that the
+    full distance matrix gives.  The in-window cloud goes to the helpers as
+    two contiguous columns, cx and cy.
     """
     xs, ys = sample.points[:, 0], sample.points[:, 1]
     keep = (xs <= window) & (ys <= window)
@@ -387,11 +357,7 @@ def hausdorff(sample: AmoebaSample, curve: TropicalCurve, window: float) -> floa
     if poly.size == 0:
         raise EmptySample("curve has no points inside the window")
     cloud_to_curve = _squared_distance_to_pieces(cx, cy, *_window_pieces(curve, window)).max()
-    far = poly[~_certified(poly, cx, cy, cloud_to_curve)]
-    # Exact minima for the uncertified points.  Cells of twice the polyline
-    # step: few cloud points per cell, and the nearest one is almost always
-    # within a cell; a point without one is searched in full.
-    curve_to_cloud = _squared_nearest(far, cx, cy, window / 256.0).max() if len(far) else 0.0
+    curve_to_cloud = _squared_nearest(poly, cx, cy, cloud_to_curve).max()
     return float(np.sqrt(max(cloud_to_curve, curve_to_cloud)))
 
 

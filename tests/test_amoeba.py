@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tropline import amoeba
 from tropline.amoeba import (
@@ -113,21 +114,21 @@ def reference_hausdorff(sample, curve, window):
 @pytest.fixture
 def branches(monkeypatch):
     """Counts of polyline points certified within the cloud -> curve
-    distance and of those sent to the exact nearest-point search."""
+    distance and of those sent to the exact grid search."""
     seen = {"certified": 0, "searched": 0}
-    certified, nearest = amoeba._certified, amoeba._squared_nearest
+    nearest, search = amoeba._squared_nearest, amoeba._grid_search
 
-    def counting_certified(targets, cx, cy, bound):
-        mask = certified(targets, cx, cy, bound)
-        seen["certified"] += int(mask.sum())
-        return mask
+    def counting_nearest(targets, cx, cy, bound):
+        seen["certified"] += len(targets)
+        return nearest(targets, cx, cy, bound)
 
-    def counting_nearest(targets, cx, cy, cell):
-        seen["searched"] += len(targets)
-        return nearest(targets, cx, cy, cell)
+    def counting_search(tx, *grid):
+        seen["certified"] -= len(tx)
+        seen["searched"] += len(tx)
+        return search(tx, *grid)
 
-    monkeypatch.setattr(amoeba, "_certified", counting_certified)
     monkeypatch.setattr(amoeba, "_squared_nearest", counting_nearest)
+    monkeypatch.setattr(amoeba, "_grid_search", counting_search)
     return seen
 
 
@@ -297,15 +298,64 @@ class TestHausdorff:
             )
 
     def test_bucketed_nearest_equals_full_matrix(self):
+        # Exact above the bound and at most the bound below it, on a grid of
+        # many cells (one outlier) and of one cell (outliers 1e15 away).
         rng = np.random.default_rng(11)
         targets = rng.uniform(0.0, 8.0, (400, 2))
         outliers = np.array([[-50.0, 3.0], [1e12, 1e12], [4.0, -1e15]])
-        for size, cell in ((5000, 8.0 / 256), (40, 8.0 / 256), (3000, 1.0), (1, 0.1), (0, 0.1)):
-            cloud = np.concatenate([rng.uniform(0.0, 8.0, (size, 2)), outliers])
-            full = ((targets[:, None, :] - cloud[None]) ** 2).sum(-1).min(axis=1)
-            assert np.array_equal(
-                amoeba._squared_nearest(targets, cloud[:, 0], cloud[:, 1], cell), full
-            )
+        for size in (5000, 40, 3000, 1, 0):
+            points = rng.uniform(0.0, 8.0, (size, 2))
+            for far in (outliers[:1], outliers):
+                cloud = np.concatenate([points, far])
+                full = ((targets[:, None, :] - cloud[None]) ** 2).sum(-1).min(axis=1)
+                for bound in (0.0, 1e-4, 0.5):
+                    got = amoeba._squared_nearest(targets, cloud[:, 0], cloud[:, 1], bound)
+                    above = full > bound
+                    assert np.array_equal(got[above], full[above])
+                    assert (got[~above] <= bound).all()
+                    if bound == 0:
+                        assert np.array_equal(got, full)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        targets=st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)), min_size=1, max_size=40),
+        cloud=st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)), min_size=1, max_size=40),
+        scale=st.sampled_from([1.0, 8.0, 1e6]),
+        bound=st.sampled_from([0.0, 1e-4, 0.5]),
+    )
+    # The cloud in the far corner: the search stops only when it covers the grid.
+    @example(targets=[(0.0, 0.0)], cloud=[(1.0, 1.0)] * 25, scale=1.0, bound=0.0)
+    def test_sparse_nearest_equals_full_matrix(self, targets, cloud, scale, bound):
+        """Few cloud points, so the nearest one is often many cells away."""
+        targets, cloud = scale * np.array(targets), scale * np.array(cloud)
+        full = ((targets[:, None, :] - cloud[None]) ** 2).sum(-1).min(axis=1)
+        got = amoeba._squared_nearest(targets, cloud[:, 0].copy(), cloud[:, 1].copy(), bound)
+        above = full > bound
+        assert np.array_equal(got[above], full[above])
+        assert (got[~above] <= bound).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pq=st.sampled_from([(1, 2), (4, 3), (Fraction(3, 2), 3), (0, 0), (2, 2)]),
+        unit=st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)), min_size=1, max_size=30),
+        corners=st.booleans(),
+        dense=st.booleans(),
+    )
+    @example(pq=(1, 2), unit=[(0.5, 0.5)], corners=False, dense=False)
+    def test_sparse_clouds_equal_full_matrix(self, pq, unit, corners, dense):
+        """Few cloud points, optionally with the far corners of the window
+        or a 300-point sample: the grid search runs at several radii."""
+        p, q = pq
+        window = float(p + q + 1)
+        points = [window * np.array(unit)]
+        if corners:
+            points.append([[window, window], [window, 0.0], [0.0, window]])
+        if dense:
+            points.append(sample_amoeba(fam(p, q), 1e4, 300).points)
+        points = np.vstack(points)
+        sample = AmoebaSample(n=10.0, points=points, domain=np.zeros(len(points)))
+        curve = tropicalize_line(fam(p, q))
+        assert hausdorff(sample, curve, window) == reference_hausdorff(sample, curve, window)
 
     @pytest.mark.parametrize("p, q", [(2, 1), (Fraction(3, 2), 3)])
     def test_certified_ladder_equals_full_matrix(self, branches, p, q):
