@@ -389,19 +389,19 @@ def convergence_report(
     for n in bases:
         sample = sample_amoeba(family, n, count)
         entries.append((n, hausdorff(sample, curve, window)))
-    xs = np.array([1.0 / math.log(n) for n, _ in entries])
-    ys = np.array([d for _, d in entries])
-    slope, intercept = np.polyfit(xs, ys, 1)
-    fitted = slope * xs + intercept
-    ss_res = float(np.sum((ys - fitted) ** 2))
-    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
-    r_squared = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
+    # Closed-form least squares of the distances on 1 / log n.
+    xs = [1.0 / math.log(n) for n in bases]
+    ds = [d for _, d in entries]
+    mx, my = sum(xs) / len(xs), sum(ds) / len(ds)
+    sxx = sum((x - mx) ** 2 for x in xs)
+    sxy = sum((x - mx) * (d - my) for x, d in zip(xs, ds))
+    syy = sum((d - my) ** 2 for d in ds)
     monotone = all(b < a * 1.1 for (_, a), (_, b) in zip(entries, entries[1:]))
     monotone = monotone and entries[-1][1] < entries[0][1]
     return ConvergenceReport(
         entries=tuple(entries),
-        decay_constant=float(slope),
-        r_squared=float(r_squared),
+        decay_constant=sxy / sxx,
+        r_squared=1.0 if syy == 0 else sxy * sxy / (sxx * syy),
         monotone=monotone,
         last_sample=sample,
     )
