@@ -126,7 +126,6 @@ class LevelStructure:
 
     def coordinate(self, value: Fraction) -> LevelCoordinate:
         """Level coordinate of an exact position value (0 is level 0)."""
-        value = Fraction(value)
         if value < 0:
             raise GraphInvalid(f"negative coordinate {value}")
         if value == 0:

@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -26,6 +27,22 @@ def _rational_arg(text: str) -> Fraction:
         return parse_rational(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+_RATIONAL_FLAGS = ("--p", "--q", "--add-level")
+
+
+def _join_negative_rationals(argv: list[str]) -> list[str]:
+    """Each `--p -1/2` as `--p=-1/2`, so a negative rational reaches the
+    range checks: before Python 3.13, argparse takes only -N and -N.N for
+    negative numbers and reads a word like -1/2 as a flag."""
+    joined: list[str] = []
+    for arg in argv:
+        if joined and joined[-1] in _RATIONAL_FLAGS and re.match(r"-\d", arg):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
 
 
 # Built once per process, on first use: parse_args leaves the parser as it
@@ -294,7 +311,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_rationals(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         # argparse exits 2 on bad flags already; normalize other codes.
         return 2 if exc.code not in (0,) else 0

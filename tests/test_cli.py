@@ -56,6 +56,12 @@ class TestClassify:
         assert code == 2
         assert err.strip()
 
+    @pytest.mark.parametrize("p, q", [("-1/2", "1"), ("1", "-1/2")])
+    def test_negative_fraction_reaches_the_exponent_check(self, capsys, p, q):
+        code, out, err = run(capsys, "classify", "--p", p, "--q", q)
+        assert (code, out) == (2, "")
+        assert err == f"error: valuations must be non-negative, got ({p}, {q})\n"
+
     def test_decimal_rejected(self, capsys):
         code, _, _ = run(capsys, "classify", "--p", "1.5", "--q", "0")
         assert code == 2
@@ -148,7 +154,7 @@ class TestPipeline:
         assert code == 0
         assert json.loads(out)["stable"] is False
 
-    @pytest.mark.parametrize("level", ["0", "-1"])
+    @pytest.mark.parametrize("level", ["0", "-1", "-1/2"])
     def test_building_non_positive_extra_level_exits_2(self, capsys, level):
         code, out, err = run(capsys, "building", "--p", "4", "--q", "3", "--add-level", level)
         assert (code, out) == (2, "")
