@@ -215,11 +215,17 @@ _EXPECTED_DIMS = {"INTERIOR": (0, 2), "RAY": (1, 1), "CONE": (2, 0)}
 
 
 def type_table() -> list[TypeRow]:
-    """All 14 limit types with their expected dimensions.
+    """All 14 limit types with their expected dimensions: the interior, 7
+    rays and 6 cones.
 
     Kernel dimension of the matching system and complex dimension after the
     torus quotient; the two always sum to the dimension of the space of
     lines.
+
+    The abstract counts 13 types of curves in Ionel's compactified moduli
+    space.  This table reads them as its 13 boundary types, every row but
+    the interior, whose lines do not degenerate.  That is a reading of the
+    abstract, which lists no types, not a quote.
     """
     rows = []
     for cone in ionel_fan().cones:

@@ -1,10 +1,11 @@
+import json
 import random
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
-from tropline.building import build_building
+from tropline.building import build_building, graph_to_json
 from tropline.geometry import Cone, LatticeVector, locate, stellar_subdivide, validate_fan
 from tropline.matching import build_system, solve
 from tropline.moduli import (
@@ -20,6 +21,24 @@ from tropline.tropical import LineFamily, tropicalize_line
 
 V = LatticeVector
 GOLDENS = Path(__file__).parent / "goldens"
+
+# One (p, q) inside each row of the type table.
+ROW_SAMPLES = {
+    "INTERIOR": (F(0), F(0)),
+    "RAY(1,0)": (F(2), F(0)),
+    "RAY(0,1)": (F(0), F(2)),
+    "CONE((2,1),(1,0))": (F(5), F(1)),
+    "CONE((1,2),(0,1))": (F(1), F(5)),
+    "RAY(2,1)": (F(4), F(2)),
+    "RAY(1,2)": (F(2), F(4)),
+    "CONE((3,2),(2,1))": (F(7), F(4)),
+    "CONE((2,3),(1,2))": (F(4), F(7)),
+    "RAY(3,2)": (F(3), F(2)),
+    "RAY(2,3)": (F(2), F(3)),
+    "CONE((1,1),(3,2))": (F(4), F(3)),
+    "CONE((1,1),(2,3))": (F(3), F(4)),
+    "RAY(1,1)": (F(1), F(1)),
+}
 
 
 class TestFans:
@@ -200,24 +219,22 @@ class TestTypeTable:
 
     def test_conditions_match_classification(self):
         # Spot check that each row's sample point classifies to the row.
-        samples = {
-            "INTERIOR": (F(0), F(0)),
-            "RAY(1,0)": (F(2), F(0)),
-            "RAY(0,1)": (F(0), F(2)),
-            "CONE((2,1),(1,0))": (F(5), F(1)),
-            "CONE((1,2),(0,1))": (F(1), F(5)),
-            "RAY(2,1)": (F(4), F(2)),
-            "RAY(1,2)": (F(2), F(4)),
-            "CONE((3,2),(2,1))": (F(7), F(4)),
-            "CONE((2,3),(1,2))": (F(4), F(7)),
-            "RAY(3,2)": (F(3), F(2)),
-            "RAY(2,3)": (F(2), F(3)),
-            "CONE((1,1),(3,2))": (F(4), F(3)),
-            "CONE((1,1),(2,3))": (F(3), F(4)),
-            "RAY(1,1)": (F(1), F(1)),
-        }
-        for label, (p, q) in samples.items():
+        for label, (p, q) in ROW_SAMPLES.items():
             assert classify(p, q).label == label
+
+    def test_thirteen_boundary_types(self):
+        """The abstract's 13 types of curves, read as the 13 boundary rows:
+        every row but the undegenerate interior.  One sample per row gives
+        14 pairwise different leveled dual graphs, and only the interior's
+        has no level."""
+        graphs = {
+            label: build_building(tropicalize_line(LineFamily.of(p, q))).graph
+            for label, (p, q) in ROW_SAMPLES.items()
+        }
+        boundary = [r.label for r in type_table() if r.kind != "INTERIOR"]
+        assert len(boundary) == 13
+        assert sorted(boundary) == sorted(label for label, g in graphs.items() if g.num_levels)
+        assert len({json.dumps(graph_to_json(g)) for g in graphs.values()}) == 14
 
 
 class TestKernelDimensionLaw:
