@@ -47,6 +47,7 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # float range.
 _MAX_WINDOW = 1.0e150
 
+
 class ZeroCoordinate(ValueError):
     """log_image needs all three homogeneous coordinates nonzero."""
 
@@ -261,11 +262,10 @@ def _squared_nearest(
     exact where it exceeds `bound` and at most `bound` elsewhere.
 
     One grid of square cells covers a box holding the targets and the
-    cloud, and one cloud point represents each cell.  A target is
-    certified when the representative of one of its 3 x 3 cells passes the
-    exact test `dx * dx + dy * dy <= bound`, and keeps that distance.  A
-    bound of 0 certifies none.  The others get `_grid_search` on the same
-    grid.
+    cloud, and one cloud point represents each cell.  A target is certified,
+    with that distance, when the representative of one of its 3 x 3 cells
+    passes the exact test `dx * dx + dy * dy <= bound`; a bound of 0
+    certifies none.  The others get `_grid_search` on the same grid.
     """
     lo = min(targets.min(), cx.min(), cy.min())
     extent = max(targets.max(), cx.max(), cy.max()) - lo
@@ -301,13 +301,10 @@ def _squared_nearest(
 
 def _grid_search(tx, ty, centre, cx, cy, keys, side: int, cell: float) -> np.ndarray:
     """Exact squared distance from each target (tx, ty) in grid cell
-    `centre` to its nearest cloud point (cx, cy) in cell `keys`.
-
-    A target searches the square of cells within `radius` of its own, the
-    radius doubling until the best distance is at most `radius` cells,
-    which every cloud point outside the square exceeds, or until the
-    square covers the grid.
-    """
+    `centre` to its nearest cloud point (cx, cy) in cell `keys`.  The
+    square of cells within `radius` of the target's is searched, doubling
+    `radius` until the square covers the grid or the best distance is at
+    most `radius` cells, which every cloud point outside it exceeds."""
     order = np.argsort(keys)
     keys, sx, sy = keys[order], cx[order], cy[order]
     best = np.full(len(tx), math.inf)
@@ -323,12 +320,10 @@ def _grid_search(tx, ty, centre, cx, cy, keys, side: int, cell: float) -> np.nda
         top = c + np.minimum(side - 1 - r, radius) + columns
         counts = np.searchsorted(keys, top.ravel(), side="right") - start
         index = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - start, counts)
-        per_target = counts.reshape(len(todo), -1).sum(axis=1)
-        dx = np.repeat(tx[todo], per_target) - sx[index]
-        dy = np.repeat(ty[todo], per_target) - sy[index]
-        found = np.flatnonzero(per_target)
-        firsts = (np.cumsum(per_target) - per_target)[found]
-        best[todo[found]] = np.minimum.reduceat(dx * dx + dy * dy, firsts)
+        owner = np.repeat(np.repeat(todo, 2 * radius + 1), counts)
+        dx = tx[owner] - sx[index]
+        dy = ty[owner] - sy[index]
+        np.minimum.at(best, owner, dx * dx + dy * dy)
         # The margin covers rounding in the cell index of points near the edge.
         done = (best[todo] <= (radius * cell * (1.0 - 1e-9)) ** 2) | (radius >= side)
         todo = todo[~done]
@@ -340,13 +335,12 @@ def hausdorff(sample: AmoebaSample, curve: TropicalCurve, window: float) -> floa
     """Symmetric Hausdorff distance between cloud and curve inside the window.
 
     Cloud to curve is the exact distance to the curve's segments and
-    window-cut rays.  It is computed first and bounds the other side, curve
-    to cloud, measured from the points of `discretize_curve`: a polyline
-    point certified to have a cloud point no farther away cannot raise the
-    maximum, and every other point gets its exact nearest distance, both
-    from one grid in `_squared_nearest`.  The result is the float that the
-    full distance matrix gives.  The in-window cloud goes to the helpers as
-    two contiguous columns, cx and cy.
+    window-cut rays.  It bounds curve to cloud, measured from the points of
+    `discretize_curve` by `_squared_nearest`: a polyline point certified to
+    have a cloud point no farther away cannot raise the maximum, and every
+    other point gets its exact nearest distance.  The result is the float
+    that the full distance matrix gives.  The in-window cloud goes to the
+    helpers as two contiguous columns, cx and cy.
     """
     xs, ys = sample.points[:, 0], sample.points[:, 1]
     keep = (xs <= window) & (ys <= window)
