@@ -122,16 +122,12 @@ def lattice_canonical(vectors: Sequence[tuple[int, int]]) -> tuple[tuple[int, in
         g, s, t = xgcd(d, a)
         y = s * y + t * b
         d = g
-    residues = 0
+    # d and g2 are gcds, so no sign needs normalizing.
+    g2 = 0
     for a, b in vecs:
-        k = a // d
-        residues = math.gcd(residues, b - k * y)
-    g2 = residues
+        g2 = math.gcd(g2, b - a // d * y)
     if g2 == 0:
-        if d < 0:
-            d, y = -d, -y
         return ((d, y),)
-    g2 = abs(g2)
     y %= g2
     return ((d, y), (0, g2))
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import tropical
 from .tropical import LineFamily, TropicalCurve
 
 __all__ = [
@@ -183,7 +184,10 @@ def sample_amoeba(
 def discretize_curve(
     curve: TropicalCurve, window: float, step: float | None = None
 ) -> np.ndarray:
-    """Dense polyline point set of a curve, truncated to [0, window]^2."""
+    """Dense polyline point set of a curve, truncated to [0, window]^2; the
+    window must be positive."""
+    if not window > 0:
+        raise ValueError(f"window {window} must be positive")
     if step is None:
         step = window / 512.0
     pos = {v.id: (float(v.position.x), float(v.position.y)) for v in curve.vertices}
@@ -340,14 +344,15 @@ def hausdorff(sample: AmoebaSample, curve: TropicalCurve, window: float) -> floa
     have a cloud point no farther away cannot raise the maximum, and every
     other point gets its exact nearest distance.  The result is the float
     that the full distance matrix gives.  The in-window cloud goes to the
-    helpers as two contiguous columns, cx and cy.
+    helpers as two contiguous columns, cx and cy.  `discretize_curve` runs
+    first, so a window that is not positive raises its ValueError.
     """
+    poly = discretize_curve(curve, window)
     xs, ys = sample.points[:, 0], sample.points[:, 1]
     keep = (xs <= window) & (ys <= window)
     cx, cy = xs[keep], ys[keep]
     if cx.size == 0:
         raise EmptySample("no sample points inside the window")
-    poly = discretize_curve(curve, window)
     if poly.size == 0:
         raise EmptySample("curve has no points inside the window")
     cloud_to_curve = _squared_distance_to_pieces(cx, cy, *_window_pieces(curve, window)).max()
@@ -368,8 +373,6 @@ def convergence_report(
     It may not reach past the sampled depth p + q + 2 either: beyond it the
     cloud is empty and the distance reads the unsampled part of the rays.
     """
-    from .tropical import tropicalize_line
-
     bases = [float(n) for n in bases]
     if len(set(bases)) < 2:
         raise ValueError("a convergence ladder needs at least two distinct bases")
@@ -378,7 +381,7 @@ def convergence_report(
     depth = family.p + family.q + 2
     if window > depth:
         raise ValueError(f"window {window:g} reaches past the sampled depth p + q + 2 = {depth}")
-    curve = tropicalize_line(family)
+    curve = tropical.tropicalize_line(family)
     entries = []
     for n in bases:
         sample = sample_amoeba(family, n, count)

@@ -9,8 +9,9 @@ ends, for the unbounded remainders).  Pieces are indexed by a pair of level
 coordinates, each either at an integer level or strictly between two
 consecutive ones.  `build_building` collects the pieces as exact points and
 names them c1, c2, ... by one sort on their level coordinates and position.
-A `LeveledDualGraph` checks its references when it is built; `validate()`
-checks its geometry in `graph_from_json` and `build_building`.
+A `LeveledDualGraph` checks its references and its geometry (orientation,
+cylinders, connectivity) when it is built, so `build_building` and
+`graph_from_json` return only valid graphs.
 """
 
 from __future__ import annotations
@@ -177,16 +178,18 @@ class EndEdge:
 
 @dataclass(frozen=True)
 class LeveledDualGraph:
+    """Pieces joined by nodes, with ends for the unbounded edges; building
+    one checks its references and its geometry, so a graph in hand is valid."""
+
     num_levels: int
     pieces: tuple[Piece, ...]
     nodes: tuple[NodeEdge, ...]
     ends: tuple[EndEdge, ...]
 
     def __post_init__(self) -> None:
-        ids = [p.id for p in self.pieces]
-        if len(set(ids)) != len(ids):
+        levels = {p.id: p.levels for p in self.pieces}
+        if len(levels) != len(self.pieces):
             raise GraphInvalid("duplicate piece ids")
-        known = set(ids)
         for piece in self.pieces:
             if len(piece.levels) != 2:
                 raise GraphInvalid(f"piece {piece.id} needs exactly 2 level coordinates")
@@ -195,40 +198,20 @@ class LeveledDualGraph:
                     raise GraphInvalid(
                         f"piece {piece.id} level {lc} exceeds num_levels {self.num_levels}"
                     )
-        node_ids = [n.id for n in self.nodes]
-        if len(set(node_ids)) != len(node_ids):
+        if len({n.id for n in self.nodes}) != len(self.nodes):
             raise GraphInvalid("duplicate node ids")
         for n in self.nodes:
-            if n.tail not in known or n.head not in known:
+            if n.tail not in levels or n.head not in levels:
                 raise GraphInvalid(f"node {n.id} references a missing piece")
         for e in self.ends:
-            if e.piece not in known:
+            if e.piece not in levels:
                 raise GraphInvalid(f"end {e} references a missing piece")
-
-    def incidences(self) -> dict[str, list[NodeEdge | EndEdge]]:
-        """Per piece, its incident nodes, then its ends; a node joining a piece
-        to itself is listed twice."""
-        inc: dict[str, list[NodeEdge | EndEdge]] = {p.id: [] for p in self.pieces}
         for n in self.nodes:
-            inc[n.tail].append(n)
-            inc[n.head].append(n)
-        for e in self.ends:
-            inc[e.piece].append(e)
-        return inc
-
-    def validate(self) -> None:
-        """Geometric check: orientation, triviality, connectivity.  References
-        were checked when the graph was built."""
-        levels = {p.id: p.levels for p in self.pieces}
-        for n in self.nodes:
-            for i in (0, 1):
-                ci = (n.contact.x, n.contact.y)[i]
+            for i, ci in enumerate(n.contact):
                 lt, lh = levels[n.tail][i], levels[n.head][i]
                 if ci != 0:
                     if lh.sort_key() < lt.sort_key():
-                        raise GraphInvalid(
-                            f"node {n.id} runs downward in direction {i + 1}"
-                        )
+                        raise GraphInvalid(f"node {n.id} runs downward in direction {i + 1}")
                 elif lt.is_integer and lh.is_integer and lt.level != lh.level:
                     raise GraphInvalid(
                         f"node {n.id} has zero contact across levels in direction {i + 1}"
@@ -246,8 +229,19 @@ class LeveledDualGraph:
                     f"trivial piece {p.id} is not a cylinder: contacts "
                     f"{tuple(outgoing[0])} and {tuple(outgoing[1])}"
                 )
-        if not _connected((p.id for p in self.pieces), ((n.tail, n.head) for n in self.nodes)):
+        if not _connected(levels, ((n.tail, n.head) for n in self.nodes)):
             raise GraphInvalid("graph is not connected")
+
+    def incidences(self) -> dict[str, list[NodeEdge | EndEdge]]:
+        """Per piece, its incident nodes, then its ends; a node joining a piece
+        to itself is listed twice."""
+        inc: dict[str, list[NodeEdge | EndEdge]] = {p.id: [] for p in self.pieces}
+        for n in self.nodes:
+            inc[n.tail].append(n)
+            inc[n.head].append(n)
+        for e in self.ends:
+            inc[e.piece].append(e)
+        return inc
 
 
 @dataclass
@@ -313,8 +307,19 @@ def build_building(curve: TropicalCurve, extra_levels=()) -> Building:
         if (contact.x, contact.y) < (0, 0):
             tail, head, contact = head, tail, -contact
         nodes.append((cut(tail, contact, s.length), head, contact))
+    top = levels.phi(levels.m)
     for r in curve.rays:
-        ends.append((cut(vertex[r.base], r.contact, None), r.contact))
+        k = cut(vertex[r.base], r.contact, None)
+        # The last crossing is the ray's farthest piece.
+        (x, y), _ = pieces[k]
+        if max(x, y) > top:
+            base = curve.vertices[vertex[r.base]].position
+            raise GraphInvalid(
+                f"ray from vertex {r.base} at ({base.x}, {base.y}) with contact "
+                f"({r.contact.x}, {r.contact.y}) crosses a level line at ({x}, {y}), "
+                f"above the top level {top}, where no level coordinate exists"
+            )
+        ends.append((k, r.contact))
 
     coords = [(levels.coordinate(x), levels.coordinate(y)) for (x, y), _ in pieces]
     order = sorted(
@@ -333,7 +338,6 @@ def build_building(curve: TropicalCurve, extra_levels=()) -> Building:
         ),
         tuple(EndEdge(f"c{rank[k]}", c) for k, c in ends),
     )
-    graph.validate()
     return Building(graph, levels, {f"c{rank[k]}": pieces[k][0] for k in order})
 
 
@@ -408,8 +412,6 @@ def graph_from_json(data: dict) -> LeveledDualGraph:
         ends = tuple(
             EndEdge(str(e["piece"]), LatticeVector.from_json(e["contact"])) for e in data["ends"]
         )
-        graph = LeveledDualGraph(_json_typed(data["num_levels"], int), pieces, nodes, ends)
+        return LeveledDualGraph(_json_typed(data["num_levels"], int), pieces, nodes, ends)
     except (KeyError, TypeError, IndexError) as exc:
         raise GraphInvalid(f"malformed graph document: {exc}") from exc
-    graph.validate()
-    return graph

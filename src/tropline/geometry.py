@@ -286,9 +286,10 @@ class Fan:
     """A rational polyhedral fan in the plane.
 
     `cones` holds every cone of the fan: the zero cone, one ray cone per
-    ray, and the two-dimensional cones.  Construction normalizes ordering
-    and runs :meth:`validate_structure`; use :func:`fan_from_cones` to build
-    from the maximal cones alone.
+    ray, and the two-dimensional cones.  Construction checks that the cones
+    form a fan and puts rays and cones in one canonical order, so two fans
+    with the same cones are equal; use :func:`fan_from_cones` to build from
+    the maximal cones alone.
     """
 
     rays: tuple[LatticeVector, ...]
@@ -301,45 +302,28 @@ class Fan:
         for r in rays:
             if not r.is_primitive():
                 raise StructuralInvalid(f"ray {r} is not primitive")
-        cones2 = sorted(
-            (c for c in self.cones if c.dim == 2),
-            key=lambda c: rays.index(c.generators[0]) if c.generators[0] in rays else -1,
-        )
+        # Every 2-D cone must span two angularly adjacent rays, and no cone
+        # may repeat.  Such cones cannot overlap: each one is the gap after
+        # its first ray, so that ray's place orders them canonically.
+        cones2 = [c for c in self.cones if c.dim == 2]
+        for cone in cones2:
+            u, v = cone.generators
+            if u not in rays or v not in rays:
+                raise StructuralInvalid(f"cone generator of {cone} missing from ray list")
+            for r in rays:
+                if r not in (u, v) and cone.side(r.x, r.y) > 0:
+                    raise StructuralInvalid(f"ray {r} lies inside cone {cone}")
+        cones2.sort(key=lambda c: rays.index(c.generators[0]))
+        for a, b in zip(cones2, cones2[1:]):
+            if a == b:
+                raise StructuralInvalid(f"duplicate cone {a}")
         normalized = (ZERO_CONE,) + tuple(Cone((r,)) for r in rays) + tuple(cones2)
         object.__setattr__(self, "rays", rays)
         object.__setattr__(self, "cones", normalized)
-        self.validate_structure()
 
     @property
     def cones2d(self) -> tuple[Cone, ...]:
         return tuple(c for c in self.cones if c.dim == 2)
-
-    def validate_structure(self) -> None:
-        """Raise :class:`StructuralInvalid` unless the fan is a genuine fan.
-
-        Every 2-D cone must span two angularly adjacent rays, and no cone may
-        repeat.  Such cones cannot overlap: each one is the gap after its
-        first ray.
-        """
-        seen = set()
-        for cone in self.cones2d:
-            u, v = cone.generators
-            if u not in self.rays or v not in self.rays:
-                raise StructuralInvalid(f"cone generator of {cone} missing from ray list")
-            for r in self.rays:
-                if r not in (u, v) and cone.side(r.x, r.y) > 0:
-                    raise StructuralInvalid(f"ray {r} lies inside cone {cone}")
-            if cone.generators in seen:
-                raise StructuralInvalid(f"duplicate cone {cone}")
-            seen.add(cone.generators)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Fan):
-            return NotImplemented
-        return self.rays == other.rays and set(self.cones) == set(other.cones)
-
-    def __hash__(self) -> int:
-        return hash((self.rays, frozenset(self.cones)))
 
 
 def fan_from_cones(cones: Iterable[Cone]) -> Fan:

@@ -214,9 +214,9 @@ def _walk_chain(incidence, start, first_node, stop):
             raise AmbiguousChain(
                 f"piece {current} inside a chain has valence {len(edges)}"
             )
-        nxt = next((e for e in edges if e is not chain[-1]), None)
-        if nxt is None:
-            raise AmbiguousChain(f"piece {current} only reaches itself")
+        # The walk entered `current` from another piece, so `chain[-1]` is
+        # listed once and the other edge is the way on.
+        nxt = next(e for e in edges if e is not chain[-1])
         following = nxt.other_end(current)
         if following is None or nxt.contact.is_zero():
             return chain, nxt
@@ -437,21 +437,12 @@ def realize(
     positions = _piece_positions(graph, values, variables)
     index = {name: i for i, name in enumerate(variables)}
 
-    keep = {
-        p.id
-        for p in graph.pieces
-        if keep_trivial or not p.trivial
-    }
+    # Merged pieces are trivial, so two-valent cylinders: a chain through
+    # them keeps one contact vector and becomes one segment or ray.
+    keep = {p.id for p in graph.pieces if keep_trivial or not p.trivial}
     if not keep:
         keep = {p.id for p in graph.pieces}  # purely trivial graph: keep everything
-
     incidence = graph.incidences()
-    for p in graph.pieces:
-        if p.id in keep:
-            continue
-        if len(incidence[p.id]) != 2:
-            keep.add(p.id)  # cannot merge through a piece of valence != 2
-
     vertex_ids = {pid: f"v{i}" for i, pid in enumerate(p.id for p in graph.pieces if p.id in keep)}
     vertices = tuple(
         Vertex(vertex_ids[pid], QuadrantPoint(positions[pid][0], positions[pid][1]))
@@ -472,10 +463,6 @@ def realize(
                 rays.append(Ray(vertex_ids[start], contact))
                 continue
             chain, terminal = _walk_chain(incidence, start, edge, vertex_ids.__contains__)
-            if any(c != contact for c in _oriented_chain(chain, start)) or (
-                not isinstance(terminal, str) and terminal.contact != contact
-            ):
-                raise SolutionNotInCone("trivial chain bends; rerun with keep_trivial=True")
             visited_edges.update(id(e) for e in chain)
             if isinstance(terminal, str):
                 total = -sum(values[index[node_var(e.id)]] for e in chain)

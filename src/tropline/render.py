@@ -99,28 +99,20 @@ def _boundary_shadows(curve: TropicalCurve, report: BalanceReport):
             continue
         x, y = pos[entry.vertex]
         dx, dy = float(-entry.contact_sum.x), float(-entry.contact_sum.y)
-        # March the clamped path max(0, position + t*d) piece by piece; a
-        # coordinate already at 0 is pinned there.
-        cx, cy = x, y
-        if cx == 0 and dx < 0:
+        # The clamped path max(0, position + t*d) pins a zero coordinate at
+        # 0, and a boundary vertex has one, so the path is one straight step
+        # until the other coordinate reaches 0.
+        if x == 0 and dx < 0:
             dx = 0.0
-        if cy == 0 and dy < 0:
+        if y == 0 and dy < 0:
             dy = 0.0
-        while dx < 0 or dy < 0:
-            candidates = []
-            if dx < 0:
-                candidates.append(-cx / dx)
-            if dy < 0:
-                candidates.append(-cy / dy)
-            t = min(candidates)
-            nx, ny = cx + t * dx, cy + t * dy
-            if t > 0:
-                shadows.append(((cx, cy), (nx, ny)))
-            if dx < 0 and abs(nx) < 1e-12:
-                nx, dx = 0.0, 0.0
-            if dy < 0 and abs(ny) < 1e-12:
-                ny, dy = 0.0, 0.0
-            cx, cy = nx, ny
+        if dx < 0:
+            t = -x / dx
+        elif dy < 0:
+            t = -y / dy
+        else:
+            continue
+        shadows.append(((x, y), (x + t * dx, y + t * dy)))
     return shadows
 
 

@@ -1,6 +1,10 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +27,31 @@ from tropline.tropical import LineFamily, Segment, tropicalize_line
 
 def fam(p, q, c1=1.0, c2=1.0):
     return LineFamily.of(p, q, c1, c2)
+
+
+def test_numpy_loads_on_first_amoeba_name():
+    """`import tropline` leaves numpy unloaded; the amoeba names load it
+    through the package's `__getattr__`."""
+    script = (
+        "import sys, tropline\n"
+        "assert 'numpy' not in sys.modules and 'tropline.amoeba' not in sys.modules\n"
+        "first = tropline.hausdorff\n"
+        "assert 'numpy' in sys.modules\n"
+        "from tropline.amoeba import hausdorff\n"
+        "assert first is hausdorff\n"
+        "try:\n"
+        "    tropline.no_such_name\n"
+        "except AttributeError:\n"
+        "    sys.exit(0)\n"
+        "sys.exit('an unknown name resolved')\n"
+    )
+    paths = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths))),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestLogImage:
@@ -247,6 +276,16 @@ class TestHausdorff:
         )
         with pytest.raises(EmptySample):
             hausdorff(sample, tropicalize_line(fam(1, 1)), 2.0)
+
+    @pytest.mark.parametrize("window", [0.0, -1.0, math.nan])
+    def test_non_positive_window(self, window):
+        # (1, 2) has a segment, so a zero window once divided by zero.
+        curve = tropicalize_line(fam(1, 2))
+        sample = sample_amoeba(fam(1, 2), 1e4, 200)
+        with pytest.raises(ValueError, match="must be positive"):
+            discretize_curve(curve, window)
+        with pytest.raises(ValueError, match="must be positive"):
+            hausdorff(sample, curve, window)
 
     def test_mirror_isometry_is_exact(self):
         sample = sample_amoeba(fam(4, 3), 1e4, 1500)

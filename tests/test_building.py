@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction as F
@@ -198,4 +199,5 @@ class TestDescribeAndJson:
         assert graph_to_json(graph_from_json(doc)) == graph_to_json(g)
 
     def test_fixture_validates(self, example1_graph):
-        example1_graph.validate()
+        # `replace` builds the graph again, through every construction check.
+        assert dataclasses.replace(example1_graph) == example1_graph

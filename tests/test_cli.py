@@ -217,6 +217,8 @@ class TestFanCommands:
             ("fan-ionel.txt", ("fan", "--which", "ionel")),
             ("fan-complete.txt", ("fan", "--which", "complete")),
             ("blowups.txt", ("blowups",)),
+            ("tropicalize-4-3.txt", ("tropicalize", "--p", "4", "--q", "3")),
+            ("tropicalize-2-0.txt", ("tropicalize", "--p", "2", "--q", "0")),
         ],
     )
     def test_golden_bytes(self, capsys, name, argv):
@@ -461,18 +463,24 @@ class TestDeterminism:
 class TestInvariantChecks:
     def test_checks_run_under_optimize(self, example1_path):
         """Both exact invariant checks raise under `python -O`, and a
-        violation exits 3.  Curves, graphs and fans still check themselves
-        when they are built, a curve's `validate()` still checks the segment
-        identity, and `build_building` rejects a non-positive extra level."""
+        violation exits 3.  Curves, graphs, cones and fans still check
+        themselves when they are built, a curve's `validate()` still checks
+        the segment identity, `build_building` rejects a non-positive extra
+        level, a chain walk rejects a cycle and `realize` a solution that
+        misses a variable."""
         script = textwrap.dedent(
             f"""
             import sys
             from fractions import Fraction
             from tropline import _linalg
             from tropline.building import (
-                GraphInvalid, LeveledDualGraph, NodeEdge, build_building,
+                EndEdge, GraphInvalid, LevelCoordinate as L, LeveledDualGraph, NodeEdge, Piece,
+                build_building,
             )
             from tropline.cli import main
+            from tropline.matching import (
+                AmbiguousChain, SolutionNotInCone, build_system, realize,
+            )
             from tropline.geometry import (
                 Cone, Fan, LatticeVector as V, QuadrantPoint, StructuralInvalid,
             )
@@ -482,6 +490,19 @@ class TestInvariantChecks:
 
             if __debug__:
                 sys.exit("not running under -O")
+
+            a, b = Piece("a", (L.at(0), L.at(0)), False), Piece("b", (L.at(0), L.at(0)), False)
+            V0 = (Vertex("a", QuadrantPoint(0, 0)), Vertex("b", QuadrantPoint(1, 1)))
+            x, y = V(1, 0), V(0, 1)
+            # n1 runs right from `a`, at levels (1, 1), to `c`, between levels
+            # 1 and 2 in direction 1, and n2 runs up from `c` back to `a`: a
+            # valid graph whose direction-1 chain from `a` returns to `a`.
+            loop = LeveledDualGraph(
+                2,
+                (Piece("a", (L.at(1), L.at(1)), False), Piece("c", (L.between(1), L.at(1)), False)),
+                (NodeEdge("n1", "a", "c", x), NodeEdge("n2", "c", "a", y)),
+                (),
+            )
 
             builds = [
                 (CurveInvalid, lambda: TropicalCurve(
@@ -494,6 +515,25 @@ class TestInvariantChecks:
                 ).validate()),
                 (GraphInvalid, lambda: LeveledDualGraph(
                     0, (), (NodeEdge("n1", "c1", "c2", V(1, 0)),), ()
+                )),
+                (GraphInvalid, lambda: LeveledDualGraph(0, (a, a), (), ())),
+                (GraphInvalid, lambda: LeveledDualGraph(
+                    0, (a, b), (NodeEdge("n1", "a", "b", V(0, 0)),) * 2, ()
+                )),
+                (GraphInvalid, lambda: LeveledDualGraph(0, (a,), (), (EndEdge("z", x),))),
+                (GraphInvalid, lambda: LeveledDualGraph(0, (a, b), (), ())),
+                (CurveInvalid, lambda: TropicalCurve((V0[0], V0[0]), (), ())),
+                (CurveInvalid, lambda: TropicalCurve(V0, (Segment("a", "b", V(0, 0), 1),), ())),
+                (CurveInvalid, lambda: TropicalCurve(V0, (Segment("a", "b", V(1, 1), 0),), ())),
+                (CurveInvalid, lambda: TropicalCurve(V0, (), ())),
+                (StructuralInvalid, lambda: Fan(rays=(x, x), cones=())),
+                (StructuralInvalid, lambda: Fan(rays=(V(2, 0),), cones=())),
+                (StructuralInvalid, lambda: Fan(rays=(x, y), cones=(Cone((x, y)),) * 2)),
+                (StructuralInvalid, lambda: Cone((x, V(1, 1), y))),
+                (StructuralInvalid, lambda: Cone((y, x))),
+                (AmbiguousChain, lambda: build_system(loop)),
+                (SolutionNotInCone, lambda: realize(
+                    build_building(tropicalize_line(LineFamily(4, 3))).graph, {{}}
                 )),
                 (StructuralInvalid, lambda: Fan(
                     rays=(V(1, 0), V(1, 1), V(1, 2)),
@@ -579,7 +619,7 @@ class TestMutatedGraphs:
     @settings(max_examples=150, deadline=None)
     def test_match_exits_2_unless_graph_validates(self, data):
         """`trop match` on a mutated example either rejects the document with
-        exit 2 or was given a graph that passes `validate()`."""
+        exit 2 or was given a document that builds a valid graph."""
         with open(Path(__file__).parent / "fixtures" / "example1.json", encoding="utf-8") as fh:
             doc = json.load(fh)
         for _ in range(data.draw(st.integers(1, 3))):
@@ -593,7 +633,7 @@ class TestMutatedGraphs:
                 code = main(["match", "--graph", str(path)])
         assert code in (0, 2), doc
         if code == 0:
-            graph_from_json(doc).validate()
+            graph_from_json(doc)
 
 
 def match_mutation_lines():

@@ -7,6 +7,7 @@ import pytest
 from tropline import _linalg
 from tropline.building import (
     EndEdge,
+    GraphInvalid,
     LevelCoordinate,
     LeveledDualGraph,
     NodeEdge,
@@ -46,6 +47,12 @@ def row_for(system, terms):
 
 def example1_system(example1_graph):
     return build_system(example1_graph)
+
+
+def with_c4_at(graph, x, y):
+    """The worked example with its central piece c4 moved to levels (x, y)."""
+    pieces = tuple(Piece(p.id, (x, y), p.trivial) if p.id == "c4" else p for p in graph.pieces)
+    return LeveledDualGraph(graph.num_levels, pieces, graph.nodes, graph.ends)
 
 
 # The seven equations of the worked example, as written out in the source
@@ -104,13 +111,27 @@ class TestBuildSystem:
         assert solve(build_system(b.graph)).dimension == 1
 
     def test_zero_contact_gap_is_inconsistent(self):
+        # A single zero-contact node across levels is rejected when built.
+        with pytest.raises(GraphInvalid, match="zero contact across levels"):
+            LeveledDualGraph(
+                num_levels=1,
+                pieces=(
+                    Piece("a", (AT(0), AT(0)), False),
+                    Piece("b", (AT(1), AT(0)), False),
+                ),
+                nodes=(NodeEdge("n1", "a", "b", V(0, 1)),),
+                ends=(),
+            )
+        # Through a trivial piece between levels, the graph is valid, and the
+        # chain in direction 1 has zero contact across levels 0..1.
         graph = LeveledDualGraph(
             num_levels=1,
             pieces=(
                 Piece("a", (AT(0), AT(0)), False),
-                Piece("b", (AT(1), AT(0)), False),
+                Piece("t", (BETWEEN(0), BETWEEN(0)), True),
+                Piece("b", (AT(1), AT(1)), False),
             ),
-            nodes=(NodeEdge("n1", "a", "b", V(0, 1)),),
+            nodes=(NodeEdge("n1", "a", "t", V(0, 1)), NodeEdge("n2", "t", "b", V(0, 1))),
             ends=(),
         )
         with pytest.raises(InconsistentZeroContact):
@@ -168,18 +189,16 @@ class TestSolve:
             assert eq.evaluate(cone.witness) == 0
 
     def test_modified_example_is_infeasible(self, example1_graph):
-        # Drop the central piece from level (3, 2) to (3, 1): the second
-        # direction then forces alpha(n2) + alpha(n3) = 0.
-        pieces = tuple(
-            Piece(p.id, (AT(3), AT(1)), p.trivial) if p.id == "c4" else p
-            for p in example1_graph.pieces
-        )
-        modified = LeveledDualGraph(
-            example1_graph.num_levels, pieces, example1_graph.nodes, example1_graph.ends
-        )
+        # Dropping the central piece to level (3, 1) puts it below c3 in
+        # direction 2, where n3 climbs: that graph is rejected when built.
+        with pytest.raises(GraphInvalid, match="node n3 runs downward in direction 2"):
+            with_c4_at(example1_graph, AT(3), AT(1))
+        # Raise the central piece from level (3, 2) to (3, 3): the second
+        # direction then forces alpha(n4) = 0 on the node up to c5.
+        modified = with_c4_at(example1_graph, AT(3), AT(3))
         system = build_system(modified)
         maps = [coeff_map(system, eq) for eq in system.equations]
-        assert {"alpha(n2)": 1, "alpha(n3)": 1} in maps
+        assert {"alpha(n4)": 1} in maps
         cone = solve(system)
         assert not cone.feasible and cone.witness is None
 
@@ -304,13 +323,9 @@ class TestTorusWeights:
                 assert dx == rows[0][k] and dy == rows[1][k]
 
     def test_infeasible_cone_rejected(self, example1_graph):
-        pieces = tuple(
-            Piece(p.id, (AT(3), AT(1)), p.trivial) if p.id == "c4" else p
-            for p in example1_graph.pieces
-        )
-        modified = LeveledDualGraph(
-            example1_graph.num_levels, pieces, example1_graph.nodes, example1_graph.ends
-        )
+        with pytest.raises(GraphInvalid):
+            with_c4_at(example1_graph, AT(3), AT(1))
+        modified = with_c4_at(example1_graph, AT(3), AT(3))
         cone = solve(build_system(modified))
         with pytest.raises(InfeasibleCone):
             torus_weights(modified, cone)

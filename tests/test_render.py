@@ -48,6 +48,11 @@ class TestRenderTropical:
         # The (3,0) vertex sits on the x-axis: one run back to the origin.
         doc = curve_svg(3, 0)
         assert doc.count('class="curve"') == 3  # two rays plus the run
+        assert 'x1="220.00" y1="400.00" x2="40.00" y2="400.00"' in doc
+        # Its mirror (0,3) sits on the y-axis and runs down to the origin.
+        doc = curve_svg(0, 3)
+        assert doc.count('class="curve"') == 3
+        assert 'x1="40.00" y1="220.00" x2="40.00" y2="400.00"' in doc
 
 
 class TestRenderFan:
