@@ -2,7 +2,7 @@
 
 Every elimination runs on an integer tableau through one fraction-free
 Gauss-Jordan step (Edmonds 1967; Bareiss 1968), so no fraction is built
-until a witness is read off.  Sizes here are small (a handful of variables
+until a witness is read off, one `Fraction(-d - rhs, d)` per basic entry.  Sizes here are small (a handful of variables
 per matching system), so the implementations favour clarity and
 determinism over asymptotics.
 """
@@ -183,5 +183,5 @@ def negative_orthant_point(rows: Sequence[Sequence[int]], ncols: int) -> list[Fr
     x = [Fraction(-1)] * ncols
     for i, b in enumerate(basis):
         if b < ncols:
-            x[b] -= Fraction(tableau[i][width], d)
+            x[b] = Fraction(-d - tableau[i][width], d)
     return x

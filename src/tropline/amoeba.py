@@ -185,11 +185,13 @@ def discretize_curve(
     curve: TropicalCurve, window: float, step: float | None = None
 ) -> np.ndarray:
     """Dense polyline point set of a curve, truncated to [0, window]^2; the
-    window must be positive."""
+    window must be positive and the step, if given, positive and finite."""
     if not window > 0:
         raise ValueError(f"window {window} must be positive")
     if step is None:
         step = window / 512.0
+    elif not 0 < step < math.inf:
+        raise ValueError(f"step {step} must be a positive finite number")
     pos = {v.id: (float(v.position.x), float(v.position.y)) for v in curve.vertices}
     points = [np.array(list(pos.values()), dtype=np.float64).reshape(-1, 2)]
 

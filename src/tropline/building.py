@@ -7,8 +7,11 @@ each transversal interior crossing of an edge with a cut line becomes a
 trivial cylinder piece, and the edge fragments in between become nodes (or
 ends, for the unbounded remainders).  Pieces are indexed by a pair of level
 coordinates, each either at an integer level or strictly between two
-consecutive ones.  `build_building` collects the pieces as exact points and
-names them c1, c2, ... by one sort on their level coordinates and position.
+consecutive ones.  `build_building` clears denominators once: every
+position, length, level and crossing is an integer in units of 1/unit, and
+fractions are built only for the public `Building.positions` and levels.  It
+names the pieces c1, c2, ... by one sort on their level coordinates and
+position.
 A `LeveledDualGraph` checks its references and its geometry (orientation,
 cylinders, connectivity) when it is built, so `build_building` and
 `graph_from_json` return only valid graphs.
@@ -17,10 +20,11 @@ cylinders, connectivity) when it is built, so `build_building` and
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .geometry import LatticeVector, _connected, _json_pair, _json_typed
+from .geometry import LatticeVector, _cleared, _connected, _json_pair, _json_typed
 from .tropical import TropicalCurve
 
 __all__ = [
@@ -110,7 +114,7 @@ class LevelStructure:
     def __post_init__(self) -> None:
         values = tuple(Fraction(v) for v in self.values)
         object.__setattr__(self, "values", values)
-        if any(v <= 0 for v in values) or list(values) != sorted(set(values)):
+        if any(a >= b for a, b in zip((0, *values), values)):
             raise GraphInvalid(
                 "levels must be strictly increasing and positive: "
                 + ", ".join(str(v) for v in values)
@@ -124,19 +128,6 @@ class LevelStructure:
         if a == 0:
             return Fraction(0)
         return self.values[a - 1]
-
-    def coordinate(self, value: Fraction) -> LevelCoordinate:
-        """Level coordinate of an exact position value (0 is level 0)."""
-        if value < 0:
-            raise GraphInvalid(f"negative coordinate {value}")
-        if value == 0:
-            return LevelCoordinate.at(0)
-        lo = bisect.bisect_left(self.values, value)
-        if lo < self.m and self.values[lo] == value:
-            return LevelCoordinate.at(lo + 1)
-        if lo == self.m:
-            raise GraphInvalid(f"coordinate {value} beyond the top level {self.phi(lo)}")
-        return LevelCoordinate.between(lo)
 
 
 @dataclass(frozen=True)
@@ -274,15 +265,27 @@ def build_building(curve: TropicalCurve, extra_levels=()) -> Building:
     additional cut values; this never changes the set of non-trivial pieces,
     it only adds trivial cylinders (used to probe the stability rules).
     """
-    levels = LevelStructure(
-        tuple(sorted(set(extract_levels(curve).values) | {Fraction(v) for v in extra_levels}))
+    # Every position, length, level and level crossing t = (v - c0) / c is
+    # an integer in units of 1/unit: the lcm of the denominators times the
+    # lcm of the contact components, so that each v - c0 is a multiple of c.
+    contacts = math.lcm(
+        *(abs(c) for e in (*curve.segments, *curve.rays) for c in e.contact if c)
     )
+    coords = [c for v in curve.vertices for c in v.position]
+    extra = [Fraction(v) for v in extra_levels]
+    unit, scaled = _cleared([*coords, *extra, *(s.length for s in curve.segments)], contacts)
+    nc, ne = len(coords), len(extra)
+    # The levels are the nonzero vertex coordinates and the extra levels,
+    # which LevelStructure checks for positivity; ladder[a] is level a.
+    cuts = sorted({c for c in scaled[:nc] if c}.union(scaled[nc : nc + ne]))
+    levels = LevelStructure(tuple(Fraction(c, unit) for c in cuts))
+    ladder = [0, *cuts]
     # (position, trivial) per piece, vertices first: vertex k is piece k.
-    pieces = [((v.position.x, v.position.y), False) for v in curve.vertices]
+    pieces = [(xy, False) for xy in zip(scaled[0:nc:2], scaled[1:nc:2])]
     nodes: list[tuple[int, int, LatticeVector]] = []
     ends: list[tuple[int, LatticeVector]] = []
 
-    def cut(k: int, contact: LatticeVector, t_end: Fraction | None) -> int:
+    def cut(k: int, contact: LatticeVector, t_end: int | None) -> int:
         """Cut the edge leaving piece k along `contact` at every level line it
         crosses for 0 < t < t_end (a ray has no end); return the last piece."""
         (x0, y0), _ = pieces[k]
@@ -290,7 +293,7 @@ def build_building(curve: TropicalCurve, extra_levels=()) -> Building:
             t
             for c0, c in ((x0, contact.x), (y0, contact.y))
             if c
-            for t in ((v - c0) / c for v in levels.values)
+            for t in ((v - c0) // c for v in cuts)
             if t > 0 and (t_end is None or t < t_end)
         }
         for t in sorted(ts):
@@ -300,45 +303,55 @@ def build_building(curve: TropicalCurve, extra_levels=()) -> Building:
         return k
 
     vertex = {v.id: k for k, v in enumerate(curve.vertices)}
-    for s in curve.segments:
+    for s, length in zip(curve.segments, scaled[nc + ne :]):
         # Cut upward, so nodes run tail -> head in the level order whenever
         # the contact is sign-definite.
         tail, head, contact = vertex[s.tail], vertex[s.head], s.contact
         if (contact.x, contact.y) < (0, 0):
             tail, head, contact = head, tail, -contact
-        nodes.append((cut(tail, contact, s.length), head, contact))
-    top = levels.phi(levels.m)
+        nodes.append((cut(tail, contact, length), head, contact))
     for r in curve.rays:
         k = cut(vertex[r.base], r.contact, None)
         # The last crossing is the ray's farthest piece.
         (x, y), _ = pieces[k]
-        if max(x, y) > top:
+        if max(x, y) > ladder[-1]:
             base = curve.vertices[vertex[r.base]].position
             raise GraphInvalid(
                 f"ray from vertex {r.base} at ({base.x}, {base.y}) with contact "
-                f"({r.contact.x}, {r.contact.y}) crosses a level line at ({x}, {y}), "
-                f"above the top level {top}, where no level coordinate exists"
+                f"({r.contact.x}, {r.contact.y}) crosses a level line at "
+                f"({Fraction(x, unit)}, {Fraction(y, unit)}), above the top level "
+                f"{levels.phi(levels.m)}, where no level coordinate exists"
             )
         ends.append((k, r.contact))
 
-    coords = [(levels.coordinate(x), levels.coordinate(y)) for (x, y), _ in pieces]
+    def coordinate(value: int) -> LevelCoordinate:
+        # Pieces of segments lie between two vertices, and pieces of rays
+        # at or below the top level, so each value is in [0, top].
+        a = bisect.bisect_left(ladder, value)
+        return LevelCoordinate.at(a) if ladder[a] == value else LevelCoordinate.between(a - 1)
+
+    multilevels = [(coordinate(x), coordinate(y)) for (x, y), _ in pieces]
     order = sorted(
         range(len(pieces)),
-        key=lambda k: (coords[k][0].sort_key(), coords[k][1].sort_key(), pieces[k][0]),
+        key=lambda k: (multilevels[k][0].sort_key(), multilevels[k][1].sort_key(), pieces[k][0]),
     )
     rank = {k: i for i, k in enumerate(order, 1)}
     nodes.sort(key=lambda n: (rank[n[0]], rank[n[1]]))
     ends.sort(key=lambda e: (rank[e[0]], tuple(e[1])))
     graph = LeveledDualGraph(
         levels.m,
-        tuple(Piece(f"c{rank[k]}", coords[k], pieces[k][1]) for k in order),
+        tuple(Piece(f"c{rank[k]}", multilevels[k], pieces[k][1]) for k in order),
         tuple(
             NodeEdge(f"n{i + 1}", f"c{rank[t]}", f"c{rank[h]}", c)
             for i, (t, h, c) in enumerate(nodes)
         ),
         tuple(EndEdge(f"c{rank[k]}", c) for k, c in ends),
     )
-    return Building(graph, levels, {f"c{rank[k]}": pieces[k][0] for k in order})
+    positions = {
+        f"c{i}": (Fraction(pieces[k][0][0], unit), Fraction(pieces[k][0][1], unit))
+        for i, k in enumerate(order, 1)
+    }
+    return Building(graph, levels, positions)
 
 
 def describe_building(building: Building) -> str:

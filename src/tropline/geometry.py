@@ -186,11 +186,15 @@ def _ccw_key(v: LatticeVector) -> tuple[int, Fraction | float]:
     return (half, -math.inf if v.y == 0 else Fraction(-v.x, v.y))
 
 
-def _integer_direction(x, y) -> tuple[int, int]:
+def _cleared(values, factor: int = 1) -> tuple[int, list[int]]:
+    """The unit `factor * lcm(denominators)` and each rational as an integer in it."""
+    unit = factor * math.lcm(*(v.denominator for v in values))
+    return unit, [v.numerator * (unit // v.denominator) for v in values]
+
+
+def _integer_direction(x, y) -> list[int]:
     """The rational point (x, y) scaled by the least common denominator."""
-    x, y = Fraction(x), Fraction(y)
-    den = math.lcm(x.denominator, y.denominator)
-    return x.numerator * (den // x.denominator), y.numerator * (den // y.denominator)
+    return _cleared((Fraction(x), Fraction(y)))[1]
 
 
 @dataclass(frozen=True)

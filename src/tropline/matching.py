@@ -13,6 +13,11 @@ and a <= b are the two anchor levels.  A strictly negative solution is
 exactly the data of a tropical curve realizing the graph: levels sit at
 phi(a) = -(alpha_1 + ... + alpha_a) and a node y becomes an edge fragment
 of length -alpha(y).
+
+Solutions are handled as integer vectors: `solve` checks its witness w on
+the cleared vector (A w = 0, w <= -unit), and `realize` clears the
+solution's denominators once and builds fractions only for the curve it
+returns.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from typing import Mapping, Sequence
 
 from . import _linalg
 from .building import Building, LeveledDualGraph
-from .geometry import LatticeVector, QuadrantPoint
+from .geometry import LatticeVector, QuadrantPoint, _cleared
 from .tropical import Ray, Segment, TropicalCurve, Vertex
 
 __all__ = [
@@ -282,16 +287,19 @@ def solve(system: MatchingSystem) -> SolutionCone:
     """
     nvars = len(system.variables)
     rows = system.coefficient_rows()
+
+    def solves(vec) -> bool:
+        return all(sum(a * x for a, x in zip(row, vec) if a) == 0 for row in rows)
+
     basis = tuple(map(tuple, _linalg.kernel_basis(rows, nvars)))
-    for vec in basis:
-        if any(eq.evaluate(vec) != 0 for eq in system.equations):
-            raise _linalg.InvariantViolation("kernel vector violates a matching equation")
+    if not all(map(solves, basis)):
+        raise _linalg.InvariantViolation("kernel vector violates a matching equation")
     witness = _linalg.negative_orthant_point(rows, nvars)
     if witness is None:
         return SolutionCone(system.variables, basis, None)
-    if any(eq.evaluate(witness) != 0 for eq in system.equations) or any(
-        x > -1 for x in witness
-    ):
+    # Checked on the cleared integer vector: A w = 0 and every w_i <= -unit.
+    unit, cleared = _cleared(witness)
+    if not solves(cleared) or any(x > -unit for x in cleared):
         raise _linalg.InvariantViolation("witness is not a solution with entries <= -1")
     return SolutionCone(system.variables, basis, tuple(witness))
 
@@ -338,13 +346,17 @@ def _solution_values(solution, variables: tuple[str, ...]) -> list[Fraction]:
 
 
 def _piece_positions(
-    graph: LeveledDualGraph, values: list[Fraction], variables: tuple[str, ...]
-) -> dict[str, tuple[Fraction, Fraction]]:
-    """Positions of all pieces induced by a solution vector.
+    graph: LeveledDualGraph,
+    values: list[int],
+    variables: tuple[str, ...],
+    unit: int | None = None,
+) -> dict[str, tuple[int, int]]:
+    """Positions of all pieces induced by an integer solution vector.
 
     Fully-integer pieces sit at their level-map values; the rest are reached
     by propagating edge displacements.  Any inconsistency means the vector
-    does not solve the system.
+    does not solve the system.  With a `unit`, the values count `1/unit`,
+    and so do the positions; messages then give the rational values.
     """
     index = {name: i for i, name in enumerate(variables)}
     pieces = {p.id: p for p in graph.pieces}
@@ -353,7 +365,7 @@ def _piece_positions(
     for j in range(1, graph.num_levels + 1):
         height.append(height[-1] - values[index[level_var(j)]])
 
-    positions: dict[str, tuple[Fraction, Fraction]] = {}
+    positions: dict[str, tuple[int, int]] = {}
     for piece in graph.pieces:
         if piece.levels[0].is_integer and piece.levels[1].is_integer:
             positions[piece.id] = (height[piece.levels[0].level], height[piece.levels[1].level])
@@ -365,8 +377,6 @@ def _piece_positions(
         for edge in incidence[current]:
             other = edge.other_end(current)
             if other is None or edge.contact.is_zero():
-                continue
-            if node_var(edge.id) not in index:
                 continue
             length = -values[index[node_var(edge.id)]]
             dx, dy = edge.away_from(current)
@@ -383,9 +393,13 @@ def _piece_positions(
                 for direction in (0, 1):
                     lc = pieces[other].levels[direction]
                     if lc.is_integer and candidate[direction] != height[lc.level]:
+                        *at, pin = (
+                            c if unit is None else Fraction(c, unit)
+                            for c in (*candidate, height[lc.level])
+                        )
                         raise SolutionNotInCone(
-                            f"piece {other} lands at {candidate} but its level "
-                            f"pins coordinate {direction + 1} to {height[lc.level]}"
+                            f"piece {other} lands at {tuple(at)} but its level "
+                            f"pins coordinate {direction + 1} to {pin}"
                         )
                 positions[other] = candidate
                 pending.append(other)
@@ -404,7 +418,12 @@ def torus_weights(graph: LeveledDualGraph, cone: SolutionCone) -> WeightTable:
     """
     if not cone.feasible:
         raise InfeasibleCone("torus weights need a feasible solution cone")
-    columns = [_piece_positions(graph, vec, cone.variables) for vec in cone.basis]
+    variables = _variables(graph)
+    if cone.variables != variables:
+        raise SolutionNotInCone(
+            f"cone variables {cone.variables} differ from the graph's {variables}"
+        )
+    columns = [_piece_positions(graph, vec, variables) for vec in cone.basis]
     entries: dict[str, tuple[tuple[int, ...], tuple[int, ...]]] = {}
     for piece in graph.pieces:
         row_x = tuple(col[piece.id][0] for col in columns)
@@ -421,10 +440,12 @@ def realize(
     Non-trivial pieces become vertices, nodes become segments of length
     -alpha(y), ends become rays.  Trivial pieces are interior points of
     their chains and are merged away unless `keep_trivial` is set, in which
-    case every piece becomes a (possibly bivalent) vertex.
+    case every piece becomes a (possibly bivalent) vertex.  The solution's
+    denominators are cleared once; fractions are built only for the kept
+    vertices and the segment lengths.
     """
     variables = _variables(graph)
-    values = _solution_values(solution, variables)
+    unit, values = _cleared(_solution_values(solution, variables))
     if any(v >= 0 for v in values):
         raise SolutionNotInCone("solution must be strictly negative in every coordinate")
     for node in graph.nodes:
@@ -434,7 +455,7 @@ def realize(
             )
     # Every node displacement and every integer coordinate is checked here,
     # which implies each chain equation of the system.
-    positions = _piece_positions(graph, values, variables)
+    positions = _piece_positions(graph, values, variables, unit)
     index = {name: i for i, name in enumerate(variables)}
 
     # Merged pieces are trivial, so two-valent cylinders: a chain through
@@ -445,7 +466,10 @@ def realize(
     incidence = graph.incidences()
     vertex_ids = {pid: f"v{i}" for i, pid in enumerate(p.id for p in graph.pieces if p.id in keep)}
     vertices = tuple(
-        Vertex(vertex_ids[pid], QuadrantPoint(positions[pid][0], positions[pid][1]))
+        Vertex(
+            vertex_ids[pid],
+            QuadrantPoint(Fraction(positions[pid][0], unit), Fraction(positions[pid][1], unit)),
+        )
         for pid in vertex_ids
     )
 
@@ -466,9 +490,8 @@ def realize(
             visited_edges.update(id(e) for e in chain)
             if isinstance(terminal, str):
                 total = -sum(values[index[node_var(e.id)]] for e in chain)
-                segments.append(
-                    Segment(vertex_ids[start], vertex_ids[terminal], contact, total)
-                )
+                length = Fraction(total, unit)
+                segments.append(Segment(vertex_ids[start], vertex_ids[terminal], contact, length))
             else:
                 visited_edges.add(id(terminal))
                 rays.append(Ray(vertex_ids[start], contact))

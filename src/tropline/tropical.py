@@ -27,6 +27,7 @@ from .geometry import (
     GeometryError,
     LatticeVector,
     QuadrantPoint,
+    _cleared,
     _connected,
     parse_rational,
     rational_str,
@@ -300,24 +301,18 @@ def min_squared_distance(curve: TropicalCurve, point) -> Fraction:
     """
     if not curve.vertices:
         raise CurveInvalid("curve has no vertices")
-    px, py = Fraction(point[0]), Fraction(point[1])
-    unit = math.lcm(
-        px.denominator,
-        py.denominator,
-        *(c.denominator for v in curve.vertices for c in v.position),
-        *(s.length.denominator for s in curve.segments),
+    coords = [c for v in curve.vertices for c in v.position]
+    unit, (px, py, *scaled) = _cleared(
+        [Fraction(point[0]), Fraction(point[1]), *coords, *(s.length for s in curve.segments)]
     )
-
-    def scaled(x) -> int:
-        return x.numerator * (unit // x.denominator)
-
     # Offsets from each vertex to the point, in the unit.
     offset = {
-        v.id: (scaled(px) - scaled(v.position.x), scaled(py) - scaled(v.position.y))
-        for v in curve.vertices
+        v.id: (px - scaled[2 * i], py - scaled[2 * i + 1]) for i, v in enumerate(curve.vertices)
     }
     best, best_den = min(wx * wx + wy * wy for wx, wy in offset.values()), 1
-    edges = [(offset[s.tail], s.contact, scaled(s.length)) for s in curve.segments]
+    edges = [
+        (offset[s.tail], s.contact, t) for s, t in zip(curve.segments, scaled[len(coords):])
+    ]
     edges += [(offset[r.base], r.contact, None) for r in curve.rays]
     for (wx, wy), c, tmax in edges:
         # Project onto w - t*c with t clamped to [0, tmax]; t <= 0 is the

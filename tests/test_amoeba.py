@@ -287,6 +287,13 @@ class TestHausdorff:
         with pytest.raises(ValueError, match="must be positive"):
             hausdorff(sample, curve, window)
 
+    @pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_step(self, step):
+        # A zero step would divide by zero, and a negative one would pass
+        # unnoticed with one point per piece.
+        with pytest.raises(ValueError, match="positive finite"):
+            discretize_curve(tropicalize_line(fam(1, 2)), 8.0, step=step)
+
     def test_mirror_isometry_is_exact(self):
         sample = sample_amoeba(fam(4, 3), 1e4, 1500)
         swapped = AmoebaSample(

@@ -15,7 +15,8 @@ from tropline.building import (
     graph_from_json,
     graph_to_json,
 )
-from tropline.tropical import LineFamily, tropicalize_line
+from tropline.geometry import LatticeVector, QuadrantPoint
+from tropline.tropical import LineFamily, Ray, Segment, TropicalCurve, Vertex, tropicalize_line
 
 
 def building_of(p, q, extra=()):
@@ -179,6 +180,38 @@ class TestBuildBuilding:
         g = building_of(4, 3).graph
         piece = next(p for p in g.pieces if p.id == "c1")
         assert piece.levels[0].is_integer and piece.levels[0].level == 1
+
+    def test_non_unit_contacts_cross_levels_exactly(self):
+        # Level crossings (v - c0) / c of the (0, 3) ray and the (2, 1)
+        # segment are integers only in a unit that multiplies the lcm of the
+        # denominators by the lcm of the contact components.
+        curve = TropicalCurve(
+            (
+                Vertex("a", QuadrantPoint(F(3, 5), F(4))),
+                Vertex("b", QuadrantPoint(F(49, 15), F(16, 3))),
+            ),
+            (Segment("a", "b", LatticeVector(2, 1), F(4, 3)),),
+            (
+                Ray("a", LatticeVector(0, 3)),
+                Ray("b", LatticeVector(1, 0)),
+                Ray("b", LatticeVector(0, 1)),
+            ),
+        )
+        assert describe_building(build_building(curve, [F(5, 11)])) == (
+            "levels: 5/11 3/5 49/15 4 16/3\n"
+            "piece c1 level (2, 4) nontrivial at (3/5, 4)\n"
+            "piece c2 level (2, 5) trivial at (3/5, 16/3)\n"
+            "piece c3 level (3, 5) nontrivial at (49/15, 16/3)\n"
+            "piece c4 level (4, 5) trivial at (4, 16/3)\n"
+            "piece c5 level (5, 5) trivial at (16/3, 16/3)\n"
+            "node n1 c1 -> c2 contact (0, 3)\n"
+            "node n2 c1 -> c3 contact (2, 1)\n"
+            "node n3 c3 -> c4 contact (1, 0)\n"
+            "node n4 c4 -> c5 contact (1, 0)\n"
+            "end from c2 contact (0, 3)\n"
+            "end from c3 contact (0, 1)\n"
+            "end from c5 contact (1, 0)\n"
+        )
 
 
 class TestDescribeAndJson:

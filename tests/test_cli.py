@@ -553,6 +553,12 @@ class TestInvariantChecks:
             _linalg.negative_orthant_point = lambda rows, ncols: [Fraction(-1)] * ncols
             if main(["match", "--graph", {str(example1_path)!r}]) != 3:
                 sys.exit("witness check did not run")
+            # A point on the equations whose entries are not all <= -1.
+            _linalg.negative_orthant_point = lambda rows, ncols: [
+                x / 2 for x in simplex(rows, ncols)
+            ]
+            if main(["match", "--graph", {str(example1_path)!r}]) != 3:
+                sys.exit("witness bound was not checked")
             _linalg.negative_orthant_point = simplex
 
             # A kernel basis vector off the matching equations.

@@ -331,6 +331,17 @@ class TestTorusWeights:
             torus_weights(modified, cone)
 
 
+    def test_cone_of_another_graph_rejected(self):
+        # A cone solved for (4, 3) names variables that (2, 1) lacks.
+        cone = solve(build_system(build_building(tropicalize_line(LineFamily.of(4, 3))).graph))
+        other = build_building(tropicalize_line(LineFamily.of(2, 1))).graph
+        with pytest.raises(SolutionNotInCone) as info:
+            torus_weights(other, cone)
+        message = str(info.value)
+        assert str(cone.variables) in message
+        assert str(("alpha(n1)", "alpha(n2)", "alpha_1", "alpha_2")) in message
+
+
 class TestRealize:
     def test_example_witness_realizes_the_curve(self, example1_graph):
         # The solution with a = b = -1 puts the levels at 1, 3, 4.
