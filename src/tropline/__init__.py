@@ -69,7 +69,14 @@ __version__ = "0.1.0"
 # The amoeba module needs numpy, which the exact layers do not; its names
 # are loaded on first access (PEP 562).
 _AMOEBA_NAMES = frozenset(
-    ("AmoebaSample", "ConvergenceReport", "hausdorff", "log_image", "sample_amoeba")
+    (
+        "AmoebaSample",
+        "ConvergenceReport",
+        "hausdorff",
+        "log_image",
+        "sample_amoeba",
+        "sample_domain",
+    )
 )
 
 

@@ -13,6 +13,10 @@ stands in for the Gromov-Hausdorff statement.
 
 The sampler works in log space, so no exponent of n is ever formed for the
 image points: the cloud neither underflows nor overflows, whatever (p, q).
+Along a ladder of bases only the cloud and its two distances are computed
+per base: the depths and angles of the samples, and the curve's polyline
+and pieces inside the window, are built once.  The complex domain points
+behind a cloud are built only on request, by `sample_domain`.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ __all__ = [
     "MAX_BASE",
     "log_image",
     "sample_amoeba",
+    "sample_domain",
     "hausdorff",
     "discretize_curve",
     "convergence_report",
@@ -47,6 +52,10 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Largest window accepted: squared distances inside it stay far below the
 # float range.
 _MAX_WINDOW = 1.0e150
+
+# (target, cloud point) pairs that `_grid_search` expands at once, at about
+# 48 B each.
+_PAIRS = 1 << 19
 
 
 class ZeroCoordinate(ValueError):
@@ -63,7 +72,6 @@ class AmoebaSample:
 
     n: float
     points: np.ndarray  # shape (k, 2), clipped to the quadrant
-    domain: np.ndarray  # shape (k,), the sampled affine chart points w
 
 
 @dataclass(frozen=True)
@@ -94,20 +102,34 @@ def _sphere(count: int, max_depth: float, cap: float) -> tuple[tuple[np.ndarray,
     """The part of a `count`-point sample that does not depend on the base:
     for each end (0, -1, infinity, the last capped at depth `cap`), the
     depths t, their negatives -t, the squared half-angle factor (sin(a/2)^2
-    near -1, cos(a/2)^2 elsewhere) and cos a, sin a of the golden angles.
-    The arrays are read-only, since every caller with the same key shares
-    them."""
+    near -1, cos(a/2)^2 elsewhere) and the golden angles a.  The arrays are
+    read-only, since every caller with the same key shares them."""
     ends = []
     for end, reach in enumerate((max_depth, max_depth, cap)):
         k = np.arange(end, count, 3)
         t = reach * (np.arange(len(k)) + 0.5) / len(k)
         angle = 2.0 * math.pi * ((k * _GOLDEN) % 1.0)
         half = np.sin(0.5 * angle) if end == 1 else np.cos(0.5 * angle)
-        arrays = (t, -t, half**2, np.cos(angle), np.sin(angle))
+        arrays = (t, -t, half**2, angle)
         for a in arrays:
             a.flags.writeable = False
         ends.append(arrays)
     return tuple(ends)
+
+
+def _family_sphere(
+    family: LineFamily, n: float, count: int, depth: float | None
+) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Check the sampling arguments and return the family's `_sphere`."""
+    if not n > 1:
+        raise ValueError("rescaling base must exceed 1")
+    if n > MAX_BASE:
+        raise ValueError(f"rescaling base {n} exceeds the supported {MAX_BASE:g}")
+    if count < 1:
+        raise ValueError("need at least one sample point")
+    p, q = float(family.p), float(family.q)
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        return _sphere(count, depth if depth is not None else p + q + 2.0, min(p, q))
 
 
 def sample_amoeba(
@@ -122,7 +144,7 @@ def sample_amoeba(
     infinity.  The infinity end is capped at depth min(p, q), where its
     image meets the quadrant boundary; the others reach `depth` (default
     p + q + 2).  The scheme is a fixed function of its arguments, so equal
-    inputs give bit-identical clouds.
+    inputs give bit-identical clouds; `sample_domain` gives the points w.
 
     The image of f_n(w) = [c1 n^(-p) w : c2 n^(-q) (w + 1) : 1] is
 
@@ -134,51 +156,56 @@ def sample_amoeba(
     form |1 +- eps e^(i a)|^2 = (1 - eps)^2 + 4 eps (cos or sin (a/2))^2,
     which has no cancellation.  Every sample point is kept; a point at
     infinite depth (a coordinate that is exactly 0) lands at infinity and
-    falls outside every window.  `domain` may hold infinities for depths
-    beyond the float range.
+    falls outside every window.
 
     A ladder of bases shares all but the base: the depths t and -t, the
-    half-angle factors and the cosines and sines of the golden angles come
-    from `_sphere`, a memo keyed by (count, depth, min(p, q)).  It holds
-    one entry, 5 arrays of about count / 3 floats per end (about 40 B per
-    sample), which the next call with another key replaces.  Each base
-    computes only eps = n^(-t), the log term, the points and the domain.
+    half-angle factors and the golden angles come from `_sphere`, a memo
+    keyed by (count, depth, min(p, q)).  It holds one entry, 4 arrays of
+    about count / 3 floats per end (about 32 B per sample), which the next
+    call with another key replaces.  Each base computes only eps = n^(-t),
+    the log term and the points.
     """
-    if not n > 1:
-        raise ValueError("rescaling base must exceed 1")
-    if n > MAX_BASE:
-        raise ValueError(f"rescaling base {n} exceeds the supported {MAX_BASE:g}")
-    if count < 1:
-        raise ValueError("need at least one sample point")
-    p, q = float(family.p), float(family.q)
-    max_depth = depth if depth is not None else p + q + 2.0
+    sphere = _family_sphere(family, n, count, depth)
     log_n = math.log(n)
-    x0 = p - math.log(abs(family.c1)) / log_n
-    y0 = q - math.log(abs(family.c2)) / log_n
+    x0 = float(family.p) - math.log(abs(family.c1)) / log_n
+    y0 = float(family.q) - math.log(abs(family.c2)) / log_n
     points = np.empty((count, 2))
-    domain = np.empty(count, dtype=np.complex128)
 
     # Sample k lies on end k % 3 (0, -1, infinity), at the (k // 3)-th depth
     # of that end; each end is the strided slice [end::3].
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        sphere = _sphere(count, max_depth, min(p, q))
-        for end, (t, minus_t, half2, cos_a, sin_a) in enumerate(sphere):
+        for end, (t, minus_t, half2, _angle) in enumerate(sphere):
             eps = np.power(n, minus_t)
             # log|1 - eps e^(i a)| near -1, log|1 + eps e^(i a)| elsewhere, in units of log n.
             rest = 0.5 * np.log((1.0 - eps) ** 2 + 4.0 * eps * half2) / log_n
             if end == 0:
-                log_w, log_w1, radius = minus_t, rest, eps
+                log_w, log_w1 = minus_t, rest
             elif end == 1:
-                log_w, log_w1, radius = rest, minus_t, eps
+                log_w, log_w1 = rest, minus_t
             else:
-                log_w, log_w1, radius = t, t + rest, np.power(n, t)
+                log_w, log_w1 = t, t + rest
             points[end::3, 0] = x0 - log_w
             points[end::3, 1] = y0 - log_w1
-            domain.real[end::3] = radius * cos_a
-            domain.imag[end::3] = radius * sin_a
-    domain.real[1::3] -= 1.0
     np.maximum(0.0, points, out=points)
-    return AmoebaSample(n=float(n), points=points, domain=domain)
+    return AmoebaSample(n=float(n), points=points)
+
+
+def sample_domain(
+    family: LineFamily, n: float, count: int, depth: float | None = None
+) -> np.ndarray:
+    """The affine chart points w that `sample_amoeba` maps to its cloud,
+    row for row: n^(-t) e^(i a) near 0, -1 + n^(-t) e^(i a) near -1 and
+    n^(t) e^(i a) near infinity.  Depths beyond the float range give
+    infinities."""
+    sphere = _family_sphere(family, n, count, depth)
+    domain = np.empty(count, dtype=np.complex128)
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        for end, (t, minus_t, _half2, angle) in enumerate(sphere):
+            radius = np.power(n, t if end == 2 else minus_t)
+            domain.real[end::3] = radius * np.cos(angle)
+            domain.imag[end::3] = radius * np.sin(angle)
+    domain.real[1::3] -= 1.0
+    return domain
 
 
 def discretize_curve(
@@ -248,16 +275,25 @@ def _window_pieces(curve: TropicalCurve, window: float) -> tuple[np.ndarray, np.
 def _squared_distance_to_pieces(
     px: np.ndarray, py: np.ndarray, starts: np.ndarray, moves: np.ndarray
 ) -> np.ndarray:
-    """Squared distance from each point (px, py) to the nearest of the segments."""
+    """Squared distance from each point (px, py) to the nearest of the
+    segments, folded one segment at a time into four reused buffers."""
     best = np.full(len(px), np.inf)
+    rel_x, rel_y, s, tmp = (np.empty(len(px)) for _ in range(4))
     for (sx, sy), (dx, dy) in zip(starts.tolist(), moves.tolist()):
         length2 = dx * dx + dy * dy
-        rel_x, rel_y = px - sx, py - sy
-        s = (rel_x * dx + rel_y * dy) / (length2 if length2 > 0 else 1.0)
+        np.subtract(px, sx, out=rel_x)
+        np.subtract(py, sy, out=rel_y)
+        # s = (rel_x * dx + rel_y * dy) / length2, clipped to [0, 1].
+        np.multiply(rel_x, dx, out=s)
+        np.multiply(rel_y, dy, out=tmp)
+        np.add(s, tmp, out=s)
+        np.divide(s, length2 if length2 > 0 else 1.0, out=s)
         np.clip(s, 0.0, 1.0, out=s)
-        rel_x -= s * dx
-        rel_y -= s * dy
-        np.minimum(best, rel_x * rel_x + rel_y * rel_y, out=best)
+        rel_x -= np.multiply(s, dx, out=tmp)
+        rel_y -= np.multiply(s, dy, out=tmp)
+        np.multiply(rel_x, rel_x, out=rel_x)
+        np.multiply(rel_y, rel_y, out=rel_y)
+        np.minimum(best, np.add(rel_x, rel_y, out=rel_x), out=best)
     return best
 
 
@@ -310,7 +346,9 @@ def _grid_search(tx, ty, centre, cx, cy, keys, side: int, cell: float) -> np.nda
     `centre` to its nearest cloud point (cx, cy) in cell `keys`.  The
     square of cells within `radius` of the target's is searched, doubling
     `radius` until the square covers the grid or the best distance is at
-    most `radius` cells, which every cloud point outside it exceeds."""
+    most `radius` cells, which every cloud point outside it exceeds.  Each
+    round expands its (target, cloud point) pairs in slices of whole
+    targets, about `_PAIRS` pairs each."""
     order = np.argsort(keys)
     keys, sx, sy = keys[order], cx[order], cy[order]
     best = np.full(len(tx), math.inf)
@@ -325,16 +363,43 @@ def _grid_search(tx, ty, centre, cx, cy, keys, side: int, cell: float) -> np.nda
         start = np.searchsorted(keys, (c - np.minimum(r, radius) + columns).ravel())
         top = c + np.minimum(side - 1 - r, radius) + columns
         counts = np.searchsorted(keys, top.ravel(), side="right") - start
-        index = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - start, counts)
-        owner = np.repeat(np.repeat(todo, 2 * radius + 1), counts)
-        dx = tx[owner] - sx[index]
-        dy = ty[owner] - sy[index]
-        np.minimum.at(best, owner, dx * dx + dy * dy)
+        width = len(columns)
+        ends = np.cumsum(counts.reshape(-1, width).sum(axis=1))
+        lo = 0
+        while lo < len(todo):
+            below = ends[lo - 1] if lo else 0
+            hi = max(lo + 1, int(np.searchsorted(ends, below + _PAIRS, side="right")))
+            first, n = start[lo * width : hi * width], counts[lo * width : hi * width]
+            index = np.repeat(np.cumsum(n) - n - first, n)
+            np.subtract(np.arange(len(index)), index, out=index)
+            owner = np.repeat(np.repeat(todo[lo:hi], width), n)
+            dx = tx[owner]
+            dx -= sx[index]
+            dy = ty[owner]
+            dy -= sy[index]
+            dx *= dx
+            dy *= dy
+            dx += dy
+            np.minimum.at(best, owner, dx)
+            lo = hi
         # The margin covers rounding in the cell index of points near the edge.
         done = (best[todo] <= (radius * cell * (1.0 - 1e-9)) ** 2) | (radius >= side)
         todo = todo[~done]
         radius *= 2
     return best
+
+
+@functools.lru_cache(maxsize=1)
+def _curve_in_window(curve: TropicalCurve, window: float) -> tuple[np.ndarray, ...]:
+    """The part of `hausdorff` that does not depend on the cloud: the
+    `discretize_curve` polyline and the `_window_pieces` starts and
+    displacements.  It holds one entry, which the next call with another
+    (curve, window) replaces; the arrays are read-only, since every caller
+    with the same key shares them."""
+    arrays = (discretize_curve(curve, window), *_window_pieces(curve, window))
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def hausdorff(sample: AmoebaSample, curve: TropicalCurve, window: float) -> float:
@@ -346,10 +411,12 @@ def hausdorff(sample: AmoebaSample, curve: TropicalCurve, window: float) -> floa
     have a cloud point no farther away cannot raise the maximum, and every
     other point gets its exact nearest distance.  The result is the float
     that the full distance matrix gives.  The in-window cloud goes to the
-    helpers as two contiguous columns, cx and cy.  `discretize_curve` runs
-    first, so a window that is not positive raises its ValueError.
+    helpers as two contiguous columns, cx and cy.  The polyline and the
+    pieces come from `_curve_in_window`, so a ladder of bases on one curve
+    builds them once.  `discretize_curve` runs first, so a window that is
+    not positive raises its ValueError.
     """
-    poly = discretize_curve(curve, window)
+    poly, starts, moves = _curve_in_window(curve, window)
     xs, ys = sample.points[:, 0], sample.points[:, 1]
     keep = (xs <= window) & (ys <= window)
     cx, cy = xs[keep], ys[keep]
@@ -357,7 +424,7 @@ def hausdorff(sample: AmoebaSample, curve: TropicalCurve, window: float) -> floa
         raise EmptySample("no sample points inside the window")
     if poly.size == 0:
         raise EmptySample("curve has no points inside the window")
-    cloud_to_curve = _squared_distance_to_pieces(cx, cy, *_window_pieces(curve, window)).max()
+    cloud_to_curve = _squared_distance_to_pieces(cx, cy, starts, moves).max()
     curve_to_cloud = _squared_nearest(poly, cx, cy, cloud_to_curve).max()
     return float(np.sqrt(max(cloud_to_curve, curve_to_cloud)))
 
@@ -384,6 +451,9 @@ def convergence_report(
     if window > depth:
         raise ValueError(f"window {window:g} reaches past the sampled depth p + q + 2 = {depth}")
     curve = tropical.tropicalize_line(family)
+    # Each ladder builds its curve's polyline and pieces afresh, once, so
+    # what it computes does not depend on an entry left by an earlier call.
+    _curve_in_window.cache_clear()
     entries = []
     for n in bases:
         sample = sample_amoeba(family, n, count)

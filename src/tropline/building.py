@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .geometry import LatticeVector, _cleared, _connected, _json_pair, _json_typed
+from .geometry import LatticeVector, _cleared, _connected, _fraction, _json_pair, _json_typed
 from .tropical import TropicalCurve
 
 __all__ = [
@@ -112,7 +112,7 @@ class LevelStructure:
     values: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        values = tuple(Fraction(v) for v in self.values)
+        values = tuple(_fraction(v) for v in self.values)
         object.__setattr__(self, "values", values)
         if any(a >= b for a, b in zip((0, *values), values)):
             raise GraphInvalid(

@@ -192,6 +192,11 @@ def _cleared(values, factor: int = 1) -> tuple[int, list[int]]:
     return unit, [v.numerator * (unit // v.denominator) for v in values]
 
 
+def _fraction(value) -> Fraction:
+    """`value` as a Fraction, converting only a value that is not exactly one."""
+    return value if type(value) is Fraction else Fraction(value)
+
+
 def _integer_direction(x, y) -> list[int]:
     """The rational point (x, y) scaled by the least common denominator."""
     return _cleared((Fraction(x), Fraction(y)))[1]
@@ -205,8 +210,8 @@ class QuadrantPoint:
     y: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "x", Fraction(self.x))
-        object.__setattr__(self, "y", Fraction(self.y))
+        object.__setattr__(self, "x", _fraction(self.x))
+        object.__setattr__(self, "y", _fraction(self.y))
         if self.x < 0 or self.y < 0:
             raise GeometryError(f"point {self.x}, {self.y} leaves the quadrant")
 

@@ -28,7 +28,7 @@ from typing import Mapping, Sequence
 
 from . import _linalg
 from .building import Building, LeveledDualGraph
-from .geometry import LatticeVector, QuadrantPoint, _cleared
+from .geometry import LatticeVector, QuadrantPoint, _cleared, _fraction
 from .tropical import Ray, Segment, TropicalCurve, Vertex
 
 __all__ = [
@@ -334,10 +334,10 @@ def check_stability(graph: LeveledDualGraph, rule: str = "union") -> StabilityVe
 def _solution_values(solution, variables: tuple[str, ...]) -> list[Fraction]:
     if isinstance(solution, Mapping):
         try:
-            return [Fraction(solution[name]) for name in variables]
+            return [_fraction(solution[name]) for name in variables]
         except KeyError as exc:
             raise SolutionNotInCone(f"solution is missing variable {exc}") from exc
-    values = [Fraction(v) for v in solution]
+    values = [_fraction(v) for v in solution]
     if len(values) != len(variables):
         raise SolutionNotInCone(
             f"solution has {len(values)} entries, system has {len(variables)} variables"

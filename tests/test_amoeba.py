@@ -20,6 +20,7 @@ from tropline.amoeba import (
     hausdorff,
     log_image,
     sample_amoeba,
+    sample_domain,
 )
 from tropline.geometry import LatticeVector
 from tropline.tropical import LineFamily, Segment, tropicalize_line
@@ -178,7 +179,8 @@ class TestSampler:
                 sample = sample_amoeba(family, n, count, depth=depth)
                 points, domain = reference_sample(family, n, count, depth)
                 assert np.array_equal(sample.points, points)
-                assert np.array_equal(sample.domain, domain, equal_nan=True)
+                got = sample_domain(family, n, count, depth=depth)
+                assert np.array_equal(got, domain, equal_nan=True)
 
     def test_ladder_builds_one_sphere(self):
         amoeba._sphere.cache_clear()
@@ -188,7 +190,7 @@ class TestSampler:
 
     def test_sphere_arrays_are_read_only(self):
         sphere = amoeba._sphere(2000, 5.0, 1.0)
-        assert len(sphere) == 3 and all(len(arrays) == 5 for arrays in sphere)
+        assert len(sphere) == 3 and all(len(arrays) == 4 for arrays in sphere)
         for arrays in sphere:
             for a in arrays:
                 with pytest.raises(ValueError, match="read-only"):
@@ -200,13 +202,14 @@ class TestSampler:
             sample = sample_amoeba(fam(p, q), 1e4, 2000)
             points, domain = reference_sample(fam(p, q), 1e4, 2000)
             assert np.array_equal(sample.points, points)
-            assert np.array_equal(sample.domain, domain)
+            assert np.array_equal(sample_domain(fam(p, q), 1e4, 2000), domain)
 
     def test_deterministic(self):
         a = sample_amoeba(fam(4, 3), 1e4, 500)
         b = sample_amoeba(fam(4, 3), 1e4, 500)
         assert np.array_equal(a.points, b.points)
-        assert np.array_equal(a.domain, b.domain)
+        domains = [sample_domain(fam(4, 3), 1e4, 500) for _ in range(2)]
+        assert np.array_equal(*domains)
 
     def test_clipped_to_quadrant(self):
         sample = sample_amoeba(fam(2, 1), 1e3, 800)
@@ -227,13 +230,14 @@ class TestSampler:
         # Near -1, w + 1 = n^(-t) e^(i a), so Y = q + t - log|c2| / log n;
         # |w| is near 1 there, so X can be checked against the domain point.
         n, count = 1e4, 20000
-        sample = sample_amoeba(fam(1, Fraction(5, 2), c2=c2), n, count)
+        family = fam(1, Fraction(5, 2), c2=c2)
+        sample = sample_amoeba(family, n, count)
         k = np.arange(1, count, 3)
         max_depth = 1 + 2.5 + 2  # p + q + 2
         t = max_depth * (k // 3 + 0.5) / len(k)
         expected_y = 2.5 + t - math.log(abs(c2)) / math.log(n)
         assert np.abs(sample.points[k, 1] - expected_y).max() < 1e-9
-        expected_x = 1 - np.log(np.abs(sample.domain[k])) / math.log(n)
+        expected_x = 1 - np.log(np.abs(sample_domain(family, n, count)[k])) / math.log(n)
         assert np.abs(sample.points[k, 0] - expected_x).max() < 1e-9
 
     def test_matches_log_image_off_minus_one(self):
@@ -241,12 +245,13 @@ class TestSampler:
         family = fam(Fraction(7, 3), 2, c1=3.0 - 1.0j, c2=0.25)
         n = 1e3
         sample = sample_amoeba(family, n, 3000)
+        domain = sample_domain(family, n, 3000)
         x_n = family.c1 * n ** -float(family.p)
         y_n = family.c2 * n ** -float(family.q)
         for k in range(3000):
             if k % 3 == 1:
                 continue
-            w = complex(sample.domain[k])
+            w = complex(domain[k])
             expected = log_image((x_n * w, y_n * (w + 1.0), 1.0), n)
             assert np.abs(sample.points[k] - expected).max() < 1e-9
 
@@ -266,14 +271,12 @@ class TestHausdorff:
     def test_self_distance_is_discretization_level(self):
         curve = tropicalize_line(fam(4, 3))
         poly = discretize_curve(curve, 8.0)
-        sample = AmoebaSample(n=10.0, points=poly, domain=np.zeros(len(poly)))
+        sample = AmoebaSample(n=10.0, points=poly)
         assert hausdorff(sample, curve, 8.0) < 8.0 / 256
         assert hausdorff(sample, curve, 8.0) >= 0.0
 
     def test_empty_sample(self):
-        sample = AmoebaSample(
-            n=10.0, points=np.array([[9.0, 9.0]]), domain=np.zeros(1)
-        )
+        sample = AmoebaSample(n=10.0, points=np.array([[9.0, 9.0]]))
         with pytest.raises(EmptySample):
             hausdorff(sample, tropicalize_line(fam(1, 1)), 2.0)
 
@@ -296,9 +299,7 @@ class TestHausdorff:
 
     def test_mirror_isometry_is_exact(self):
         sample = sample_amoeba(fam(4, 3), 1e4, 1500)
-        swapped = AmoebaSample(
-            n=sample.n, points=sample.points[:, ::-1].copy(), domain=sample.domain
-        )
+        swapped = AmoebaSample(n=sample.n, points=sample.points[:, ::-1].copy())
         d = hausdorff(sample, tropicalize_line(fam(4, 3)), 8.0)
         d_swapped = hausdorff(swapped, tropicalize_line(fam(3, 4)), 8.0)
         assert d == d_swapped
@@ -309,7 +310,7 @@ class TestHausdorff:
         curve = tropicalize_line(fam(4, 3))
         rng = np.random.default_rng(5)
         points = rng.uniform(0.0, 8.0, (300, 2))
-        sample = AmoebaSample(n=10.0, points=points, domain=np.zeros(300))
+        sample = AmoebaSample(n=10.0, points=points)
         fine = discretize_curve(curve, 8.0, step=8.0 / 20000)
         nearest = np.sqrt(((sample.points[:, None, :] - fine[None]) ** 2).sum(-1)).min(axis=1)
         d = hausdorff(sample, curve, 8.0)
@@ -330,7 +331,7 @@ class TestHausdorff:
         )
         for c, expected in cases:
             points = np.vstack([discretize_curve(c, 2.5), [[2.5, 2.5]]])
-            sample = AmoebaSample(n=10.0, points=points, domain=np.zeros(len(points)))
+            sample = AmoebaSample(n=10.0, points=points)
             assert abs(hausdorff(sample, c, 2.5) - expected) < 1e-9
 
     def test_per_piece_distance_equals_broadcast_reference(self):
@@ -399,7 +400,7 @@ class TestHausdorff:
         if dense:
             points.append(sample_amoeba(fam(p, q), 1e4, 300).points)
         points = np.vstack(points)
-        sample = AmoebaSample(n=10.0, points=points, domain=np.zeros(len(points)))
+        sample = AmoebaSample(n=10.0, points=points)
         curve = tropicalize_line(fam(p, q))
         assert hausdorff(sample, curve, window) == reference_hausdorff(sample, curve, window)
 
@@ -433,9 +434,19 @@ class TestHausdorff:
         assert hausdorff(sample, curve, 10.0) == reference_hausdorff(sample, curve, 10.0)
         assert branches["searched"] > 0
 
+    @pytest.mark.parametrize("pairs", [1, 50, 4000])
+    def test_search_in_slices_equals_full_matrix(self, monkeypatch, branches, pairs):
+        # Slices of one target, of a few targets and of many: the nearest
+        # distances do not depend on how a round is cut.
+        monkeypatch.setattr(amoeba, "_PAIRS", pairs)
+        curve = tropicalize_line(fam(1, 2))
+        sample = sample_amoeba(fam(1, 2), 1e6, 600)
+        assert hausdorff(sample, curve, 10.0) == reference_hausdorff(sample, curve, 10.0)
+        assert branches["searched"] > 0
+
     def test_one_point_cloud(self, branches):
         curve = tropicalize_line(fam(1, 2))
-        sample = AmoebaSample(n=10.0, points=np.array([[2.5, 0.5]]), domain=np.zeros(1))
+        sample = AmoebaSample(n=10.0, points=np.array([[2.5, 0.5]]))
         assert hausdorff(sample, curve, 4.0) == reference_hausdorff(sample, curve, 4.0)
         assert branches["certified"] > 0 and branches["searched"] > 0
 
@@ -446,7 +457,7 @@ class TestHausdorff:
         poly = discretize_curve(curve, 8.0)
         pieces = amoeba._window_pieces(curve, 8.0)
         points = poly[amoeba._squared_distance_to_pieces(poly[:, 0], poly[:, 1], *pieces) == 0]
-        sample = AmoebaSample(n=10.0, points=points, domain=np.zeros(len(points)))
+        sample = AmoebaSample(n=10.0, points=points)
         d = hausdorff(sample, curve, 8.0)
         assert d == reference_hausdorff(sample, curve, 8.0) and d > 0
         assert branches == {"certified": 0, "searched": len(poly)}
@@ -480,6 +491,32 @@ class TestConvergence:
         assert report.r_squared >= 0.9
         for n, _ in report.entries:
             assert len(sample_amoeba(family, n, 20000).points) == 20000
+
+    def test_ladder_builds_one_polyline(self, monkeypatch):
+        polylines = []
+
+        def counting(curve, window, step=None):
+            polylines.append(window)
+            return discretize_curve(curve, window, step)
+
+        monkeypatch.setattr(amoeba, "discretize_curve", counting)
+        # The second ladder builds its own, though the first left one behind.
+        for _ in range(2):
+            convergence_report(fam(1, 2), [1e3, 1e4, 1e6, 1e8], 2000, 4.0)
+            info = amoeba._curve_in_window.cache_info()
+            assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
+        assert polylines == [4.0, 4.0]
+        for a in amoeba._curve_in_window(tropicalize_line(fam(1, 2)), 4.0):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+
+    def test_ladder_builds_no_domain(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a ladder reads only the clouds")
+
+        monkeypatch.setattr(amoeba, "sample_domain", refuse)
+        report = convergence_report(fam(1, 2), [1e3, 1e4, 1e6, 1e8], 2000, 4.0)
+        assert len(report.entries) == 4 and report.last_sample.points.shape == (2000, 2)
 
     @pytest.mark.parametrize("bases", [[1e3], [1e3, 1e3], []])
     def test_fewer_than_two_distinct_bases(self, bases):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tropline import amoeba
-from tropline.amoeba import sample_amoeba
+from tropline.amoeba import sample_amoeba, sample_domain
 from tropline.building import graph_from_json
 from tropline.cli import main
 from tropline.tropical import (
@@ -279,7 +279,7 @@ class TestSvgAndCsv:
         fresh = sample_amoeba(LineFamily(4, 3), 1e8, 400)
         assert point_lines[1:] == [
             f"{w.real:.9g},{w.imag:.9g},{x:.9g},{y:.9g}"
-            for w, (x, y) in zip(fresh.domain, fresh.points)
+            for w, (x, y) in zip(sample_domain(LineFamily(4, 3), 1e8, 400), fresh.points)
         ]
         report = json.loads(out)
         assert len(report["entries"]) == 2
