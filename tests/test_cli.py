@@ -642,12 +642,20 @@ class TestMutatedGraphs:
             graph_from_json(doc)
 
 
-def match_mutation_lines():
-    """`trop match` on 400 seeded mutations of `example1.json`, one line
-    each: the exit code, then stderr as a JSON string."""
+def match_runs(argv):
+    """`trop match` with `argv`: the exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["match", *argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+def match_mutation_runs():
+    """`trop match` on 400 seeded mutations of `example1.json`: per run, the
+    exit code, stdout and stderr."""
     rng = random.Random(1089)
     text = (Path(__file__).parent / "fixtures" / "example1.json").read_text()
-    lines = []
+    runs = []
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "graph.json"
         for _ in range(400):
@@ -655,11 +663,13 @@ def match_mutation_lines():
             for _ in range(rng.randint(1, 3)):
                 mutate(doc, rng.randint)
             path.write_text(json.dumps(doc))
-            err = io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                code = main(["match", "--graph", str(path)])
-            lines.append(f"{code} {json.dumps(err.getvalue())}")
-    return lines
+            runs.append(match_runs(["--graph", str(path)]))
+    return runs
+
+
+def match_mutation_lines():
+    """One line per mutation run: the exit code, then stderr as a JSON string."""
+    return [f"{code} {json.dumps(err)}" for code, _, err in match_mutation_runs()]
 
 
 class TestMatchMutationGolden:
@@ -668,6 +678,38 @@ class TestMatchMutationGolden:
         message, is pinned line by line in `goldens/match-mutations.txt`."""
         golden = (GOLDENS / "match-mutations.txt").read_text().splitlines()
         assert match_mutation_lines() == golden
+
+
+def match_grid_lines():
+    """`trop match` on the building of every (p, q) of a grid, without and
+    with the extra level 1/3, then on each mutation of `match_mutation_runs`
+    that it accepts; one line each: the exit code, then stdout as a JSON
+    string."""
+    values = ["0", "1/2", "1", "3/2", "2", "5/2", "3", "4"]
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "graph.json"
+        for p in values:
+            for q in values:
+                for extra in ((), ("--add-level", "1/3")):
+                    out = io.StringIO()
+                    with contextlib.redirect_stdout(out):
+                        assert main(["building", "--p", p, "--q", q, "--json", *extra]) == 0
+                    path.write_text(out.getvalue())
+                    code, out, _ = match_runs(["--graph", str(path)])
+                    lines.append(f"{code} {json.dumps(out)}")
+    lines += [f"{code} {json.dumps(out)}" for code, out, _ in match_mutation_runs() if code == 0]
+    return lines
+
+
+class TestMatchGridGolden:
+    def test_match_stdout_pinned(self):
+        """Equations, basis, witness, stability, weights and the realized
+        curve of `trop match` on a grid of all 14 limit types, with and
+        without an extra level, and on the accepted mutations of
+        `example1.json`, are pinned in `goldens/match-grid.txt`."""
+        golden = (GOLDENS / "match-grid.txt").read_text().splitlines()
+        assert match_grid_lines() == golden
 
 
 def building_curve_documents():
