@@ -14,7 +14,9 @@ names the pieces c1, c2, ... by one sort on their level coordinates and
 position.
 A `LeveledDualGraph` checks its references and its geometry (orientation,
 cylinders, connectivity) when it is built, so `build_building` and
-`graph_from_json` return only valid graphs.
+`graph_from_json` return only valid graphs.  It keeps the tables it was
+checked with, the multilevel and the incident edges of each piece, and the
+matching layer reads those instead of building its own.
 """
 
 from __future__ import annotations
@@ -170,12 +172,19 @@ class EndEdge:
 @dataclass(frozen=True)
 class LeveledDualGraph:
     """Pieces joined by nodes, with ends for the unbounded edges; building
-    one checks its references and its geometry, so a graph in hand is valid."""
+    one checks its references and its geometry, so a graph in hand is valid.
+    It keeps the check's tables, read-only and outside ==, hash and repr:
+    `multilevels`, the levels by piece id, and `incidence`, per piece its
+    nodes, then its ends (a node joining a piece to itself is listed twice)."""
 
     num_levels: int
     pieces: tuple[Piece, ...]
     nodes: tuple[NodeEdge, ...]
     ends: tuple[EndEdge, ...]
+    multilevels: dict[str, Multilevel] = field(init=False, repr=False, compare=False)
+    incidence: dict[str, tuple[NodeEdge | EndEdge, ...]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         levels = {p.id: p.levels for p in self.pieces}
@@ -207,7 +216,12 @@ class LeveledDualGraph:
                     raise GraphInvalid(
                         f"node {n.id} has zero contact across levels in direction {i + 1}"
                     )
-        inc = self.incidences()
+        inc: dict[str, list[NodeEdge | EndEdge]] = {p.id: [] for p in self.pieces}
+        for n in self.nodes:
+            inc[n.tail].append(n)
+            inc[n.head].append(n)
+        for e in self.ends:
+            inc[e.piece].append(e)
         for p in self.pieces:
             if not p.trivial:
                 continue
@@ -222,17 +236,8 @@ class LeveledDualGraph:
                 )
         if not _connected(levels, ((n.tail, n.head) for n in self.nodes)):
             raise GraphInvalid("graph is not connected")
-
-    def incidences(self) -> dict[str, list[NodeEdge | EndEdge]]:
-        """Per piece, its incident nodes, then its ends; a node joining a piece
-        to itself is listed twice."""
-        inc: dict[str, list[NodeEdge | EndEdge]] = {p.id: [] for p in self.pieces}
-        for n in self.nodes:
-            inc[n.tail].append(n)
-            inc[n.head].append(n)
-        for e in self.ends:
-            inc[e.piece].append(e)
-        return inc
+        object.__setattr__(self, "multilevels", levels)
+        object.__setattr__(self, "incidence", {pid: tuple(edges) for pid, edges in inc.items()})
 
 
 @dataclass

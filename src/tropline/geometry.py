@@ -178,12 +178,12 @@ def primitive(v: LatticeVector) -> tuple[LatticeVector, int]:
     return LatticeVector(v.x // g, v.y // g), g
 
 
-def _ccw_key(v: LatticeVector) -> tuple[int, Fraction | float]:
+def _ccw_key(v: LatticeVector) -> tuple[int, bool, Fraction | int]:
     # Counterclockwise order over [0, 2pi) starting from (1, 0), decided
     # exactly: the half plane, then -x/y, which grows with the angle inside
     # each half; the horizontal ray opens its half.
     half = 0 if (v.y > 0 or (v.y == 0 and v.x > 0)) else 1
-    return (half, -math.inf if v.y == 0 else Fraction(-v.x, v.y))
+    return (half, v.y != 0, Fraction(-v.x, v.y) if v.y else 0)
 
 
 def _cleared(values, factor: int = 1) -> tuple[int, list[int]]:

@@ -9,7 +9,8 @@ homogeneous equation
     s * (alpha(y_1) + ... + alpha(y_k)) = alpha_{a+1} + ... + alpha_b
 
 where s is the absolute contact component of the chain in that direction
-and a <= b are the two anchor levels.  A strictly negative solution is
+and a <= b are the two anchor levels; `build_system` walks each chain once,
+on the graph's own tables.  A strictly negative solution is
 exactly the data of a tropical curve realizing the graph: levels sit at
 phi(a) = -(alpha_1 + ... + alpha_a) and a node y becomes an edge fragment
 of length -alpha(y).
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 from . import _linalg
 from .building import Building, LeveledDualGraph
@@ -152,16 +153,12 @@ class WeightTable:
         return _linalg.lattice_canonical(columns)
 
 
-def _level_of(piece, direction: int):
-    lc = piece.levels[direction]
-    return lc.level if lc.is_integer else None
-
-
-def _variables(graph: LeveledDualGraph) -> tuple[str, ...]:
-    """The system's variable order: nonzero-contact nodes, then levels."""
-    return tuple(node_var(n.id) for n in graph.nodes if not n.contact.is_zero()) + tuple(
-        level_var(j) for j in range(1, graph.num_levels + 1)
-    )
+def _variable_index(graph: LeveledDualGraph) -> dict[str, int]:
+    """The system's variables in order, nonzero-contact nodes then levels,
+    each mapped to its place; `tuple(index)` is the variable tuple."""
+    names = [node_var(n.id) for n in graph.nodes if not n.contact.is_zero()]
+    names += [level_var(j) for j in range(1, graph.num_levels + 1)]
+    return {name: i for i, name in enumerate(names)}
 
 
 def build_system(graph: LeveledDualGraph) -> MatchingSystem:
@@ -169,38 +166,34 @@ def build_system(graph: LeveledDualGraph) -> MatchingSystem:
 
     Nodes with zero contact vector carry no variable and no equation.  A
     chain that runs into an end (no anchor on that side) contributes
-    nothing; its constraints are implied by the anchored chains.
+    nothing; its constraints are implied by the anchored chains.  A node lies
+    on at most one anchored chain per direction, so the nodes of each chain
+    walked to an anchor are marked, and a marked node starts no walk.
     """
     active_nodes = [n for n in graph.nodes if not n.contact.is_zero()]
-    variables = _variables(graph)
-    var_index = {name: i for i, name in enumerate(variables)}
-    pieces = {p.id: p for p in graph.pieces}
-    incidence = graph.incidences()
+    index = _variable_index(graph)
+    multilevels = graph.multilevels
 
     equations: list[Equation] = []
-    seen_chains: set[tuple[str, ...]] = set()
-
     for direction in (0, 1):
         def anchored(piece_id: str) -> bool:
-            return _level_of(pieces[piece_id], direction) is not None
+            return multilevels[piece_id][direction].is_integer
 
+        walked: set[str] = set()
         for node in active_nodes:
             for anchor_side in (node.tail, node.head):
-                if not anchored(anchor_side):
+                if node.id in walked or not anchored(anchor_side):
                     continue
-                chain, terminal = _walk_chain(incidence, anchor_side, node, anchored)
+                chain, terminal = _walk_chain(graph.incidence, anchor_side, node, anchored)
                 if not isinstance(terminal, str):
                     continue  # ran into an end: no equation
-                key = tuple(sorted(n.id for n in chain))
-                if (direction, key) in seen_chains:
-                    continue
-                seen_chains.add((direction, key))
+                walked.update(n.id for n in chain)
                 equation = _chain_equation(
-                    chain, anchor_side, terminal, pieces, direction, variables, var_index
+                    chain, anchor_side, terminal, multilevels, direction, index
                 )
                 if equation is not None:
                     equations.append(equation)
-    return MatchingSystem(variables=variables, equations=tuple(equations))
+    return MatchingSystem(variables=tuple(index), equations=tuple(equations))
 
 
 def _walk_chain(incidence, start, first_node, stop):
@@ -242,7 +235,7 @@ def _oriented_chain(chain, start: str) -> list[LatticeVector]:
     return oriented
 
 
-def _chain_equation(chain, anchor, terminal, pieces, direction, variables, var_index):
+def _chain_equation(chain, anchor, terminal, multilevels, direction, index):
     # Demand one common contact vector along the walk.
     oriented = _oriented_chain(chain, anchor)
     common = oriented[0]
@@ -253,8 +246,8 @@ def _chain_equation(chain, anchor, terminal, pieces, direction, variables, var_i
                 f"{tuple(common)} and {tuple(c)}"
             )
     s = abs((common.x, common.y)[direction])
-    a = _level_of(pieces[anchor], direction)
-    b = _level_of(pieces[terminal], direction)
+    a = multilevels[anchor][direction].level
+    b = multilevels[terminal][direction].level
     a, b = min(a, b), max(a, b)
     if s == 0:
         if a != b:
@@ -263,11 +256,11 @@ def _chain_equation(chain, anchor, terminal, pieces, direction, variables, var_i
                 f"{direction + 1} across levels {a}..{b}"
             )
         return None
-    coeffs = [0] * len(variables)
+    coeffs = [0] * len(index)
     for node in chain:
-        coeffs[var_index[node_var(node.id)]] += s
+        coeffs[index[node_var(node.id)]] += s
     for j in range(a + 1, b + 1):
-        coeffs[var_index[level_var(j)]] -= 1
+        coeffs[index[level_var(j)]] -= 1
     return Equation(
         coefficients=tuple(coeffs),
         direction=direction + 1,
@@ -331,7 +324,7 @@ def check_stability(graph: LeveledDualGraph, rule: str = "union") -> StabilityVe
     return StabilityVerdict(stable=required <= covered, covered=frozenset(covered), rule=rule)
 
 
-def _solution_values(solution, variables: tuple[str, ...]) -> list[Fraction]:
+def _solution_values(solution, variables: Collection[str]) -> list[Fraction]:
     if isinstance(solution, Mapping):
         try:
             return [_fraction(solution[name]) for name in variables]
@@ -347,34 +340,32 @@ def _solution_values(solution, variables: tuple[str, ...]) -> list[Fraction]:
 
 def _piece_positions(
     graph: LeveledDualGraph,
-    values: list[int],
-    variables: tuple[str, ...],
-    unit: int | None = None,
+    values: Sequence[int],
+    index: Mapping[str, int],
+    unit: int = 1,
 ) -> dict[str, tuple[int, int]]:
     """Positions of all pieces induced by an integer solution vector.
 
     Fully-integer pieces sit at their level-map values; the rest are reached
     by propagating edge displacements.  Any inconsistency means the vector
-    does not solve the system.  With a `unit`, the values count `1/unit`,
-    and so do the positions; messages then give the rational values.
+    does not solve the system.  The values count `1/unit`, and so do the
+    positions; messages give the rational values.
     """
-    index = {name: i for i, name in enumerate(variables)}
-    pieces = {p.id: p for p in graph.pieces}
+    multilevels = graph.multilevels
     # Level a sits at height[a] = -(alpha_1 + ... + alpha_a).
     height = [0]
     for j in range(1, graph.num_levels + 1):
         height.append(height[-1] - values[index[level_var(j)]])
 
     positions: dict[str, tuple[int, int]] = {}
-    for piece in graph.pieces:
-        if piece.levels[0].is_integer and piece.levels[1].is_integer:
-            positions[piece.id] = (height[piece.levels[0].level], height[piece.levels[1].level])
+    for pid, (lx, ly) in multilevels.items():
+        if lx.is_integer and ly.is_integer:
+            positions[pid] = (height[lx.level], height[ly.level])
 
     pending = [pid for pid in positions]
-    incidence = graph.incidences()
     while pending:
         current = pending.pop()
-        for edge in incidence[current]:
+        for edge in graph.incidence[current]:
             other = edge.other_end(current)
             if other is None or edge.contact.is_zero():
                 continue
@@ -391,19 +382,18 @@ def _piece_positions(
                 # Integer coordinates of the reached piece must agree with
                 # the level map; check the defined ones.
                 for direction in (0, 1):
-                    lc = pieces[other].levels[direction]
+                    lc = multilevels[other][direction]
                     if lc.is_integer and candidate[direction] != height[lc.level]:
-                        *at, pin = (
-                            c if unit is None else Fraction(c, unit)
-                            for c in (*candidate, height[lc.level])
+                        x, y, pin = (
+                            Fraction(c, unit) for c in (*candidate, height[lc.level])
                         )
                         raise SolutionNotInCone(
-                            f"piece {other} lands at {tuple(at)} but its level "
+                            f"piece {other} lands at ({x}, {y}) but its level "
                             f"pins coordinate {direction + 1} to {pin}"
                         )
                 positions[other] = candidate
                 pending.append(other)
-    missing = [p.id for p in graph.pieces if p.id not in positions]
+    missing = [pid for pid in multilevels if pid not in positions]
     if missing:
         raise SolutionNotInCone(f"pieces {missing} have no determined position")
     return positions
@@ -418,12 +408,12 @@ def torus_weights(graph: LeveledDualGraph, cone: SolutionCone) -> WeightTable:
     """
     if not cone.feasible:
         raise InfeasibleCone("torus weights need a feasible solution cone")
-    variables = _variables(graph)
-    if cone.variables != variables:
+    index = _variable_index(graph)
+    if cone.variables != tuple(index):
         raise SolutionNotInCone(
-            f"cone variables {cone.variables} differ from the graph's {variables}"
+            f"cone variables {cone.variables} differ from the graph's {tuple(index)}"
         )
-    columns = [_piece_positions(graph, vec, variables) for vec in cone.basis]
+    columns = [_piece_positions(graph, vec, index) for vec in cone.basis]
     entries: dict[str, tuple[tuple[int, ...], tuple[int, ...]]] = {}
     for piece in graph.pieces:
         row_x = tuple(col[piece.id][0] for col in columns)
@@ -444,8 +434,8 @@ def realize(
     denominators are cleared once; fractions are built only for the kept
     vertices and the segment lengths.
     """
-    variables = _variables(graph)
-    unit, values = _cleared(_solution_values(solution, variables))
+    index = _variable_index(graph)
+    unit, values = _cleared(_solution_values(solution, index))
     if any(v >= 0 for v in values):
         raise SolutionNotInCone("solution must be strictly negative in every coordinate")
     for node in graph.nodes:
@@ -455,15 +445,14 @@ def realize(
             )
     # Every node displacement and every integer coordinate is checked here,
     # which implies each chain equation of the system.
-    positions = _piece_positions(graph, values, variables, unit)
-    index = {name: i for i, name in enumerate(variables)}
+    positions = _piece_positions(graph, values, index, unit)
 
     # Merged pieces are trivial, so two-valent cylinders: a chain through
     # them keeps one contact vector and becomes one segment or ray.
     keep = {p.id for p in graph.pieces if keep_trivial or not p.trivial}
     if not keep:
         keep = {p.id for p in graph.pieces}  # purely trivial graph: keep everything
-    incidence = graph.incidences()
+    incidence = graph.incidence
     vertex_ids = {pid: f"v{i}" for i, pid in enumerate(p.id for p in graph.pieces if p.id in keep)}
     vertices = tuple(
         Vertex(

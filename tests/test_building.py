@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from tropline.building import (
+    EndEdge,
     GraphInvalid,
     LevelCoordinate,
     LevelStructure,
@@ -15,6 +16,7 @@ from tropline.building import (
     graph_from_json,
     graph_to_json,
 )
+from tropline.matching import build_system, realize, solve, torus_weights
 from tropline.geometry import LatticeVector, QuadrantPoint
 from tropline.tropical import LineFamily, Ray, Segment, TropicalCurve, Vertex, tropicalize_line
 
@@ -234,3 +236,46 @@ class TestDescribeAndJson:
     def test_fixture_validates(self, example1_graph):
         # `replace` builds the graph again, through every construction check.
         assert dataclasses.replace(example1_graph) == example1_graph
+
+
+class TestGraphTables:
+    def test_tables_are_the_pieces_levels_and_edges(self, example1_graph):
+        g = example1_graph
+        assert g.multilevels == {p.id: p.levels for p in g.pieces}
+        assert g.incidence["c4"] == (g.nodes[2], g.nodes[3], g.ends[0])
+        assert g.incidence["c1"] == (g.nodes[0],)
+
+    def test_replace_rebuilds_the_tables(self, example1_graph):
+        g = example1_graph
+        origin = dataclasses.replace(g.pieces[0], levels=(LevelCoordinate.at(0),) * 2)
+        end = EndEdge("c4", LatticeVector(2, 0))
+        moved = dataclasses.replace(g, pieces=(origin, *g.pieces[1:]), ends=(end, g.ends[1]))
+        assert moved.multilevels["c1"] == origin.levels
+        assert moved.incidence["c4"][-1] is end
+        assert g.multilevels["c1"] == g.pieces[0].levels
+        assert g.incidence["c4"][-1] is g.ends[0]
+
+    def test_equal_graphs_compare_and_hash_equal(self, example1_graph):
+        copy = graph_from_json(graph_to_json(example1_graph))
+        assert copy.incidence is not example1_graph.incidence
+        assert copy == example1_graph and hash(copy) == hash(example1_graph)
+
+    def test_repr_leaves_the_tables_out(self, example1_graph):
+        text = repr(example1_graph)
+        assert "multilevels" not in text and "incidence" not in text
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            example1_graph.incidence = {}
+
+    def test_matching_leaves_the_tables_unchanged(self, example1_graph):
+        g = example1_graph
+        multilevels = dict(g.multilevels)
+        incidence = dict(g.incidence)
+        cone = solve(build_system(g))
+        torus_weights(g, cone)
+        realize(g, cone.witness)
+        realize(g, cone.witness, keep_trivial=True)
+        assert g.multilevels == multilevels
+        assert g.incidence == incidence
+        assert all(
+            a is b for pid, edges in incidence.items() for a, b in zip(edges, g.incidence[pid])
+        )

@@ -642,7 +642,7 @@ class TestMutatedGraphs:
             graph_from_json(doc)
 
 
-def match_runs(argv):
+def run_match(argv):
     """`trop match` with `argv`: the exit code, stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -663,7 +663,7 @@ def match_mutation_runs():
             for _ in range(rng.randint(1, 3)):
                 mutate(doc, rng.randint)
             path.write_text(json.dumps(doc))
-            runs.append(match_runs(["--graph", str(path)]))
+            runs.append(run_match(["--graph", str(path)]))
     return runs
 
 
@@ -696,7 +696,7 @@ def match_grid_lines():
                     with contextlib.redirect_stdout(out):
                         assert main(["building", "--p", p, "--q", q, "--json", *extra]) == 0
                     path.write_text(out.getvalue())
-                    code, out, _ = match_runs(["--graph", str(path)])
+                    code, out, _ = run_match(["--graph", str(path)])
                     lines.append(f"{code} {json.dumps(out)}")
     lines += [f"{code} {json.dumps(out)}" for code, out, _ in match_mutation_runs() if code == 0]
     return lines

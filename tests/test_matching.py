@@ -330,6 +330,13 @@ class TestTorusWeights:
         with pytest.raises(InfeasibleCone):
             torus_weights(modified, cone)
 
+    def test_basis_vector_outside_the_kernel_rejected(self, example1_graph):
+        cone = solve(build_system(example1_graph))
+        first, second = cone.basis
+        off = (second[0] + 1, *second[1:])
+        with pytest.raises(SolutionNotInCone) as info:
+            torus_weights(example1_graph, dataclasses.replace(cone, basis=(first, off)))
+        assert str(info.value) == "solution is inconsistent across node n1"
 
     def test_cone_of_another_graph_rejected(self):
         # A cone solved for (4, 3) names variables that (2, 1) lacks.
@@ -415,6 +422,20 @@ class TestRealize:
         values[5] = F(-7)  # breaks alpha(n1) + alpha(n2) = alpha_2
         with pytest.raises(SolutionNotInCone):
             realize(example1_graph, values)
+
+    def test_rejection_messages_give_rationals(self, example1_graph):
+        witness = list(solve(build_system(example1_graph)).witness)
+        messages = [
+            "solution is inconsistent across node n1",
+            "piece c2 lands at (5/3, 2/3) but its level pins coordinate 2 to 1",
+        ]
+        # Lower alpha(n1), then alpha(n2), by 1/3.
+        for i, message in enumerate(messages):
+            moved = list(witness)
+            moved[i] -= F(1, 3)
+            with pytest.raises(SolutionNotInCone) as info:
+                realize(example1_graph, moved)
+            assert str(info.value) == message
 
     def test_rejects_exactly_the_equation_violations(self, example1_graph):
         # The system's equations are the reference: realize must raise
