@@ -1,10 +1,15 @@
-"""Exact integer linear algebra and a tiny Bland-rule simplex.
+"""Exact integer linear algebra on sparse rows, and a tiny Bland-rule simplex.
 
-Every elimination runs on an integer tableau through one fraction-free
-Gauss-Jordan step (Edmonds 1967; Bareiss 1968), so no fraction is built
-until a witness is read off, one `Fraction(-d - rhs, d)` per basic entry.  Sizes here are small (a handful of variables
-per matching system), so the implementations favour clarity and
-determinism over asymptotics.
+A matching equation holds two or three nonzeros, so every row is a
+`{column: int}` dict of its nonzero entries.  Elimination is fraction-free
+Gauss-Jordan with first-nonzero pivoting (Edmonds 1967), and it touches
+only the rows with a nonzero in the pivot column: such a row becomes
+`p*row - row[c]*pivot_row`, for the pivot p > 0, divided by its content
+rather than by a common previous pivot as in Bareiss (1968).  Each row thus
+keeps its own positive scale, so the sign of every entry and the ratio of
+any two entries of a row are those of the rational row, whatever the other
+rows did.  No fraction is built until a witness is read off, one
+`Fraction(-a - rhs, a)` per basic entry from its row's own pivot a.
 """
 
 from __future__ import annotations
@@ -14,51 +19,76 @@ import operator
 from fractions import Fraction
 from typing import Sequence
 
+Row = dict[int, int]
+
 
 class InvariantViolation(RuntimeError):
     """An internal consistency check failed.  Raised explicitly, so the
     check also runs under `python -O`."""
 
 
-def _pivot(rows: list[list[int]], r: int, c: int, d: int) -> int:
-    """Fraction-free Gauss-Jordan step on the pivot p = rows[r][c] > 0.
+def _sparse(row: Sequence[int]) -> Row:
+    return {j: a for j, a in enumerate(map(operator.index, row)) if a}
 
-    Every other row becomes (p*row - row[c]*rows[r]) // d, where d is the
-    previous pivot; the division is exact, and every pivot column then
-    holds p, which is returned as the next d.
+
+def _eliminate(rows: list[Row], r: int, c: int, holders: Sequence[int]) -> None:
+    """Clear column c from rows[i] for each i in `holders`, the other rows
+    holding c, by the pivot row rows[r], whose entry p at c is > 0.
+
+    Each such row becomes (p*row - row[c]*rows[r]) / g, g > 0 the gcd of its
+    entries, in place; no other row is read or written.
     """
-    p, prow = rows[r][c], rows[r]
-    for i, row in enumerate(rows):
-        if i != r:
-            f = row[c]
-            rows[i] = [(p * a - f * b) // d for a, b in zip(row, prow)]
-    return p
+    prow = rows[r]
+    p = prow[c]
+    for i in holders:
+        row = rows[i]
+        f = row[c]
+        if p != 1:
+            for j in row:
+                row[j] *= p
+        for j, b in prow.items():
+            a = row.get(j, 0) - f * b
+            if a:
+                row[j] = a
+            else:
+                del row[j]
+        g = math.gcd(*row.values())
+        if g > 1:
+            rows[i] = {j: a // g for j, a in row.items()}
 
 
-def rref(matrix: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], int]:
+def rref(matrix: Sequence[Sequence[int]]) -> tuple[list[Row], list[int]]:
     """Integer reduced row echelon form with deterministic first-nonzero pivoting.
 
-    Returns the reduced rows (zero rows dropped), the pivot column list and
-    the common pivot d > 0: each pivot column holds d in its own row and 0
-    elsewhere, and the rows divided by d are the rational RREF.  Entries
-    must be integers.
+    Returns the nonzero reduced rows as sparse rows and the pivot column of
+    each: row i holds a positive entry at pivots[i] and none at the other
+    pivot columns, and divided by that entry it is row i of the rational
+    RREF.  Entries must be integers.
     """
-    rows = [[operator.index(x) for x in row] for row in matrix]
+    rows = [_sparse(row) for row in matrix]
     pivots: list[int] = []
-    d = 1
-    for c in range(len(rows[0]) if rows else 0):
+    for c in range(len(matrix[0]) if matrix else 0):
+        # The first row at or below row r holding c is the pivot row; every
+        # other row holding c is cleared.
         r = len(pivots)
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        pivot_row, holders = None, []
+        for i, row in enumerate(rows):
+            if c in row:
+                if pivot_row is None and i >= r:
+                    pivot_row = i
+                else:
+                    holders.append(i)
         if pivot_row is None:
             continue
+        # Rows r..pivot_row-1 do not hold c, so the swap moves no holder.
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         if rows[r][c] < 0:
-            rows[r] = [-x for x in rows[r]]
-        d = _pivot(rows, r, c, d)
+            rows[r] = {j: -a for j, a in rows[r].items()}
+        _eliminate(rows, r, c, holders)
         pivots.append(c)
         if len(pivots) == len(rows):
             break
-    return rows[: len(pivots)], pivots, d
+    return rows[: len(pivots)], pivots
 
 
 def rank(matrix: Sequence[Sequence[int]]) -> int:
@@ -71,17 +101,22 @@ def kernel_basis(matrix: Sequence[Sequence[int]], ncols: int) -> list[list[int]]
     Each basis vector is the primitive integer vector on its ray that is
     negative at its free column and zero at the other free columns.
     """
-    reduced, pivots, d = rref(matrix)
+    reduced, pivots = rref(matrix)
+    pivot_set = set(pivots)
     basis: list[list[int]] = []
     for f in range(ncols):
-        if f in pivots:
+        if f in pivot_set:
             continue
+        # x_f = -1 and x_c = row[f] / row[c] on each pivot row holding f,
+        # scaled to integers by the lcm of those rows' pivots.
+        holding = [(c, row) for c, row in zip(pivots, reduced) if f in row]
+        scale = math.lcm(*(row[c] for c, row in holding))
         vec = [0] * ncols
-        vec[f] = -d
-        for r, c in enumerate(pivots):
-            vec[c] = reduced[r][f]
+        vec[f] = -scale
+        for c, row in holding:
+            vec[c] = row[f] * (scale // row[c])
         g = math.gcd(*vec)
-        basis.append([x // g for x in vec])
+        basis.append([x // g for x in vec] if g > 1 else vec)
     return basis
 
 
@@ -138,50 +173,55 @@ def negative_orthant_point(rows: Sequence[Sequence[int]], ncols: int) -> list[Fr
     Substituting x = -1 - y turns the problem into A y = -A.1 with y >= 0,
     a standard-form phase 1: each row is signed so its right-hand side is
     non-negative, gets one artificial column, and a Bland-rule simplex on
-    the integer tableau minimizes the artificial sum.
+    the sparse integer tableau minimizes the artificial sum.
     """
     if ncols == 0:
         return []
     nrows = len(rows)
-    width = ncols + nrows
-    tableau: list[list[int]] = []
+    width = ncols + nrows  # the right-hand side column
+    tableau: list[Row] = []
     for i, row in enumerate(rows):
         sign = -1 if sum(row) > 0 else 1
-        line = [sign * a for a in row] + [0] * (nrows + 1)
+        line = {j: sign * a for j, a in enumerate(row) if a}
+        rhs = -sum(line.values())
         line[ncols + i] = 1
-        line[width] = -sum(line[:ncols])
+        if rhs:
+            line[width] = rhs
         tableau.append(line)
     basis = [ncols + i for i in range(nrows)]
     # The last row holds the reduced costs of the phase-1 objective (1 on
-    # artificial columns, with the artificial basis priced out), scaled by
-    # d > 0 like every other row, so their signs are those of the rationals.
-    cost = [0] * ncols + [1] * nrows + [0]
+    # artificial columns, with the artificial basis priced out), and its
+    # right-hand side is minus the objective.  Like every row it keeps a
+    # positive scale, so its signs are those of the rationals.
+    cost: Row = {}
     for line in tableau:
-        cost = [c - x for c, x in zip(cost, line)]
-    tableau.append(cost)
-    d = 1
+        for j, a in line.items():
+            if j < ncols or j == width:
+                cost[j] = cost.get(j, 0) - a
+    tableau.append({j: a for j, a in cost.items() if a})
 
     while True:
-        entering = next((j for j in range(width) if tableau[nrows][j] < 0), None)
+        entering = min((j for j, a in tableau[nrows].items() if a < 0 and j < width), default=None)
         if entering is None:
             break
+        holders = [i for i, line in enumerate(tableau) if entering in line]
         leaving = None
-        for i in range(nrows):
+        for i in holders[:-1]:  # the last holder is the cost row
             a = tableau[i][entering]
-            if a > 0 and (
-                leaving is None
+            if a > 0:
+                rhs = tableau[i].get(width, 0)
                 # rhs_i / a < rhs_l / a_l, ties to the smaller basis index.
-                or (tableau[i][width] * tableau[leaving][entering], basis[i])
-                < (tableau[leaving][width] * a, basis[leaving])
-            ):
-                leaving = i
-        d = _pivot(tableau, leaving, entering, d)
+                if leaving is None or (rhs * lead, basis[i]) < (lead_rhs * a, basis[leaving]):
+                    leaving, lead, lead_rhs = i, a, rhs
+        _eliminate(tableau, leaving, entering, [i for i in holders if i != leaving])
         basis[leaving] = entering
 
-    if tableau[nrows][width] != 0:
+    if width in tableau[nrows]:
         return None
     x = [Fraction(-1)] * ncols
-    for i, b in enumerate(basis):
+    for line, b in zip(tableau, basis):
         if b < ncols:
-            x[b] = Fraction(-d - tableau[i][width], d)
+            # y_b = rhs / a on the row's own pivot a, and x_b = -1 - y_b.
+            a = line[b]
+            x[b] = Fraction(-a - line.get(width, 0), a)
     return x

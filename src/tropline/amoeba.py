@@ -470,7 +470,8 @@ def convergence_report(
     return ConvergenceReport(
         entries=tuple(entries),
         decay_constant=sxy / sxx,
-        r_squared=1.0 if syy == 0 else sxy * sxy / (sxx * syy),
+        # Cauchy-Schwarz bounds r^2 by 1, which rounding may overshoot.
+        r_squared=1.0 if syy == 0 else min(1.0, sxy * sxy / (sxx * syy)),
         monotone=monotone,
         last_sample=sample,
     )

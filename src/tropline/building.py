@@ -52,14 +52,19 @@ class GraphInvalid(ValueError):
 
 @dataclass(frozen=True)
 class LevelCoordinate:
-    """Position in the level ladder: at level `lo`, or between `lo` and `hi`."""
+    """Position in the level ladder: at level `lo`, or between `lo` and `hi`.
+
+    `is_integer`, whether it is at a level, is stored when it is built,
+    outside ==, hash and repr."""
 
     lo: int
     hi: int
+    is_integer: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.lo < 0 or self.hi not in (self.lo, self.lo + 1):
             raise GraphInvalid(f"bad level coordinate ({self.lo}, {self.hi})")
+        object.__setattr__(self, "is_integer", self.lo == self.hi)
 
     @classmethod
     def at(cls, a: int) -> "LevelCoordinate":
@@ -68,10 +73,6 @@ class LevelCoordinate:
     @classmethod
     def between(cls, a: int) -> "LevelCoordinate":
         return cls(a, a + 1)
-
-    @property
-    def is_integer(self) -> bool:
-        return self.lo == self.hi
 
     @property
     def level(self) -> int:
@@ -141,14 +142,21 @@ class Piece:
 
 @dataclass(frozen=True)
 class NodeEdge:
+    """A bounded edge from `tail` to `head`; it stores `reversed_contact`,
+    the contact seen from the head, outside ==, hash and repr."""
+
     id: str
     tail: str
     head: str
     contact: LatticeVector
+    reversed_contact: LatticeVector = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "reversed_contact", -self.contact)
 
     def away_from(self, piece: str) -> LatticeVector:
         """The contact vector oriented away from `piece`, one of the node's ends."""
-        return self.contact if self.tail == piece else -self.contact
+        return self.contact if self.tail == piece else self.reversed_contact
 
     def other_end(self, piece: str) -> str:
         """The piece at the far side from `piece`."""
@@ -228,11 +236,11 @@ class LeveledDualGraph:
             edges = inc[p.id]
             if len(edges) != 2:
                 raise GraphInvalid(f"trivial piece {p.id} has valence {len(edges)}")
-            outgoing = [edge.away_from(p.id) for edge in edges]
-            if outgoing[0] != -outgoing[1]:
+            a, b = (edge.away_from(p.id) for edge in edges)
+            if a.x != -b.x or a.y != -b.y:
                 raise GraphInvalid(
                     f"trivial piece {p.id} is not a cylinder: contacts "
-                    f"{tuple(outgoing[0])} and {tuple(outgoing[1])}"
+                    f"{tuple(a)} and {tuple(b)}"
                 )
         if not _connected(levels, ((n.tail, n.head) for n in self.nodes)):
             raise GraphInvalid("graph is not connected")
@@ -277,13 +285,16 @@ def build_building(curve: TropicalCurve, extra_levels=()) -> Building:
         *(abs(c) for e in (*curve.segments, *curve.rays) for c in e.contact if c)
     )
     coords = [c for v in curve.vertices for c in v.position]
-    extra = [Fraction(v) for v in extra_levels]
+    extra = [_fraction(v) for v in extra_levels]
     unit, scaled = _cleared([*coords, *extra, *(s.length for s in curve.segments)], contacts)
     nc, ne = len(coords), len(extra)
     # The levels are the nonzero vertex coordinates and the extra levels,
     # which LevelStructure checks for positivity; ladder[a] is level a.
     cuts = sorted({c for c in scaled[:nc] if c}.union(scaled[nc : nc + ne]))
-    levels = LevelStructure(tuple(Fraction(c, unit) for c in cuts))
+    # Each rational is built once: the coordinates and extra levels are
+    # reused for their integers, and any other value is built on first use.
+    rationals = dict(zip(scaled[: nc + ne], (*coords, *extra)))
+    levels = LevelStructure(tuple(rationals[c] for c in cuts))
     ladder = [0, *cuts]
     # (position, trivial) per piece, vertices first: vertex k is piece k.
     pieces = [(xy, False) for xy in zip(scaled[0:nc:2], scaled[1:nc:2])]
@@ -329,11 +340,24 @@ def build_building(curve: TropicalCurve, extra_levels=()) -> Building:
             )
         ends.append((k, r.contact))
 
+    # Each level coordinate is built once per value.
+    coordinates: dict[int, LevelCoordinate] = {}
+
     def coordinate(value: int) -> LevelCoordinate:
         # Pieces of segments lie between two vertices, and pieces of rays
         # at or below the top level, so each value is in [0, top].
-        a = bisect.bisect_left(ladder, value)
-        return LevelCoordinate.at(a) if ladder[a] == value else LevelCoordinate.between(a - 1)
+        lc = coordinates.get(value)
+        if lc is None:
+            a = bisect.bisect_left(ladder, value)
+            lc = LevelCoordinate.at(a) if ladder[a] == value else LevelCoordinate.between(a - 1)
+            coordinates[value] = lc
+        return lc
+
+    def rational(value: int) -> Fraction:
+        r = rationals.get(value)
+        if r is None:
+            r = rationals[value] = Fraction(value, unit)
+        return r
 
     multilevels = [(coordinate(x), coordinate(y)) for (x, y), _ in pieces]
     order = sorted(
@@ -353,7 +377,7 @@ def build_building(curve: TropicalCurve, extra_levels=()) -> Building:
         tuple(EndEdge(f"c{rank[k]}", c) for k, c in ends),
     )
     positions = {
-        f"c{i}": (Fraction(pieces[k][0][0], unit), Fraction(pieces[k][0][1], unit))
+        f"c{i}": (rational(pieces[k][0][0]), rational(pieces[k][0][1]))
         for i, k in enumerate(order, 1)
     }
     return Building(graph, levels, positions)

@@ -201,9 +201,8 @@ def _cmd_match(args) -> int:
         out["weights"] = {
             pid: [list(row) for row in rows] for pid, rows in weights.entries.items()
         }
-        if cone.witness:
-            realized = matching.realize(graph, cone.witness)
-            out["realized"] = tropical_mod.curve_to_json(realized)
+        realized = matching.realize(graph, cone.witness)
+        out["realized"] = tropical_mod.curve_to_json(realized)
     print(json.dumps(out))
     return 0
 

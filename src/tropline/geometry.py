@@ -119,8 +119,7 @@ class LatticeVector:
         return cls(_json_typed(x, int), _json_typed(y, int))
 
     def __iter__(self) -> Iterator[int]:
-        yield self.x
-        yield self.y
+        return iter((self.x, self.y))
 
     def __add__(self, other: "LatticeVector") -> "LatticeVector":
         return LatticeVector(self.x + other.x, self.y + other.y)
@@ -199,7 +198,7 @@ def _fraction(value) -> Fraction:
 
 def _integer_direction(x, y) -> list[int]:
     """The rational point (x, y) scaled by the least common denominator."""
-    return _cleared((Fraction(x), Fraction(y)))[1]
+    return _cleared((_fraction(x), _fraction(y)))[1]
 
 
 @dataclass(frozen=True)
@@ -212,12 +211,11 @@ class QuadrantPoint:
     def __post_init__(self) -> None:
         object.__setattr__(self, "x", _fraction(self.x))
         object.__setattr__(self, "y", _fraction(self.y))
-        if self.x < 0 or self.y < 0:
+        if self.x.numerator < 0 or self.y.numerator < 0:
             raise GeometryError(f"point {self.x}, {self.y} leaves the quadrant")
 
     def __iter__(self) -> Iterator[Fraction]:
-        yield self.x
-        yield self.y
+        return iter((self.x, self.y))
 
 
 @dataclass(frozen=True)
@@ -361,7 +359,7 @@ def locate(fan: Fan, p) -> Cone:
         if cone.side(*direction) > 0:
             return cone
     raise PointOutsideSupport(
-        f"point ({Fraction(px)}, {Fraction(py)}) lies outside the fan support"
+        f"point ({_fraction(px)}, {_fraction(py)}) lies outside the fan support"
     )
 
 

@@ -23,9 +23,9 @@ returns.
 
 from __future__ import annotations
 
+from collections.abc import Collection, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Collection, Mapping, Sequence
 
 from . import _linalg
 from .building import Building, LeveledDualGraph
@@ -279,10 +279,22 @@ def solve(system: MatchingSystem) -> SolutionCone:
     formulations equivalent).  Infeasibility is a value, not an error.
     """
     nvars = len(system.variables)
-    rows = system.coefficient_rows()
+    rows = [eq.coefficients for eq in system.equations]
+    # Column j's nonzeros as (row, coefficient), so A v is summed over the
+    # support of v alone.
+    columns: dict[int, list[tuple[int, int]]] = {}
+    for i, row in enumerate(rows):
+        for j, a in enumerate(row):
+            if a:
+                columns.setdefault(j, []).append((i, a))
 
     def solves(vec) -> bool:
-        return all(sum(a * x for a, x in zip(row, vec) if a) == 0 for row in rows)
+        residual = [0] * len(rows)
+        for j, x in enumerate(vec):
+            if x:
+                for i, a in columns.get(j, ()):
+                    residual[i] += a * x
+        return not any(residual)
 
     basis = tuple(map(tuple, _linalg.kernel_basis(rows, nvars)))
     if not all(map(solves, basis)):
@@ -356,22 +368,25 @@ def _piece_positions(
     height = [0]
     for j in range(1, graph.num_levels + 1):
         height.append(height[-1] - values[index[level_var(j)]])
+    lengths = {
+        n.id: -values[index[node_var(n.id)]] for n in graph.nodes if not n.contact.is_zero()
+    }
 
     positions: dict[str, tuple[int, int]] = {}
     for pid, (lx, ly) in multilevels.items():
         if lx.is_integer and ly.is_integer:
-            positions[pid] = (height[lx.level], height[ly.level])
+            positions[pid] = (height[lx.lo], height[ly.lo])
 
-    pending = [pid for pid in positions]
+    pending = list(positions)
     while pending:
         current = pending.pop()
+        cx, cy = positions[current]
         for edge in graph.incidence[current]:
             other = edge.other_end(current)
-            if other is None or edge.contact.is_zero():
+            if other is None or edge.id not in lengths:
                 continue
-            length = -values[index[node_var(edge.id)]]
+            length = lengths[edge.id]
             dx, dy = edge.away_from(current)
-            cx, cy = positions[current]
             candidate = (cx + length * dx, cy + length * dy)
             if other in positions:
                 if positions[other] != candidate:
@@ -381,12 +396,9 @@ def _piece_positions(
             else:
                 # Integer coordinates of the reached piece must agree with
                 # the level map; check the defined ones.
-                for direction in (0, 1):
-                    lc = multilevels[other][direction]
-                    if lc.is_integer and candidate[direction] != height[lc.level]:
-                        x, y, pin = (
-                            Fraction(c, unit) for c in (*candidate, height[lc.level])
-                        )
+                for direction, lc in enumerate(multilevels[other]):
+                    if lc.is_integer and candidate[direction] != height[lc.lo]:
+                        x, y, pin = (Fraction(c, unit) for c in (*candidate, height[lc.lo]))
                         raise SolutionNotInCone(
                             f"piece {other} lands at ({x}, {y}) but its level "
                             f"pins coordinate {direction + 1} to {pin}"

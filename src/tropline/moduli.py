@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .geometry import (
     Cone,
     Fan,
     LatticeVector,
     ZERO_CONE,
+    _fraction,
     complete_fan,
     fan_from_cones,
     locate,
@@ -127,13 +127,18 @@ def _limit_type(cone: Cone) -> LimitType:
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _limit_types() -> dict[Cone, LimitType]:
+    """The limit type of each cone of the fine fan, built once."""
+    return {cone: _limit_type(cone) for cone in ionel_fan().cones}
+
+
 def classify(p, q) -> LimitType:
     """Limit type of the line family with valuations (p, q), p, q >= 0."""
-    p, q = Fraction(p), Fraction(q)
-    if p < 0 or q < 0:
+    p, q = _fraction(p), _fraction(q)
+    if p.numerator < 0 or q.numerator < 0:
         raise ValueError(f"valuations must be non-negative, got ({p}, {q})")
-    cone = locate(ionel_fan(), (p, q))
-    return _limit_type(cone)
+    return _limit_types()[locate(ionel_fan(), (p, q))]
 
 
 def blowup_sequence(coarse: Fan, fine: Fan) -> list[tuple[Cone, LatticeVector]]:
@@ -228,8 +233,7 @@ def type_table() -> list[TypeRow]:
     abstract, which lists no types, not a quote.
     """
     rows = []
-    for cone in ionel_fan().cones:
-        lt = _limit_type(cone)
+    for lt in _limit_types().values():
         kernel_dim, quotient_dim = _EXPECTED_DIMS[lt.kind]
         rows.append(
             TypeRow(

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .building import LevelStructure
-from .geometry import Fan, LatticeVector
+from .geometry import Fan, LatticeVector, _fraction
 from .tropical import BalanceReport, TropicalCurve, validate_curve
 
 __all__ = ["RenderSpec", "render_tropical", "render_fan"]
@@ -30,8 +30,8 @@ class RenderSpec:
     window: Fraction = Fraction(6)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "window", Fraction(self.window))
-        if self.window <= 0:
+        object.__setattr__(self, "window", _fraction(self.window))
+        if self.window.numerator <= 0:
             raise ValueError("window must be positive")
 
 
@@ -39,11 +39,17 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
+_LINE = '<line class="%s" x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" %s/>'
+
+
 class _Canvas:
+    """SVG lines on the window [0, window]^2; world coordinates are floats."""
+
     def __init__(self, spec: RenderSpec):
-        self.spec = spec
+        self.window = float(spec.window)
         side = float(spec.window * _SCALE)
         self.size = side + 2 * _MARGIN
+        self.top = self.size - _MARGIN
         self.lines: list[str] = []
         self.lines.append(
             '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -51,22 +57,22 @@ class _Canvas:
             f'viewBox="0 0 {_fmt(self.size)} {_fmt(self.size)}">'
         )
 
-    def map(self, x, y) -> tuple[float, float]:
-        return (_MARGIN + float(x) * _SCALE, self.size - _MARGIN - float(y) * _SCALE)
+    def map(self, x: float, y: float) -> tuple[float, float]:
+        return (_MARGIN + x * _SCALE, self.top - y * _SCALE)
 
     def line(self, a, b, cls: str, style: str) -> None:
-        (x1, y1), (x2, y2) = self.map(*a), self.map(*b)
-        self.lines.append(
-            f'<line class="{cls}" x1="{_fmt(x1)}" y1="{_fmt(y1)}" '
-            f'x2="{_fmt(x2)}" y2="{_fmt(y2)}" {style}/>'
-        )
+        (x1, y1), (x2, y2) = a, b
+        self.lines.append(_LINE % (
+            cls, _MARGIN + x1 * _SCALE, self.top - y1 * _SCALE,
+            _MARGIN + x2 * _SCALE, self.top - y2 * _SCALE, style,
+        ))
 
     def polygon(self, pts, fill: str) -> None:
         mapped = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in (self.map(*p) for p in pts))
         self.lines.append(f'<polygon class="cone" points="{mapped}" fill="{fill}"/>')
 
     def axes(self) -> None:
-        w = self.spec.window
+        w = self.window
         style = f'stroke="{_AXIS_COLOR}" stroke-width="1.5"'
         self.line((0, 0), (w, 0), "axis", style)
         self.line((0, 0), (0, w), "axis", style)
@@ -84,15 +90,15 @@ def _clip_ray(x0: float, y0: float, dx: float, dy: float, window: float):
     return t if t > 0 else None
 
 
-def _boundary_shadows(curve: TropicalCurve, report: BalanceReport):
-    """Clipped continuations of unbalanced boundary vertices.
+def _boundary_shadows(pos: dict[str, tuple[float, float]], report: BalanceReport):
+    """Clipped continuations of unbalanced boundary vertices, at the float
+    positions `pos`.
 
     A boundary vertex with outgoing contact sum d has lost an edge of
     direction -d through the quadrant boundary; its image runs along the
     boundary toward the origin.  These strokes are part of the pictures of
     limit curves.
     """
-    pos = {v.id: (float(v.position.x), float(v.position.y)) for v in curve.vertices}
     shadows = []
     for entry in report.entries:
         if entry.balanced or entry.stratum == "interior":
@@ -121,21 +127,20 @@ def render_tropical(
     levels: LevelStructure | None = None,
     spec: RenderSpec | None = None,
 ) -> str:
-    """SVG picture of a curve, with dashed level lines when `levels` given."""
+    """SVG picture of a curve, with dashed level lines when `levels` given.
+
+    Each level, vertex and window value is converted to float once.
+    """
     report = validate_curve(curve)
-    spec = spec or RenderSpec()
-    canvas = _Canvas(spec)
-    window = float(spec.window)
+    canvas = _Canvas(spec or RenderSpec())
+    window = canvas.window
     if levels is not None:
         style = f'stroke="{_LEVEL_COLOR}" stroke-width="1" stroke-dasharray="6 4"'
-        for value in levels.values:
-            v = float(value)
-            if v <= window:
-                canvas.line((value, 0), (value, spec.window), "level", style)
-        for value in levels.values:
-            v = float(value)
-            if v <= window:
-                canvas.line((0, value), (spec.window, value), "level", style)
+        values = [v for v in map(float, levels.values) if v <= window]
+        for v in values:
+            canvas.line((v, 0), (v, window), "level", style)
+        for v in values:
+            canvas.line((0, v), (window, v), "level", style)
     canvas.axes()
     style = f'stroke="{_CURVE_COLOR}" stroke-width="2.5" stroke-linecap="round"'
     pos = {v.id: (float(v.position.x), float(v.position.y)) for v in curve.vertices}
@@ -143,15 +148,11 @@ def render_tropical(
         canvas.line(pos[s.tail], pos[s.head], "curve", style)
     for r in curve.rays:
         x0, y0 = pos[r.base]
-        t = _clip_ray(x0, y0, float(r.contact.x), float(r.contact.y), window)
+        cx, cy = r.contact
+        t = _clip_ray(x0, y0, float(cx), float(cy), window)
         if t is not None:
-            canvas.line(
-                (x0, y0),
-                (x0 + t * r.contact.x, y0 + t * r.contact.y),
-                "curve",
-                style,
-            )
-    for a, b in _boundary_shadows(curve, report):
+            canvas.line((x0, y0), (x0 + t * cx, y0 + t * cy), "curve", style)
+    for a, b in _boundary_shadows(pos, report):
         if a != b:
             canvas.line(a, b, "curve", style)
     return canvas.finish()
@@ -159,9 +160,8 @@ def render_tropical(
 
 def render_fan(fan: Fan, spec: RenderSpec | None = None) -> str:
     """SVG picture of a fan: shaded cones and arrowed rays from the origin."""
-    spec = spec or RenderSpec()
-    canvas = _Canvas(spec)
-    window = float(spec.window)
+    canvas = _Canvas(spec or RenderSpec())
+    window = canvas.window
 
     def boundary_point(v: LatticeVector):
         # Rays of a fan may leave the positive window; clip on the full box.
@@ -189,8 +189,5 @@ def render_fan(fan: Fan, spec: RenderSpec | None = None) -> str:
         for sgn in (1.0, -1.0):
             bx = tx - 10 * ux + sgn * 5 * px
             by = ty - 10 * uy + sgn * 5 * py
-            canvas.lines.append(
-                f'<line class="arrow" x1="{_fmt(tx)}" y1="{_fmt(ty)}" '
-                f'x2="{_fmt(bx)}" y2="{_fmt(by)}" {style}/>'
-            )
+            canvas.lines.append(_LINE % ("arrow", tx, ty, bx, by, style))
     return canvas.finish()

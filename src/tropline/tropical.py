@@ -29,6 +29,7 @@ from .geometry import (
     QuadrantPoint,
     _cleared,
     _connected,
+    _fraction,
     parse_rational,
     rational_str,
 )
@@ -73,20 +74,20 @@ class LineFamily:
 
     p: Fraction
     q: Fraction
-    c1: complex = 1.0 + 0.0j
-    c2: complex = 1.0 + 0.0j
+    c1: complex = 1 + 0j
+    c2: complex = 1 + 0j
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "p", Fraction(self.p))
-        object.__setattr__(self, "q", Fraction(self.q))
-        if self.p < 0 or self.q < 0:
+        object.__setattr__(self, "p", _fraction(self.p))
+        object.__setattr__(self, "q", _fraction(self.q))
+        if self.p.numerator < 0 or self.q.numerator < 0:
             raise NegativeExponent(f"exponents must be >= 0, got ({self.p}, {self.q})")
         if self.c1 == 0 or self.c2 == 0:
             raise ValueError("coefficients must be nonzero")
 
     @classmethod
-    def of(cls, p, q, c1: complex = 1.0, c2: complex = 1.0) -> "LineFamily":
-        return cls(Fraction(p), Fraction(q), complex(c1), complex(c2))
+    def of(cls, p, q, c1: complex = 1, c2: complex = 1) -> "LineFamily":
+        return cls(_fraction(p), _fraction(q), complex(c1), complex(c2))
 
 
 @dataclass(frozen=True)
@@ -172,6 +173,9 @@ def curves_equal(a: TropicalCurve, b: TropicalCurve) -> bool:
     return a.canonical() == b.canonical()
 
 
+_E10, _E01, _E11 = LatticeVector(1, 0), LatticeVector(0, 1), LatticeVector(1, 1)
+
+
 def tropicalize_line(family: LineFamily) -> TropicalCurve:
     """Corner locus of min(q + X, p + Y, p + q) inside the quadrant.
 
@@ -183,15 +187,14 @@ def tropicalize_line(family: LineFamily) -> TropicalCurve:
       emits the two rays.  The boundary vertex is the origin when p == q.
     """
     p, q = family.p, family.q
-    e10, e01 = LatticeVector(1, 0), LatticeVector(0, 1)
     if p == 0 or q == 0:
         v0 = Vertex("v0", QuadrantPoint(p, q))
-        return TropicalCurve((v0,), (), (Ray("v0", e10), Ray("v0", e01)))
+        return TropicalCurve((v0,), (), (Ray("v0", _E10), Ray("v0", _E01)))
     m = min(p, q)
     v0 = Vertex("v0", QuadrantPoint(p - m, q - m))
     v1 = Vertex("v1", QuadrantPoint(p, q))
-    seg = Segment("v0", "v1", LatticeVector(1, 1), m)
-    return TropicalCurve((v0, v1), (seg,), (Ray("v1", e10), Ray("v1", e01)))
+    seg = Segment("v0", "v1", _E11, m)
+    return TropicalCurve((v0, v1), (seg,), (Ray("v1", _E10), Ray("v1", _E01)))
 
 
 def corner_locus_oracle(
@@ -271,25 +274,31 @@ def validate_curve(curve: TropicalCurve) -> BalanceReport:
     never rejected.
     """
     curve.validate()
-    sums = {v.id: LatticeVector(0, 0) for v in curve.vertices}
+    sums = {v.id: [0, 0] for v in curve.vertices}
     for s in curve.segments:
-        sums[s.tail] = sums[s.tail] + s.contact
-        sums[s.head] = sums[s.head] - s.contact
+        tail, head = sums[s.tail], sums[s.head]
+        tail[0] += s.contact.x
+        tail[1] += s.contact.y
+        head[0] -= s.contact.x
+        head[1] -= s.contact.y
     for r in curve.rays:
-        sums[r.base] = sums[r.base] + r.contact
+        total = sums[r.base]
+        total[0] += r.contact.x
+        total[1] += r.contact.y
     entries = []
     for v in curve.vertices:
-        x, y = v.position.x, v.position.y
-        if x > 0 and y > 0:
+        # A QuadrantPoint holds no negative coordinate.
+        x, y = v.position.x.numerator, v.position.y.numerator
+        if x and y:
             stratum = "interior"
-        elif x > 0:
+        elif x:
             stratum = "x-axis"
-        elif y > 0:
+        elif y:
             stratum = "y-axis"
         else:
             stratum = "origin"
-        total = sums[v.id]
-        entries.append(VertexBalance(v.id, total, stratum, total.is_zero()))
+        sx, sy = sums[v.id]
+        entries.append(VertexBalance(v.id, LatticeVector(sx, sy), stratum, sx == sy == 0))
     return BalanceReport(tuple(entries))
 
 

@@ -492,6 +492,13 @@ class TestConvergence:
         for n, _ in report.entries:
             assert len(sample_amoeba(family, n, 20000).points) == 20000
 
+    def test_two_bases_fit_exactly(self):
+        # Two bases fit a line exactly, and the closed form rounds to
+        # 1.0000000000000002 on this ladder (`trop amoeba --p 1 --q 2
+        # --n 1e3,1e4`) unless it is kept at or below 1.
+        report = convergence_report(fam(1, 2), [1e3, 1e4], 2000, 4.0)
+        assert report.r_squared == 1.0
+
     def test_ladder_builds_one_polyline(self, monkeypatch):
         polylines = []
 

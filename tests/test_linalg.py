@@ -1,6 +1,9 @@
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +11,8 @@ from tropline import _linalg
 from tropline.building import build_building
 from tropline.matching import build_system
 from tropline.tropical import LineFamily, tropicalize_line
+
+GOLDENS = Path(__file__).parent / "goldens"
 
 
 def fourier_motzkin_feasible(rows, rhs) -> bool:
@@ -47,16 +52,31 @@ def fraction_rref(matrix):
     return rows[: len(pivots)], pivots
 
 
+def rational_rows(rows, pivots, ncols):
+    """Sparse reduced rows as the rational RREF: each divided by its pivot."""
+    return [[F(row.get(j, 0), row[c]) for j in range(ncols)] for row, c in zip(rows, pivots)]
+
+
 def test_rref_identifies_pivots():
-    rows, pivots, d = _linalg.rref([[0, 2, 4], [1, 1, 1]])
-    assert pivots == [0, 1] and d > 0
-    assert [[F(x, d) for x in r] for r in rows] == [[F(1), F(0), F(-1)], [F(0), F(1), F(2)]]
-    # A negative pivot is negated, so the common pivot stays positive.
-    rows, pivots, d = _linalg.rref([[-2, 1], [4, 3]])
-    assert pivots == [0, 1] and d > 0 and rows == [[d, 0], [0, d]]
+    rows, pivots = _linalg.rref([[0, 2, 4], [1, 1, 1]])
+    assert pivots == [0, 1] and all(row[c] > 0 for row, c in zip(rows, pivots))
+    assert rational_rows(rows, pivots, 3) == [[F(1), F(0), F(-1)], [F(0), F(1), F(2)]]
+    # A negative pivot is negated, so each row's pivot stays positive; rows
+    # are divided by their content and hold only their nonzero entries.
+    rows, pivots = _linalg.rref([[-2, 1], [4, 3]])
+    assert pivots == [0, 1] and rows == [{0: 1}, {1: 1}]
     # Non-integer entries raise instead of being truncated.
     with pytest.raises(TypeError):
         _linalg.rref([[F(1, 2), 1]])
+
+
+def test_elimination_keeps_each_row_scale():
+    rows = [{0: 2, 1: -1}, {0: 4, 1: 3}, {1: 5}]
+    untouched = rows[2]
+    _linalg._eliminate(rows, 0, 0, [1])
+    # 2 * (4, 3) - 4 * (2, -1) = (0, 10), divided by its content 10; the
+    # pivot row keeps its scale 2, and a row not holding column 0 is not read.
+    assert rows == [{0: 2, 1: -1}, {1: 1}, {1: 5}] and rows[2] is untouched
 
 
 def test_kernel_basis_simple():
@@ -109,9 +129,9 @@ def random_matrices(count):
 def test_integer_elimination_against_fractions():
     for matrix, ncols in list(random_matrices(300)) + list(building_systems()):
         expected, pivots = fraction_rref(matrix)
-        rows, got_pivots, d = _linalg.rref(matrix)
-        assert got_pivots == pivots and d > 0, matrix
-        assert [[F(x, d) for x in r] for r in rows] == expected, matrix
+        rows, got_pivots = _linalg.rref(matrix)
+        assert got_pivots == pivots and all(r[c] > 0 for r, c in zip(rows, pivots)), matrix
+        assert rational_rows(rows, pivots, len(matrix[0]) if matrix else 0) == expected, matrix
         assert _linalg.rank(matrix) == len(pivots)
         basis = _linalg.kernel_basis(matrix, ncols)
         free = [f for f in range(ncols) if f not in pivots]
@@ -126,6 +146,70 @@ def test_integer_elimination_against_fractions():
             for r, c in enumerate(pivots):
                 ref[c] = -expected[r][f]
             assert vec == [vec[f] * x for x in ref], matrix
+
+
+# The seven rays of the fine moduli fan, in angular order from the p axis.
+FAN_RAYS = ((1, 0), (2, 1), (3, 2), (1, 1), (2, 3), (1, 2), (0, 1))
+
+
+def sweep_families(seed: int, rounds: int = 10):
+    """The families of the benchmark's `sweep` workload for `seed`: per round
+    the origin, a point on each fine-fan ray and one inside each cone
+    between neighbouring rays, one of each of the 14 limit types."""
+    rng = random.Random(seed)
+
+    def scale(top: int) -> F:
+        return F(rng.randint(1, top), rng.choice((1, 2, 3, 4)))
+
+    for _ in range(rounds):
+        yield F(0), F(0)
+        for a, b in FAN_RAYS:
+            t = scale(12)
+            yield a * t, b * t
+        for (a1, b1), (a2, b2) in zip(FAN_RAYS, FAN_RAYS[1:]):
+            s, t = scale(6), scale(6)
+            yield a1 * s + a2 * t, b1 * s + b2 * t
+
+
+def linalg_grid_systems():
+    """500 seeded random systems (0-6 rows, 1-8 columns, entries +-1..3 at
+    densities 0.3, 0.6 and 1), then the 140 matching systems of `sweep`
+    seed 1."""
+    rng = random.Random(113)
+    for _ in range(500):
+        ncols, nrows = rng.randint(1, 8), rng.randint(0, 6)
+        density = rng.choice((0.3, 0.6, 1.0))
+        yield [
+            [rng.choice((-1, 1)) * rng.randint(1, 3) if rng.random() < density else 0
+             for _ in range(ncols)]
+            for _ in range(nrows)
+        ], ncols
+    for p, q in sweep_families(1):
+        system = build_system(build_building(tropicalize_line(LineFamily(p, q))).graph)
+        yield system.coefficient_rows(), len(system.variables)
+
+
+def linalg_grid_lines() -> list[str]:
+    """One JSON line per system of `linalg_grid_systems`: its rows, kernel
+    basis, rank and witness (null when infeasible)."""
+    lines = []
+    for rows, ncols in linalg_grid_systems():
+        witness = _linalg.negative_orthant_point(rows, ncols)
+        lines.append(json.dumps({
+            "rows": rows,
+            "ncols": ncols,
+            "basis": _linalg.kernel_basis(rows, ncols),
+            "rank": _linalg.rank(rows),
+            "witness": None if witness is None else [str(x) for x in witness],
+        }))
+    return lines
+
+
+def test_grid_pinned():
+    """`goldens/linalg-grid.txt` pins the basis, rank and witness of every
+    system of `linalg_grid_systems`."""
+    golden = (GOLDENS / "linalg-grid.txt").read_text().splitlines()
+    assert linalg_grid_lines() == golden
 
 
 def test_rank_and_row_span():
@@ -193,6 +277,26 @@ def test_negative_orthant_against_fourier_motzkin():
         assert (x is not None) == expected, rows
         if x is not None:
             assert solves_strictly(rows, x), rows
+
+
+def test_large_refined_system():
+    """`(40, 27)` cut at 100 half-integer levels: 267 variables and 192
+    equations, 386 nonzeros.  The basis and witness are pinned by digest."""
+    curve = tropicalize_line(LineFamily(40, 27))
+    graph = build_building(curve, extra_levels=[F(2 * k + 1, 2) for k in range(100)]).graph
+    system = build_system(graph)
+    rows, ncols = system.coefficient_rows(), len(system.variables)
+    assert (ncols, len(rows)) == (267, 192)
+    assert _linalg.rank(rows) == 192
+    basis = _linalg.kernel_basis(rows, ncols)
+    assert len(basis) == 75
+    for vec in basis:
+        assert math.gcd(*vec) == 1
+        assert all(sum(a * v for a, v in zip(row, vec) if a) == 0 for row in rows)
+    witness = _linalg.negative_orthant_point(rows, ncols)
+    assert witness is not None and solves_strictly(rows, witness)
+    digest = hashlib.sha256(json.dumps([basis, [str(x) for x in witness]]).encode())
+    assert digest.hexdigest() == "a4798a46accd472704620c67174a4e36cd7e883ca011769ab5789912d0dbca3a"
 
 
 def test_lattice_canonical_invariance():

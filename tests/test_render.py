@@ -1,8 +1,9 @@
+import hashlib
 from fractions import Fraction as F
 from pathlib import Path
 from xml.etree import ElementTree
 
-from tropline.building import extract_levels
+from tropline.building import build_building, extract_levels
 from tropline.moduli import exploded_fan, ionel_fan
 from tropline.render import RenderSpec, render_fan, render_tropical
 from tropline.geometry import Fan
@@ -15,6 +16,28 @@ def curve_svg(p, q, window=6) -> str:
     curve = tropicalize_line(LineFamily.of(p, q))
     levels = extract_levels(curve)
     return render_tropical(curve, levels, RenderSpec(window=F(window)))
+
+
+GRID_VALUES = ("0", "1/3", "1/2", "1", "3/2", "2", "5/2", "3", "4", "7")
+
+
+def render_grid_lines() -> list[str]:
+    """`p q window sha256` per SVG: each family of GRID_VALUES^2 drawn with
+    its building's levels at window p + q + 2 and at window 3/2, and with no
+    levels at the default window ("none")."""
+    lines = []
+    for p in map(F, GRID_VALUES):
+        for q in map(F, GRID_VALUES):
+            curve = tropicalize_line(LineFamily(p, q))
+            levels = build_building(curve).levels
+            for window, svg in (
+                (p + q + 2, render_tropical(curve, levels, RenderSpec(window=p + q + 2))),
+                (F(3, 2), render_tropical(curve, levels, RenderSpec(window=F(3, 2)))),
+                ("none", render_tropical(curve)),
+            ):
+                digest = hashlib.sha256(svg.encode()).hexdigest()
+                lines.append(f"{p} {q} {window} {digest}")
+    return lines
 
 
 class TestRenderTropical:
@@ -43,6 +66,11 @@ class TestRenderTropical:
         # The (2,2) curve starts at the origin: nothing collapses along an axis.
         doc = curve_svg(2, 2)
         assert doc.count('class="curve"') == 3
+
+    def test_grid_pinned(self):
+        """`goldens/render-grid.txt` pins every SVG of `render_grid_lines`."""
+        golden = (GOLDENS / "render-grid.txt").read_text().splitlines()
+        assert render_grid_lines() == golden
 
     def test_axis_case_boundary_run(self):
         # The (3,0) vertex sits on the x-axis: one run back to the origin.
