@@ -13,8 +13,9 @@ fractions are built only for the public `Building.positions` and levels.  It
 names the pieces c1, c2, ... by one sort on their level coordinates and
 position.
 A `LeveledDualGraph` checks its references and its geometry (orientation,
-cylinders, connectivity) when it is built, so `build_building` and
-`graph_from_json` return only valid graphs.  It keeps the tables it was
+contact signs, zero contacts, cylinders, connectivity) when it is built, so
+`build_building` and `graph_from_json` return only valid graphs, and the
+matching layer checks nothing about a graph.  It keeps the tables it was
 checked with, the multilevel and the incident edges of each piece, and the
 matching layer reads those instead of building its own.
 """
@@ -179,8 +180,20 @@ class EndEdge:
 
 @dataclass(frozen=True)
 class LeveledDualGraph:
-    """Pieces joined by nodes, with ends for the unbounded edges; building
-    one checks its references and its geometry, so a graph in hand is valid.
+    """Pieces joined by nodes, with ends for the unbounded edges.  Building
+    one checks its references and these conditions, so a graph in hand has
+    them all, as every graph of `build_building` does:
+
+    - a node runs upward, tail to head, in each direction of its contact;
+    - every node and end has a nonzero contact with no negative component;
+    - a node whose contact is 0 in a direction joins two pieces with the
+      same level coordinate in that direction;
+    - a trivial piece is a two-valent cylinder: its two contacts, oriented
+      away from it, are opposite;
+    - a nontrivial piece sits at a level in both directions, and a graph
+      with pieces has one;
+    - the nodes connect the pieces.
+
     It keeps the check's tables, read-only and outside ==, hash and repr:
     `multilevels`, the levels by piece id, and `incidence`, per piece its
     nodes, then its ends (a node joining a piece to itself is listed twice)."""
@@ -244,6 +257,28 @@ class LeveledDualGraph:
                 )
         if not _connected(levels, ((n.tail, n.head) for n in self.nodes)):
             raise GraphInvalid("graph is not connected")
+        named = [(f"node {n.id}", n.contact) for n in self.nodes]
+        named += [(f"end from {e.piece}", e.contact) for e in self.ends]
+        for name, c in named:
+            if c.is_zero() or c.x < 0 or c.y < 0:
+                raise GraphInvalid(
+                    f"{name} has contact ({c.x}, {c.y}), not nonzero with no negative component"
+                )
+        for n in self.nodes:
+            for i, (ci, lt, lh) in enumerate(zip(n.contact, levels[n.tail], levels[n.head])):
+                if ci == 0 and lt != lh:
+                    raise GraphInvalid(
+                        f"node {n.id} has zero contact in direction {i + 1} "
+                        f"but joins level coordinates {lt} and {lh}"
+                    )
+        for p in self.pieces:
+            if not p.trivial and not (p.levels[0].is_integer and p.levels[1].is_integer):
+                raise GraphInvalid(
+                    f"nontrivial piece {p.id} at ({p.levels[0]}, {p.levels[1]}) "
+                    "is between levels"
+                )
+        if self.pieces and all(p.trivial for p in self.pieces):
+            raise GraphInvalid("every piece is trivial")
         object.__setattr__(self, "multilevels", levels)
         object.__setattr__(self, "incidence", {pid: tuple(edges) for pid, edges in inc.items()})
 

@@ -283,7 +283,7 @@ def _cmd_amoeba(args) -> int:
 def _cmd_render(args) -> int:
     graph = building_mod.graph_from_json(_read_json(args.graph))
     cone = matching.solve(matching.build_system(graph))
-    if not cone.feasible or not cone.witness:
+    if not cone.feasible:
         raise ValueError("graph has no strictly negative solution to realize")
     curve = matching.realize(graph, cone.witness)
     levels = building_mod.extract_levels(curve)

@@ -1,19 +1,20 @@
 """The matching linear system of a leveled dual graph, and its exact solutions.
 
-Variables are one alpha(y) per node y with nonzero contact vector plus one
-alpha_j per positive level j.  For each coordinate direction, every maximal
-chain of nodes joining two pieces with well-defined (integer) level in that
-direction, passing only through between-level pieces, contributes one
-homogeneous equation
+Variables are one alpha(y) per node y plus one alpha_j per positive level
+j.  For each coordinate direction, every maximal chain of nodes joining two
+pieces with well-defined (integer) level in that direction, passing only
+through between-level pieces, contributes one homogeneous equation
 
     s * (alpha(y_1) + ... + alpha(y_k)) = alpha_{a+1} + ... + alpha_b
 
-where s is the absolute contact component of the chain in that direction
-and a <= b are the two anchor levels; `build_system` walks each chain once,
-on the graph's own tables.  A strictly negative solution is
-exactly the data of a tropical curve realizing the graph: levels sit at
+where s is the contact component of the chain in that direction and a <= b
+are the two anchor levels; `build_system` walks each chain once, on the
+graph's own tables.  A strictly negative solution is exactly the data of a
+tropical curve realizing the graph: levels sit at
 phi(a) = -(alpha_1 + ... + alpha_a) and a node y becomes an edge fragment
-of length -alpha(y).
+of length -alpha(y).  The graph's constructor has checked everything these
+functions need of its shape, so none of them raises on a graph; they reject
+only solutions and cones that do not fit it.
 
 Solutions are handled as integer vectors: `solve` checks its witness w on
 the cleared vector (A w = 0, w <= -unit), and `realize` clears the
@@ -29,13 +30,10 @@ from fractions import Fraction
 
 from . import _linalg
 from .building import Building, LeveledDualGraph
-from .geometry import LatticeVector, QuadrantPoint, _cleared, _fraction
+from .geometry import QuadrantPoint, _cleared, _fraction
 from .tropical import Ray, Segment, TropicalCurve, Vertex
 
 __all__ = [
-    "AmbiguousChain",
-    "InconsistentZeroContact",
-    "ChainContactMismatch",
     "InfeasibleCone",
     "SolutionNotInCone",
     "Equation",
@@ -52,18 +50,6 @@ __all__ = [
     "realize",
     "building_solution",
 ]
-
-
-class AmbiguousChain(ValueError):
-    """A between-level piece cannot be traversed unambiguously."""
-
-
-class InconsistentZeroContact(ValueError):
-    """A zero contact component spans a nonzero level gap."""
-
-
-class ChainContactMismatch(ValueError):
-    """Nodes of one trivial-cylinder chain carry different contact vectors."""
 
 
 class InfeasibleCone(ValueError):
@@ -154,9 +140,9 @@ class WeightTable:
 
 
 def _variable_index(graph: LeveledDualGraph) -> dict[str, int]:
-    """The system's variables in order, nonzero-contact nodes then levels,
-    each mapped to its place; `tuple(index)` is the variable tuple."""
-    names = [node_var(n.id) for n in graph.nodes if not n.contact.is_zero()]
+    """The system's variables in order, nodes then levels, each mapped to
+    its place; `tuple(index)` is the variable tuple."""
+    names = [node_var(n.id) for n in graph.nodes]
     names += [level_var(j) for j in range(1, graph.num_levels + 1)]
     return {name: i for i, name in enumerate(names)}
 
@@ -164,13 +150,13 @@ def _variable_index(graph: LeveledDualGraph) -> dict[str, int]:
 def build_system(graph: LeveledDualGraph) -> MatchingSystem:
     """Generate the minimal per-direction chain equations of a graph.
 
-    Nodes with zero contact vector carry no variable and no equation.  A
-    chain that runs into an end (no anchor on that side) contributes
-    nothing; its constraints are implied by the anchored chains.  A node lies
+    A chain that runs into an end (no anchor on that side) contributes
+    nothing; its constraints are implied by the anchored chains.  A node
+    whose contact is 0 in a direction joins two pieces with the same level
+    coordinate there, so it lies on no chain of that direction.  A node lies
     on at most one anchored chain per direction, so the nodes of each chain
     walked to an anchor are marked, and a marked node starts no walk.
     """
-    active_nodes = [n for n in graph.nodes if not n.contact.is_zero()]
     index = _variable_index(graph)
     multilevels = graph.multilevels
 
@@ -180,93 +166,50 @@ def build_system(graph: LeveledDualGraph) -> MatchingSystem:
             return multilevels[piece_id][direction].is_integer
 
         walked: set[str] = set()
-        for node in active_nodes:
-            for anchor_side in (node.tail, node.head):
-                if node.id in walked or not anchored(anchor_side):
+        for node in graph.nodes:
+            s = (node.contact.x, node.contact.y)[direction]
+            if not s:
+                continue
+            for anchor in (node.tail, node.head):
+                if node.id in walked or not anchored(anchor):
                     continue
-                chain, terminal = _walk_chain(graph.incidence, anchor_side, node, anchored)
-                if not isinstance(terminal, str):
+                chain, terminal = _walk_chain(graph.incidence, anchor, node, anchored)
+                if terminal is None:
                     continue  # ran into an end: no equation
-                walked.update(n.id for n in chain)
-                equation = _chain_equation(
-                    chain, anchor_side, terminal, multilevels, direction, index
-                )
-                if equation is not None:
-                    equations.append(equation)
+                ids = tuple(n.id for n in chain)
+                walked.update(ids)
+                a, b = sorted(multilevels[p][direction].level for p in (anchor, terminal))
+                coeffs = [0] * len(index)
+                for node_id in ids:
+                    coeffs[index[node_var(node_id)]] += s
+                for j in range(a + 1, b + 1):
+                    coeffs[index[level_var(j)]] -= 1
+                equations.append(Equation(tuple(coeffs), direction + 1, ids, (a, b)))
     return MatchingSystem(variables=tuple(index), equations=tuple(equations))
 
 
 def _walk_chain(incidence, start, first_node, stop):
-    """Follow bivalent pieces from `start` across `first_node` until `stop`.
+    """Follow trivial pieces from `start` across `first_node` until `stop`.
 
     Returns (chain nodes, terminal): the terminal is the id of the first
-    piece with `stop(piece_id)`, or the end or zero-contact node the walk
-    ran into.
+    piece with `stop(piece_id)`, or None when the walk runs into an end.
+    Every piece it passes is trivial, since a nontrivial piece sits at a
+    level in both directions and `realize` keeps it.  A trivial piece is a
+    two-valent cylinder, so the walk never branches or closes a cycle, and,
+    as no contact has a negative component, every node of the chain has the
+    contact of the first.
     """
     chain = [first_node]
     current = first_node.other_end(start)
-    visited = {start, current}
     while not stop(current):
-        edges = incidence[current]
-        if len(edges) != 2:
-            raise AmbiguousChain(
-                f"piece {current} inside a chain has valence {len(edges)}"
-            )
         # The walk entered `current` from another piece, so `chain[-1]` is
         # listed once and the other edge is the way on.
-        nxt = next(e for e in edges if e is not chain[-1])
-        following = nxt.other_end(current)
-        if following is None or nxt.contact.is_zero():
-            return chain, nxt
+        nxt = next(e for e in incidence[current] if e is not chain[-1])
+        current = nxt.other_end(current)
+        if current is None:
+            return chain, None
         chain.append(nxt)
-        current = following
-        if current in visited:
-            raise AmbiguousChain(f"cycle of between-level pieces at {current}")
-        visited.add(current)
     return chain, current
-
-
-def _oriented_chain(chain, start: str) -> list[LatticeVector]:
-    """Contact vectors of a walked chain, each oriented along the walk."""
-    oriented = []
-    for node in chain:
-        oriented.append(node.away_from(start))
-        start = node.other_end(start)
-    return oriented
-
-
-def _chain_equation(chain, anchor, terminal, multilevels, direction, index):
-    # Demand one common contact vector along the walk.
-    oriented = _oriented_chain(chain, anchor)
-    common = oriented[0]
-    for c in oriented[1:]:
-        if c != common:
-            raise ChainContactMismatch(
-                f"chain {[n.id for n in chain]} mixes contacts "
-                f"{tuple(common)} and {tuple(c)}"
-            )
-    s = abs((common.x, common.y)[direction])
-    a = multilevels[anchor][direction].level
-    b = multilevels[terminal][direction].level
-    a, b = min(a, b), max(a, b)
-    if s == 0:
-        if a != b:
-            raise InconsistentZeroContact(
-                f"chain {[n.id for n in chain]} has zero contact in direction "
-                f"{direction + 1} across levels {a}..{b}"
-            )
-        return None
-    coeffs = [0] * len(index)
-    for node in chain:
-        coeffs[index[node_var(node.id)]] += s
-    for j in range(a + 1, b + 1):
-        coeffs[index[level_var(j)]] -= 1
-    return Equation(
-        coefficients=tuple(coeffs),
-        direction=direction + 1,
-        chain=tuple(n.id for n in chain),
-        levels=(a, b),
-    )
 
 
 def solve(system: MatchingSystem) -> SolutionCone:
@@ -359,18 +302,17 @@ def _piece_positions(
     """Positions of all pieces induced by an integer solution vector.
 
     Fully-integer pieces sit at their level-map values; the rest are reached
-    by propagating edge displacements.  Any inconsistency means the vector
-    does not solve the system.  The values count `1/unit`, and so do the
-    positions; messages give the rational values.
+    by propagating edge displacements, and every piece is, since the graph
+    is connected and a nontrivial piece is fully integer.  Any inconsistency
+    means the vector does not solve the system.  The values count `1/unit`,
+    and so do the positions; messages give the rational values.
     """
     multilevels = graph.multilevels
     # Level a sits at height[a] = -(alpha_1 + ... + alpha_a).
     height = [0]
     for j in range(1, graph.num_levels + 1):
         height.append(height[-1] - values[index[level_var(j)]])
-    lengths = {
-        n.id: -values[index[node_var(n.id)]] for n in graph.nodes if not n.contact.is_zero()
-    }
+    lengths = {n.id: -values[index[node_var(n.id)]] for n in graph.nodes}
 
     positions: dict[str, tuple[int, int]] = {}
     for pid, (lx, ly) in multilevels.items():
@@ -383,7 +325,7 @@ def _piece_positions(
         cx, cy = positions[current]
         for edge in graph.incidence[current]:
             other = edge.other_end(current)
-            if other is None or edge.id not in lengths:
+            if other is None:
                 continue
             length = lengths[edge.id]
             dx, dy = edge.away_from(current)
@@ -405,9 +347,6 @@ def _piece_positions(
                         )
                 positions[other] = candidate
                 pending.append(other)
-    missing = [pid for pid in multilevels if pid not in positions]
-    if missing:
-        raise SolutionNotInCone(f"pieces {missing} have no determined position")
     return positions
 
 
@@ -450,11 +389,6 @@ def realize(
     unit, values = _cleared(_solution_values(solution, index))
     if any(v >= 0 for v in values):
         raise SolutionNotInCone("solution must be strictly negative in every coordinate")
-    for node in graph.nodes:
-        if node.contact.is_zero():
-            raise SolutionNotInCone(
-                f"node {node.id} has zero contact and admits no realized edge"
-            )
     # Every node displacement and every integer coordinate is checked here,
     # which implies each chain equation of the system.
     positions = _piece_positions(graph, values, index, unit)
@@ -462,8 +396,6 @@ def realize(
     # Merged pieces are trivial, so two-valent cylinders: a chain through
     # them keeps one contact vector and becomes one segment or ray.
     keep = {p.id for p in graph.pieces if keep_trivial or not p.trivial}
-    if not keep:
-        keep = {p.id for p in graph.pieces}  # purely trivial graph: keep everything
     incidence = graph.incidence
     vertex_ids = {pid: f"v{i}" for i, pid in enumerate(p.id for p in graph.pieces if p.id in keep)}
     vertices = tuple(
@@ -489,13 +421,12 @@ def realize(
                 continue
             chain, terminal = _walk_chain(incidence, start, edge, vertex_ids.__contains__)
             visited_edges.update(id(e) for e in chain)
-            if isinstance(terminal, str):
+            if terminal is None:
+                rays.append(Ray(vertex_ids[start], contact))
+            else:
                 total = -sum(values[index[node_var(e.id)]] for e in chain)
                 length = Fraction(total, unit)
                 segments.append(Segment(vertex_ids[start], vertex_ids[terminal], contact, length))
-            else:
-                visited_edges.add(id(terminal))
-                rays.append(Ray(vertex_ids[start], contact))
 
     return TropicalCurve(vertices, tuple(segments), tuple(rays))
 
@@ -512,8 +443,6 @@ def building_solution(building: Building) -> dict[str, Fraction]:
     for j in range(1, levels.m + 1):
         values[level_var(j)] = levels.phi(j - 1) - levels.phi(j)
     for node in building.graph.nodes:
-        if node.contact.is_zero():
-            continue
         tx, ty = building.positions[node.tail]
         hx, hy = building.positions[node.head]
         if node.contact.x != 0:

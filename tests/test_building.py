@@ -279,3 +279,84 @@ class TestGraphTables:
         assert all(
             a is b for pid, edges in incidence.items() for a, b in zip(edges, g.incidence[pid])
         )
+
+
+def _edited(doc, edits):
+    """`doc` with `edits[section][i]` merged into entry i of each section
+    given as a dict, where an index one past the end appends the entry, and
+    with each other section replaced."""
+    for section, entries in edits.items():
+        if not isinstance(entries, dict):
+            doc[section] = entries
+            continue
+        for i, fields in entries.items():
+            if i == len(doc[section]):
+                doc[section].append({})
+            doc[section][i].update(fields)
+    return doc
+
+
+_CONTACT_RULE = "not nonzero with no negative component"
+
+
+class TestGraphBoundary:
+    @pytest.mark.parametrize(
+        "edits, message",
+        [
+            pytest.param(
+                {"ends": {0: {"contact": [0, 0]}}},
+                f"end from c4 has contact (0, 0), {_CONTACT_RULE}",
+                id="zero-end",
+            ),
+            pytest.param(
+                {"ends": {0: {"contact": [1, -1]}}},
+                f"end from c4 has contact (1, -1), {_CONTACT_RULE}",
+                id="end-leaving-the-quadrant",
+            ),
+            pytest.param(
+                {"nodes": {4: {"id": "m4", "tail": "c4", "head": "c4", "contact": [0, 0]}}},
+                f"node m4 has contact (0, 0), {_CONTACT_RULE}",
+                id="zero-node",
+            ),
+            # The levels of n4 rise from c4 to c5 in direction 2, so it does
+            # not run downward, but its contact points down.
+            pytest.param(
+                {"pieces": {4: {"trivial": False}}, "nodes": {3: {"contact": [0, -2]}}},
+                f"node n4 has contact (0, -2), {_CONTACT_RULE}",
+                id="negative-node",
+            ),
+            pytest.param(
+                {"pieces": {4: {"levels": [{"between": [2, 3]}, {"at": 3}]}}},
+                "node n4 has zero contact in direction 1 but joins level coordinates 3 and 2..3",
+                id="zero-contact-into-between",
+            ),
+            pytest.param(
+                {"pieces": {1: {"trivial": False}}},
+                "nontrivial piece c2 at (1..2, 1) is between levels",
+                id="nontrivial-between-levels",
+            ),
+            # A cycle of two cylinders between levels 0 and 1: no piece has
+            # a position that the levels fix.
+            pytest.param(
+                {
+                    "num_levels": 1,
+                    "pieces": [
+                        {"id": c, "levels": [{"between": [0, 1]}, {"at": 0}], "trivial": True}
+                        for c in ("c1", "c2")
+                    ],
+                    "nodes": [
+                        {"id": "n1", "tail": "c1", "head": "c2", "contact": [1, 0]},
+                        {"id": "n2", "tail": "c2", "head": "c1", "contact": [1, 0]},
+                    ],
+                    "ends": [],
+                },
+                "every piece is trivial",
+                id="every-piece-trivial",
+            ),
+        ],
+    )
+    def test_constructor_rejects(self, example1_path, edits, message):
+        doc = _edited(json.loads(example1_path.read_text()), edits)
+        with pytest.raises(GraphInvalid) as info:
+            graph_from_json(doc)
+        assert str(info.value) == message

@@ -16,8 +16,9 @@ from hypothesis import given, settings, strategies as st
 
 from tropline import amoeba
 from tropline.amoeba import sample_amoeba, sample_domain
-from tropline.building import graph_from_json
+from tropline.building import GraphInvalid, graph_from_json
 from tropline.cli import main
+from tropline.matching import build_system, realize, solve, torus_weights
 from tropline.tropical import (
     LineFamily,
     curve_from_json,
@@ -352,6 +353,17 @@ class TestSvgAndCsv:
         assert code == 0
         assert path.read_text().startswith("<svg")
 
+    def test_render_graph_with_no_variables(self, capsys, tmp_path):
+        # The one-piece building of (0, 0) has no node and no level, so its
+        # feasible witness is empty; it still realizes and renders.
+        graph, svg = tmp_path / "g.json", tmp_path / "g.svg"
+        code, out, _ = run(capsys, "building", "--p", "0", "--q", "0", "--json")
+        assert code == 0
+        graph.write_text(out)
+        code, out, err = run(capsys, "render", "--graph", str(graph), "--svg", str(svg))
+        assert (code, out, err) == (0, f"wrote {svg}\n", "")
+        assert svg.read_text().startswith("<svg")
+
     def test_unreadable_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "match", "--graph", str(tmp_path / "missing.json"))
         assert code == 2 and err
@@ -466,8 +478,8 @@ class TestInvariantChecks:
         violation exits 3.  Curves, graphs, cones and fans still check
         themselves when they are built, a curve's `validate()` still checks
         the segment identity, `build_building` rejects a non-positive extra
-        level, a chain walk rejects a cycle and `realize` a solution that
-        misses a variable."""
+        level, a graph rejects a node whose zero contact joins two level
+        coordinates and `realize` a solution that misses a variable."""
         script = textwrap.dedent(
             f"""
             import sys
@@ -478,9 +490,7 @@ class TestInvariantChecks:
                 build_building,
             )
             from tropline.cli import main
-            from tropline.matching import (
-                AmbiguousChain, SolutionNotInCone, build_system, realize,
-            )
+            from tropline.matching import SolutionNotInCone, realize
             from tropline.geometry import (
                 Cone, Fan, LatticeVector as V, QuadrantPoint, StructuralInvalid,
             )
@@ -494,15 +504,6 @@ class TestInvariantChecks:
             a, b = Piece("a", (L.at(0), L.at(0)), False), Piece("b", (L.at(0), L.at(0)), False)
             V0 = (Vertex("a", QuadrantPoint(0, 0)), Vertex("b", QuadrantPoint(1, 1)))
             x, y = V(1, 0), V(0, 1)
-            # n1 runs right from `a`, at levels (1, 1), to `c`, between levels
-            # 1 and 2 in direction 1, and n2 runs up from `c` back to `a`: a
-            # valid graph whose direction-1 chain from `a` returns to `a`.
-            loop = LeveledDualGraph(
-                2,
-                (Piece("a", (L.at(1), L.at(1)), False), Piece("c", (L.between(1), L.at(1)), False)),
-                (NodeEdge("n1", "a", "c", x), NodeEdge("n2", "c", "a", y)),
-                (),
-            )
 
             builds = [
                 (CurveInvalid, lambda: TropicalCurve(
@@ -531,7 +532,18 @@ class TestInvariantChecks:
                 (StructuralInvalid, lambda: Fan(rays=(x, y), cones=(Cone((x, y)),) * 2)),
                 (StructuralInvalid, lambda: Cone((x, V(1, 1), y))),
                 (StructuralInvalid, lambda: Cone((y, x))),
-                (AmbiguousChain, lambda: build_system(loop)),
+                # n1 runs right from `a`, at levels (1, 1), to `c`, between
+                # levels 1 and 2 in direction 1, and n2 runs up from `c` back
+                # to `a` with zero contact in direction 1.
+                (GraphInvalid, lambda: LeveledDualGraph(
+                    2,
+                    (
+                        Piece("a", (L.at(1), L.at(1)), False),
+                        Piece("c", (L.between(1), L.at(1)), False),
+                    ),
+                    (NodeEdge("n1", "a", "c", x), NodeEdge("n2", "c", "a", y)),
+                    (),
+                )),
                 (SolutionNotInCone, lambda: realize(
                     build_building(tropicalize_line(LineFamily(4, 3))).graph, {{}}
                 )),
@@ -620,12 +632,24 @@ def mutate(doc, pick):
         ends.append({"piece": any_of(pieces)["id"], "contact": [pick(-1, 2), pick(-1, 2)]})
 
 
+def mutated_documents(seed, count):
+    """`count` documents, each `example1.json` after 1 to 3 edits of
+    `mutate`, drawn from `random.Random(seed)`."""
+    rng = random.Random(seed)
+    text = (Path(__file__).parent / "fixtures" / "example1.json").read_text()
+    for _ in range(count):
+        doc = json.loads(text)
+        for _ in range(rng.randint(1, 3)):
+            mutate(doc, rng.randint)
+        yield doc
+
+
 class TestMutatedGraphs:
     @given(st.data())
     @settings(max_examples=150, deadline=None)
     def test_match_exits_2_unless_graph_validates(self, data):
-        """`trop match` on a mutated example either rejects the document with
-        exit 2 or was given a document that builds a valid graph."""
+        """`trop match` on a mutated example exits 0 exactly when the document
+        builds a valid graph, and 2 otherwise."""
         with open(Path(__file__).parent / "fixtures" / "example1.json", encoding="utf-8") as fh:
             doc = json.load(fh)
         for _ in range(data.draw(st.integers(1, 3))):
@@ -637,9 +661,31 @@ class TestMutatedGraphs:
                 io.StringIO()
             ):
                 code = main(["match", "--graph", str(path)])
-        assert code in (0, 2), doc
-        if code == 0:
+        try:
             graph_from_json(doc)
+        except GraphInvalid:
+            assert code == 2, doc
+        else:
+            assert code == 0, doc
+
+    def test_every_graph_that_builds_solves_and_realizes(self):
+        """On 3000 seeded mutations of `example1.json`, every document that
+        builds a graph gets a matching system, and every feasible one gets
+        torus weights and a realized curve: nothing after the graph's
+        constructor raises."""
+        built = feasible = 0
+        for doc in mutated_documents(7, 3000):
+            try:
+                graph = graph_from_json(doc)
+            except GraphInvalid:
+                continue
+            built += 1
+            cone = solve(build_system(graph))
+            if cone.feasible:
+                feasible += 1
+                torus_weights(graph, cone)
+                realize(graph, cone.witness).validate()
+        assert (built, feasible) == (288, 270)
 
 
 def run_match(argv):
@@ -653,15 +699,10 @@ def run_match(argv):
 def match_mutation_runs():
     """`trop match` on 400 seeded mutations of `example1.json`: per run, the
     exit code, stdout and stderr."""
-    rng = random.Random(1089)
-    text = (Path(__file__).parent / "fixtures" / "example1.json").read_text()
     runs = []
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "graph.json"
-        for _ in range(400):
-            doc = json.loads(text)
-            for _ in range(rng.randint(1, 3)):
-                mutate(doc, rng.randint)
+        for doc in mutated_documents(1089, 400):
             path.write_text(json.dumps(doc))
             runs.append(run_match(["--graph", str(path)]))
     return runs

@@ -17,7 +17,6 @@ from tropline.building import (
 )
 from tropline.geometry import LatticeVector
 from tropline.matching import (
-    InconsistentZeroContact,
     InfeasibleCone,
     SolutionNotInCone,
     build_system,
@@ -122,33 +121,39 @@ class TestBuildSystem:
                 nodes=(NodeEdge("n1", "a", "b", V(0, 1)),),
                 ends=(),
             )
-        # Through a trivial piece between levels, the graph is valid, and the
-        # chain in direction 1 has zero contact across levels 0..1.
-        graph = LeveledDualGraph(
-            num_levels=1,
-            pieces=(
-                Piece("a", (AT(0), AT(0)), False),
-                Piece("t", (BETWEEN(0), BETWEEN(0)), True),
-                Piece("b", (AT(1), AT(1)), False),
-            ),
-            nodes=(NodeEdge("n1", "a", "t", V(0, 1)), NodeEdge("n2", "t", "b", V(0, 1))),
-            ends=(),
-        )
-        with pytest.raises(InconsistentZeroContact):
-            build_system(graph)
+        # Through a trivial piece between levels, the chain in direction 1
+        # has zero contact across levels 0..1: its first node already joins
+        # two level coordinates, so the graph is rejected when built.
+        with pytest.raises(
+            GraphInvalid,
+            match=r"^node n1 has zero contact in direction 1 but joins level coordinates 0 and 0\.\.1$",
+        ):
+            LeveledDualGraph(
+                num_levels=1,
+                pieces=(
+                    Piece("a", (AT(0), AT(0)), False),
+                    Piece("t", (BETWEEN(0), BETWEEN(0)), True),
+                    Piece("b", (AT(1), AT(1)), False),
+                ),
+                nodes=(NodeEdge("n1", "a", "t", V(0, 1)), NodeEdge("n2", "t", "b", V(0, 1))),
+                ends=(),
+            )
 
-    def test_zero_contact_vector_is_unconstrained(self):
-        graph = LeveledDualGraph(
-            num_levels=0,
-            pieces=(
-                Piece("a", (AT(0), AT(0)), False),
-                Piece("b", (AT(0), AT(0)), False),
-            ),
-            nodes=(NodeEdge("n1", "a", "b", V(0, 0)),),
-            ends=(),
-        )
-        system = build_system(graph)
-        assert system.variables == () and system.equations == ()
+    def test_zero_contact_vector_is_rejected(self):
+        # A zero-contact node has no realized edge, so no graph carries one.
+        with pytest.raises(
+            GraphInvalid,
+            match=r"^node n1 has contact \(0, 0\), not nonzero with no negative component$",
+        ):
+            LeveledDualGraph(
+                num_levels=0,
+                pieces=(
+                    Piece("a", (AT(0), AT(0)), False),
+                    Piece("b", (AT(0), AT(0)), False),
+                ),
+                nodes=(NodeEdge("n1", "a", "b", V(0, 0)),),
+                ends=(),
+            )
 
     def test_multiplicity_scales_node_coefficients(self):
         graph = LeveledDualGraph(
