@@ -53,6 +53,10 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # float range.
 _MAX_WINDOW = 1.0e150
 
+# Most steps a polyline piece takes: below 2**53 every step index is an
+# exact float.
+_MAX_STEPS = 2.0**53
+
 # (target, cloud point) pairs that `_grid_search` expands at once, at about
 # 48 B each.
 _PAIRS = 1 << 19
@@ -71,7 +75,9 @@ class AmoebaSample:
     """Clipped log-image point cloud of one member of the family."""
 
     n: float
-    points: np.ndarray  # shape (k, 2), clipped to the quadrant
+    # Shape (k, 2), clipped to the quadrant; `sample_amoeba` stores it
+    # column-major, so its x and y columns are contiguous.
+    points: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -102,15 +108,25 @@ def _sphere(count: int, max_depth: float, cap: float) -> tuple[tuple[np.ndarray,
     """The part of a `count`-point sample that does not depend on the base:
     for each end (0, -1, infinity, the last capped at depth `cap`), the
     depths t, their negatives -t, the squared half-angle factor (sin(a/2)^2
-    near -1, cos(a/2)^2 elsewhere) and the golden angles a.  The arrays are
-    read-only, since every caller with the same key shares them."""
+    near -1, cos(a/2)^2 elsewhere) and the golden angles a.  Ends 0 and -1
+    reach the same depth, so when they hold as many samples (every count
+    but those of the form 3m + 1) end -1 shares end 0's t and -t arrays.
+    The arrays are read-only, since every caller with the same key shares
+    them."""
     ends = []
     for end, reach in enumerate((max_depth, max_depth, cap)):
         k = np.arange(end, count, 3)
-        t = reach * (np.arange(len(k)) + 0.5) / len(k)
-        angle = 2.0 * math.pi * ((k * _GOLDEN) % 1.0)
+        if end == 1 and len(k) == len(ends[0][0]):
+            t, minus_t = ends[0][:2]
+        else:
+            t = reach * (np.arange(len(k)) + 0.5) / len(k)
+            minus_t = -t
+        # The fractional part, x - floor(x), is x % 1.0 for x >= 0.
+        turns = k * _GOLDEN
+        turns -= np.floor(turns)
+        angle = 2.0 * math.pi * turns
         half = np.sin(0.5 * angle) if end == 1 else np.cos(0.5 * angle)
-        arrays = (t, -t, half**2, angle)
+        arrays = (t, minus_t, half**2, angle)
         for a in arrays:
             a.flags.writeable = False
         ends.append(arrays)
@@ -161,31 +177,44 @@ def sample_amoeba(
     A ladder of bases shares all but the base: the depths t and -t, the
     half-angle factors and the golden angles come from `_sphere`, a memo
     keyed by (count, depth, min(p, q)).  It holds one entry, 4 arrays of
-    about count / 3 floats per end (about 32 B per sample), which the next
-    call with another key replaces.  Each base computes only eps = n^(-t),
-    the log term and the points.
+    about count / 3 floats per end, ends 0 and -1 sharing t and -t (about
+    27 B per sample), which the next call with another key replaces.  Each
+    base computes only eps = n^(-t), (1 - eps)^2 and 4 eps, once for the
+    two ends that share their depths, then the log term and the points.
+    The points are allocated column-major and each end writes its strided
+    slice of the two columns in place.
     """
     sphere = _family_sphere(family, n, count, depth)
     log_n = math.log(n)
     x0 = float(family.p) - math.log(abs(family.c1)) / log_n
     y0 = float(family.q) - math.log(abs(family.c2)) / log_n
-    points = np.empty((count, 2))
+    points = np.empty((count, 2), order="F")
 
     # Sample k lies on end k % 3 (0, -1, infinity), at the (k // 3)-th depth
-    # of that end; each end is the strided slice [end::3].
+    # of that end; each end is the strided slice [end::3] of a column.
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        depths = None
         for end, (t, minus_t, half2, _angle) in enumerate(sphere):
-            eps = np.power(n, minus_t)
-            # log|1 - eps e^(i a)| near -1, log|1 + eps e^(i a)| elsewhere, in units of log n.
-            rest = 0.5 * np.log((1.0 - eps) ** 2 + 4.0 * eps * half2) / log_n
+            # eps = n^(-t), (1 - eps)^2 and 4 eps, once per depth array.
+            if minus_t is not depths:
+                depths, eps = minus_t, np.power(n, minus_t)
+                square, four_eps = (1.0 - eps) ** 2, 4.0 * eps
+            # log|1 - eps e^(i a)| near -1, log|1 + eps e^(i a)| elsewhere, in
+            # units of log n: 0.5 * log((1 - eps)^2 + 4 eps half2) / log n.
+            rest = four_eps * half2
+            rest += square
+            np.log(rest, out=rest)
+            rest *= 0.5
+            rest /= log_n
             if end == 0:
                 log_w, log_w1 = minus_t, rest
             elif end == 1:
                 log_w, log_w1 = rest, minus_t
             else:
-                log_w, log_w1 = t, t + rest
-            points[end::3, 0] = x0 - log_w
-            points[end::3, 1] = y0 - log_w1
+                rest += t
+                log_w, log_w1 = t, rest
+            np.subtract(x0, log_w, out=points[end::3, 0])
+            np.subtract(y0, log_w1, out=points[end::3, 1])
     np.maximum(0.0, points, out=points)
     return AmoebaSample(n=float(n), points=points)
 
@@ -208,28 +237,48 @@ def sample_domain(
     return domain
 
 
-def discretize_curve(
-    curve: TropicalCurve, window: float, step: float | None = None
-) -> np.ndarray:
-    """Dense polyline point set of a curve, truncated to [0, window]^2; the
-    window must be positive and the step, if given, positive and finite."""
-    if not window > 0:
-        raise ValueError(f"window {window} must be positive")
+def _window_step(window: float, step: float | None = None, longest: float = 0.0) -> float:
+    """The polyline step of a window: `step`, or window / 512 by default.
+
+    Raises a ValueError naming the window unless 0 < window <= _MAX_WINDOW
+    and the step is usable: positive, and covering a piece of length
+    `longest` in at most _MAX_STEPS steps.  A given step must also be
+    finite.
+    """
+    if not 0 < window <= _MAX_WINDOW:
+        raise ValueError(f"window {window} must be positive and at most {_MAX_WINDOW:g}")
     if step is None:
         step = window / 512.0
     elif not 0 < step < math.inf:
         raise ValueError(f"step {step} must be a positive finite number")
+    if step == 0:
+        raise ValueError(f"window {window} is too small: its polyline step rounds to 0")
+    if not longest / step <= _MAX_STEPS:
+        raise ValueError(
+            f"window {window} has no usable polyline step: {step:g} takes more "
+            f"than 2**53 steps along a piece of length {longest:g}"
+        )
+    return step
+
+
+def discretize_curve(
+    curve: TropicalCurve, window: float, step: float | None = None
+) -> np.ndarray:
+    """Dense polyline point set of a curve, truncated to [0, window]^2.
+
+    Each piece, a segment or a ray cut where it leaves the window, is
+    walked in k equal steps of at most `step`, to the points t = tmax i / k
+    for i = 1..k, and the vertices are added.  Only the indices i that can
+    land inside the window, widened by one on each side, are formed, so a
+    tiny window costs no more than a wide one.  `_window_step` checks the
+    window and the step.
+    """
+    edge = window + 1e-12
     pos = {v.id: (float(v.position.x), float(v.position.y)) for v in curve.vertices}
-    points = [np.array(list(pos.values()), dtype=np.float64).reshape(-1, 2)]
-
-    def walk(x0, y0, dx, dy, tmax):
-        k = max(1, int(math.ceil(tmax / step * math.hypot(dx, dy))))
-        t = tmax * np.arange(1, k + 1) / k
-        points.append(np.column_stack((x0 + t * dx, y0 + t * dy)))
-
-    for s in curve.segments:
-        x0, y0 = pos[s.tail]
-        walk(x0, y0, float(s.contact.x), float(s.contact.y), float(s.length))
+    walks = [
+        (*pos[s.tail], float(s.contact.x), float(s.contact.y), float(s.length))
+        for s in curve.segments
+    ]
     for r in curve.rays:
         x0, y0 = pos[r.base]
         dx, dy = float(r.contact.x), float(r.contact.y)
@@ -241,9 +290,30 @@ def discretize_curve(
             limits.append((window - y0) / dy)
         tmax = min(limits) if limits else 0.0
         if tmax > 0:
-            walk(x0, y0, dx, dy, tmax)
+            walks.append((x0, y0, dx, dy, tmax))
+    longest = max((tmax * math.hypot(dx, dy) for *_, dx, dy, tmax in walks), default=0.0)
+    step = _window_step(window, step, longest)
+    points = [np.array(list(pos.values()), dtype=np.float64).reshape(-1, 2)]
+    for x0, y0, dx, dy, tmax in walks:
+        k = max(1, int(math.ceil(tmax / step * math.hypot(dx, dy))))
+        # The parameters in [lo, hi] keep both coordinates at most the edge.
+        lo, hi = 0.0, tmax
+        for c0, dc in ((x0, dx), (y0, dy)):
+            if dc > 0:
+                hi = min(hi, (edge - c0) / dc)
+            elif dc < 0:
+                lo = max(lo, (edge - c0) / dc)
+            elif c0 > edge:
+                hi = 0.0
+        if tmax > 0:
+            lo, hi = (min(max(t, 0.0), tmax) / tmax * k for t in (lo, hi))
+        first = max(1, math.ceil(lo) - 1)
+        last = min(k, math.floor(hi) + 1)
+        if first <= last:
+            t = tmax * np.arange(first, last + 1) / k
+            points.append(np.column_stack((x0 + t * dx, y0 + t * dy)))
     pts = np.concatenate(points)
-    inside = (pts[:, 0] <= window + 1e-12) & (pts[:, 1] <= window + 1e-12)
+    inside = (pts[:, 0] <= edge) & (pts[:, 1] <= edge)
     return pts[inside]
 
 
@@ -276,21 +346,27 @@ def _squared_distance_to_pieces(
     px: np.ndarray, py: np.ndarray, starts: np.ndarray, moves: np.ndarray
 ) -> np.ndarray:
     """Squared distance from each point (px, py) to the nearest of the
-    segments, folded one segment at a time into four reused buffers."""
+    segments, folded one segment at a time into four reused buffers.  For
+    finite points a zero component of a displacement, as on every
+    axis-parallel ray, only adds signed zeros, which the squares drop, so
+    its terms are skipped."""
     best = np.full(len(px), np.inf)
     rel_x, rel_y, s, tmp = (np.empty(len(px)) for _ in range(4))
     for (sx, sy), (dx, dy) in zip(starts.tolist(), moves.tolist()):
         length2 = dx * dx + dy * dy
         np.subtract(px, sx, out=rel_x)
         np.subtract(py, sy, out=rel_y)
-        # s = (rel_x * dx + rel_y * dy) / length2, clipped to [0, 1].
-        np.multiply(rel_x, dx, out=s)
-        np.multiply(rel_y, dy, out=tmp)
-        np.add(s, tmp, out=s)
-        np.divide(s, length2 if length2 > 0 else 1.0, out=s)
-        np.clip(s, 0.0, 1.0, out=s)
-        rel_x -= np.multiply(s, dx, out=tmp)
-        rel_y -= np.multiply(s, dy, out=tmp)
+        terms = [(rel, d) for rel, d in ((rel_x, dx), (rel_y, dy)) if d != 0]
+        if terms:
+            # s = (rel_x * dx + rel_y * dy) / length2, clipped to [0, 1].
+            (rel, d), *more = terms
+            np.multiply(rel, d, out=s)
+            for rel, d in more:
+                np.add(s, np.multiply(rel, d, out=tmp), out=s)
+            np.divide(s, length2 if length2 > 0 else 1.0, out=s)
+            np.clip(s, 0.0, 1.0, out=s)
+            for rel, d in terms:
+                rel -= np.multiply(s, d, out=tmp)
         np.multiply(rel_x, rel_x, out=rel_x)
         np.multiply(rel_y, rel_y, out=rel_y)
         np.minimum(best, np.add(rel_x, rel_y, out=rel_x), out=best)
@@ -304,8 +380,9 @@ def _squared_nearest(
     exact where it exceeds `bound` and at most `bound` elsewhere.
 
     One grid of square cells covers a box holding the targets and the
-    cloud, and one cloud point represents each cell.  A target is certified,
-    with that distance, when the representative of one of its 3 x 3 cells
+    cloud, and one cloud point represents each cell, the last cloud point
+    an empty one.  A target is certified, with that distance, when the
+    representative of its own cell, or else of one of the 8 around it,
     passes the exact test `dx * dx + dy * dy <= bound`; a bound of 0
     certifies none.  The others get `_grid_search` on the same grid.
     """
@@ -324,17 +401,26 @@ def _squared_nearest(
     keys = cells(cx, cy)
     tx, ty = targets[:, 0].copy(), targets[:, 1].copy()
     centre = cells(tx, ty)
-    best = np.full(len(tx), math.inf)
     if bound > 0:
         rep = np.full(side * side, -1)
         rep[keys] = np.arange(len(cx))
-        # Index -1 of an empty cell picks a point at infinity, which never passes.
-        rx, ry = np.append(cx, math.inf), np.append(cy, math.inf)
-        for offset in (-side - 1, -side, -side + 1, -1, 0, 1, side - 1, side, side + 1):
-            r = rep[centre + offset]
-            dx = tx - rx[r]
-            dy = ty - ry[r]
-            np.minimum(best, dx * dx + dy * dy, out=best)
+        # Index -1 of an empty cell picks the last cloud point: a distance
+        # to a cloud point still bounds the nearest one from above.  The
+        # centre cell certifies most targets; only the others try the 8
+        # cells around theirs, in one gather.
+        r = rep[centre]
+        dx = tx - cx[r]
+        dy = ty - cy[r]
+        best = dx * dx + dy * dy
+        rest = np.flatnonzero(~(best <= bound))
+        if len(rest):
+            ring = np.array((-side - 1, -side, -side + 1, -1, 1, side - 1, side, side + 1))
+            r = rep[centre[rest] + ring[:, None]]
+            dx = tx[rest] - cx[r]
+            dy = ty[rest] - cy[r]
+            best[rest] = np.minimum(best[rest], (dx * dx + dy * dy).min(axis=0))
+    else:
+        best = np.full(len(tx), math.inf)
     far = np.flatnonzero(~(best <= bound))
     if len(far):
         best[far] = _grid_search(tx[far], ty[far], centre[far], cx, cy, keys, side, cell)
@@ -411,15 +497,18 @@ def hausdorff(sample: AmoebaSample, curve: TropicalCurve, window: float) -> floa
     have a cloud point no farther away cannot raise the maximum, and every
     other point gets its exact nearest distance.  The result is the float
     that the full distance matrix gives.  The in-window cloud goes to the
-    helpers as two contiguous columns, cx and cy.  The polyline and the
-    pieces come from `_curve_in_window`, so a ladder of bases on one curve
-    builds them once.  `discretize_curve` runs first, so a window that is
-    not positive raises its ValueError.
+    helpers as two contiguous columns, cx and cy, taken by index from the
+    sample's columns.  The polyline and the pieces come from
+    `_curve_in_window`, so a ladder of bases on one curve builds them once.
+    `discretize_curve` runs first, so a window that `_window_step` refuses
+    raises its ValueError.
     """
     poly, starts, moves = _curve_in_window(curve, window)
     xs, ys = sample.points[:, 0], sample.points[:, 1]
-    keep = (xs <= window) & (ys <= window)
-    cx, cy = xs[keep], ys[keep]
+    keep = xs <= window
+    keep &= ys <= window
+    inside = np.flatnonzero(keep)
+    cx, cy = xs.take(inside), ys.take(inside)
     if cx.size == 0:
         raise EmptySample("no sample points inside the window")
     if poly.size == 0:
@@ -438,15 +527,15 @@ def convergence_report(
     """Hausdorff distances over a ladder of bases, with a 1/log n fit.
 
     The fit needs at least two distinct bases, and the window must be
-    positive and small enough that squared distances inside it stay finite.
+    positive and small enough that squared distances inside it stay finite,
+    as `_window_step` checks.
     It may not reach past the sampled depth p + q + 2 either: beyond it the
     cloud is empty and the distance reads the unsampled part of the rays.
     """
     bases = [float(n) for n in bases]
     if len(set(bases)) < 2:
         raise ValueError("a convergence ladder needs at least two distinct bases")
-    if not 0 < window <= _MAX_WINDOW:
-        raise ValueError(f"window {window} must be positive and at most {_MAX_WINDOW:g}")
+    _window_step(window)
     depth = family.p + family.q + 2
     if window > depth:
         raise ValueError(f"window {window:g} reaches past the sampled depth p + q + 2 = {depth}")

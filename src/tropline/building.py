@@ -226,16 +226,16 @@ class LeveledDualGraph:
                 raise GraphInvalid(f"node {n.id} references a missing piece")
         for e in self.ends:
             if e.piece not in levels:
-                raise GraphInvalid(f"end {e} references a missing piece")
+                raise GraphInvalid(f"end from {e.piece} references a missing piece")
         for n in self.nodes:
-            for i, ci in enumerate(n.contact):
-                lt, lh = levels[n.tail][i], levels[n.head][i]
+            for i, (ci, lt, lh) in enumerate(zip(n.contact, levels[n.tail], levels[n.head])):
                 if ci != 0:
                     if lh.sort_key() < lt.sort_key():
                         raise GraphInvalid(f"node {n.id} runs downward in direction {i + 1}")
-                elif lt.is_integer and lh.is_integer and lt.level != lh.level:
+                elif lt != lh:
                     raise GraphInvalid(
-                        f"node {n.id} has zero contact across levels in direction {i + 1}"
+                        f"node {n.id} has zero contact in direction {i + 1} "
+                        f"but joins level coordinates {lt} and {lh}"
                     )
         inc: dict[str, list[NodeEdge | EndEdge]] = {p.id: [] for p in self.pieces}
         for n in self.nodes:
@@ -264,13 +264,6 @@ class LeveledDualGraph:
                 raise GraphInvalid(
                     f"{name} has contact ({c.x}, {c.y}), not nonzero with no negative component"
                 )
-        for n in self.nodes:
-            for i, (ci, lt, lh) in enumerate(zip(n.contact, levels[n.tail], levels[n.head])):
-                if ci == 0 and lt != lh:
-                    raise GraphInvalid(
-                        f"node {n.id} has zero contact in direction {i + 1} "
-                        f"but joins level coordinates {lt} and {lh}"
-                    )
         for p in self.pieces:
             if not p.trivial and not (p.levels[0].is_integer and p.levels[1].is_integer):
                 raise GraphInvalid(

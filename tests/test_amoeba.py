@@ -1,6 +1,9 @@
 import dataclasses
+import hashlib
+import json
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -24,6 +27,8 @@ from tropline.amoeba import (
 )
 from tropline.geometry import LatticeVector
 from tropline.tropical import LineFamily, Segment, tropicalize_line
+
+GOLDENS = Path(__file__).resolve().parent / "goldens"
 
 
 def fam(p, q, c1=1.0, c2=1.0):
@@ -53,6 +58,62 @@ def test_numpy_loads_on_first_amoeba_name():
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def amoeba_grid_cases():
+    """(family, count, window, base) cases: 16 seeded families with p, q <= 3
+    over denominators 1-3 at counts 1, 2, 4, 300, 2000 and 2002 (every
+    count % 3), three of them also at 20000, then (40, 27), (200, 150) and a
+    family with non-unit c1 and c2; each at windows p + q + 1 and 3/2 and
+    bases 1e3 and 1e8."""
+    rng = random.Random(181)
+
+    def exponent():
+        d = rng.choice((1, 2, 3))
+        return Fraction(rng.randint(0, 3 * d), d)
+
+    families = [(fam(exponent(), exponent()), (1, 2, 4, 300, 2000, 2002)) for _ in range(16)]
+    families += [(family, (20000,)) for family, _ in families[:3]]
+    families += [
+        (fam(40, 27), (2, 300, 2000)),
+        (fam(200, 150), (2, 300, 2000)),
+        (fam(Fraction(7, 3), 2, c1=3.0 - 1.0j, c2=0.25), (1, 2, 4, 300, 2000, 2002)),
+    ]
+    for family, counts in families:
+        for count in counts:
+            for window in (float(family.p + family.q + 1), 1.5):
+                for n in (1e3, 1e8):
+                    yield family, count, window, n
+
+
+def amoeba_grid_lines() -> list[str]:
+    """One JSON line per case of `amoeba_grid_cases`: the Hausdorff distance
+    as `float.hex` (or the EmptySample message) and the sha256 of the cloud's
+    and of the domain's bytes."""
+    lines = []
+    for family, count, window, n in amoeba_grid_cases():
+        sample = sample_amoeba(family, n, count)
+        try:
+            distance = hausdorff(sample, tropicalize_line(family), window).hex()
+        except EmptySample as exc:
+            distance = str(exc)
+        domain = sample_domain(family, n, count)
+        lines.append(json.dumps({
+            "p": str(family.p), "q": str(family.q),
+            "c1": repr(family.c1), "c2": repr(family.c2),
+            "count": count, "window": window, "n": n,
+            "hausdorff": distance,
+            "points": hashlib.sha256(sample.points.tobytes()).hexdigest(),
+            "domain": hashlib.sha256(domain.tobytes()).hexdigest(),
+        }))
+    return lines
+
+
+def test_grid_pinned():
+    """`goldens/amoeba-grid.txt` pins every cloud, domain and distance of
+    `amoeba_grid_cases` bit for bit."""
+    golden = (GOLDENS / "amoeba-grid.txt").read_text().splitlines()
+    assert amoeba_grid_lines() == golden
 
 
 class TestLogImage:
@@ -196,6 +257,26 @@ class TestSampler:
                 with pytest.raises(ValueError, match="read-only"):
                     a[0] = 0.0
 
+    def test_points_are_column_major(self):
+        """The cloud is stored column-major; it equals, byte for byte, the
+        reference built row by row."""
+        for count in (1, 2, 2000, 2002):
+            sample = sample_amoeba(fam(Fraction(3, 2), 3), 1e6, count)
+            points, _ = reference_sample(fam(Fraction(3, 2), 3), 1e6, count)
+            assert sample.points.flags.f_contiguous and points.flags.c_contiguous
+            assert np.array_equal(sample.points, points)
+            assert sample.points.tobytes() == points.tobytes()
+
+    def test_sphere_shares_depths_of_equal_ends(self):
+        """Ends 0 and -1 reach the same depth, so with as many samples each
+        (count 2000 = 3 * 666 + 2) end -1 reuses end 0's t and -t; with one
+        sample more on end 0 (count 2002 = 3 * 667 + 1) it has its own."""
+        zero, minus_one, _ = amoeba._sphere(2000, 5.0, 1.0)
+        assert minus_one[0] is zero[0] and minus_one[1] is zero[1]
+        zero, minus_one, _ = amoeba._sphere(2002, 5.0, 1.0)
+        assert len(minus_one[0]) == len(zero[0]) - 1
+        assert minus_one[0] is not zero[0] and minus_one[1] is not zero[1]
+
     def test_sphere_key_holds_the_infinity_cap(self):
         # (1, 3) and (2, 2) share p + q + 2 but not min(p, q).
         for p, q in ((1, 3), (2, 2)):
@@ -290,6 +371,65 @@ class TestHausdorff:
         with pytest.raises(ValueError, match="must be positive"):
             hausdorff(sample, curve, window)
 
+    @pytest.mark.parametrize("window", [1e300, math.inf])
+    def test_window_above_range(self, window):
+        curve = tropicalize_line(fam(1, 2))
+        sample = sample_amoeba(fam(1, 2), 1e4, 200)
+        with pytest.raises(ValueError) as info:
+            hausdorff(sample, curve, window)
+        assert str(info.value) == f"window {window} must be positive and at most 1e+150"
+
+    def test_tiny_windows_walk_only_inside(self):
+        """A window far below the vertices forms no polyline point at once;
+        below the float range of its step it is refused by name."""
+        curve = tropicalize_line(fam(1, 2))
+        for window in (1e-5, 1e-7, 1e-13):
+            assert discretize_curve(curve, window).shape == (0, 2)
+        # The (0, 0) vertex is the origin: its rays are walked in 512 steps.
+        assert len(discretize_curve(tropicalize_line(fam(0, 0)), 1e-300)) == 1 + 2 * 512
+        with pytest.raises(ValueError, match=r"^window 1e-300 has no usable polyline step"):
+            discretize_curve(curve, 1e-300)
+        with pytest.raises(ValueError, match=r"^window 5e-324 is too small"):
+            discretize_curve(curve, 5e-324)
+
+    def test_walk_equals_full_walk(self):
+        """Walking only the indices that can land inside the window gives the
+        polyline of walking every index, on windows below, between and past
+        the vertices and on curves with a reflected segment."""
+
+        def full_walk(curve, window, step):
+            pos = {v.id: (float(v.position.x), float(v.position.y)) for v in curve.vertices}
+            points = [np.array(list(pos.values())).reshape(-1, 2)]
+            walks = [(*pos[s.tail], s.contact, float(s.length)) for s in curve.segments]
+            for r in curve.rays:
+                x0, y0 = pos[r.base]
+                limits = [(window - c0) / d for c0, d in ((x0, r.contact.x), (y0, r.contact.y)) if d > 0]
+                if limits and min(limits) > 0:
+                    walks.append((x0, y0, r.contact, min(limits)))
+            for x0, y0, c, tmax in walks:
+                k = max(1, int(math.ceil(tmax / step * math.hypot(c.x, c.y))))
+                t = tmax * np.arange(1, k + 1) / k
+                points.append(np.column_stack((x0 + t * float(c.x), y0 + t * float(c.y))))
+            pts = np.concatenate(points)
+            return pts[(pts[:, 0] <= window + 1e-12) & (pts[:, 1] <= window + 1e-12)]
+
+        rng = np.random.default_rng(17)
+        for p, q in ((1, 2), (4, 3), (0, 0), (Fraction(3, 2), 3), (Fraction(7, 3), 2)):
+            curve = tropicalize_line(fam(p, q))
+            flipped = tuple(
+                Segment(s.head, s.tail, LatticeVector(-s.contact.x, -s.contact.y), s.length)
+                for s in curve.segments
+            )
+            for c in (curve, dataclasses.replace(curve, segments=flipped)):
+                top = float(p + q + 2)
+                windows = [0.3, float(min(p, q)) or 0.7, float(p) or 0.9, float(p + q + 1), top]
+                windows += list(rng.uniform(0.01, top, 6))
+                for window in windows:
+                    for step in (None, window / 37):
+                        got = discretize_curve(c, window, step)
+                        full = full_walk(c, window, step or window / 512)
+                        assert got.tobytes() == full.tobytes()
+
     @pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf])
     def test_bad_step(self, step):
         # A zero step would divide by zero, and a negative one would pass
@@ -343,6 +483,27 @@ class TestHausdorff:
                 amoeba._squared_distance_to_pieces(points[:, 0], points[:, 1], *pieces),
                 reference_distance_to_pieces(points, *pieces),
             )
+
+    @pytest.mark.parametrize(
+        "start, move",
+        [((1.0, 2.0), (3.0, 0.0)), ((1.0, 2.0), (0.0, -2.5)), ((1.0, 2.0), (0.0, 0.0))],
+        ids=["horizontal", "vertical", "zero-length"],
+    )
+    def test_axis_pieces_equal_two_term_formula(self, start, move):
+        """Skipping a zero component of the displacement gives the float of
+        the two-term formula, also where that formula makes signed zeros."""
+        sx, sy = start
+        dx, dy = move
+        coords = np.array([-1.0, -0.0, 0.0, 0.5, 1.0, 2.0, 3.5, 4.0, 7.0])
+        px, py = (a.ravel() for a in np.meshgrid(coords, coords))
+        rel_x, rel_y = px - sx, py - sy
+        length2 = dx * dx + dy * dy
+        s = np.clip((rel_x * dx + rel_y * dy) / (length2 if length2 > 0 else 1.0), 0.0, 1.0)
+        rel_x = rel_x - s * dx
+        rel_y = rel_y - s * dy
+        expected = rel_x * rel_x + rel_y * rel_y
+        got = amoeba._squared_distance_to_pieces(px, py, np.array([start]), np.array([move]))
+        assert got.tobytes() == expected.tobytes()
 
     def test_bucketed_nearest_equals_full_matrix(self):
         # Exact above the bound and at most the bound below it, on a grid of
@@ -534,6 +695,15 @@ class TestConvergence:
     def test_window_out_of_range(self, window):
         with pytest.raises(ValueError, match="window .* must be positive"):
             convergence_report(fam(1, 2), [1e3, 1e4], 200, window)
+
+    def test_tiny_window_is_empty_at_once(self):
+        """A window far below the curve's vertices builds no polyline, so
+        the ladder stops at its empty cloud instead of walking every piece
+        at window / 512."""
+        with pytest.raises(EmptySample, match="no sample points inside the window"):
+            convergence_report(fam(1, 2), [1e3, 1e4], 200, 1e-7)
+        with pytest.raises(ValueError, match=r"^window 5e-324 is too small"):
+            convergence_report(fam(1, 2), [1e3, 1e4], 200, 5e-324)
 
     def test_window_beyond_sampled_depth(self):
         """The cloud reaches depth p + q + 2; a wider window would measure the

@@ -304,6 +304,11 @@ class TestGraphBoundary:
         "edits, message",
         [
             pytest.param(
+                {"ends": {0: {"piece": "zz"}}},
+                "end from zz references a missing piece",
+                id="end-from-missing-piece",
+            ),
+            pytest.param(
                 {"ends": {0: {"contact": [0, 0]}}},
                 f"end from c4 has contact (0, 0), {_CONTACT_RULE}",
                 id="zero-end",

@@ -327,6 +327,22 @@ class TestSvgAndCsv:
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "window, line",
+        [
+            ("1e-7", "error: no sample points inside the window"),
+            ("1e-310", "error: window 1e-310 has no usable polyline step: 1.95312e-313 "
+                       "takes more than 2**53 steps along a piece of length 1.41421"),
+            ("5e-324", "error: window 5e-324 is too small: its polyline step rounds to 0"),
+        ],
+        ids=["1e-7", "1e-310", "5e-324"],
+    )
+    def test_amoeba_tiny_window_exits_2(self, capsys, window, line):
+        code, out, err = run(
+            capsys, "amoeba", "--p", "1", "--q", "2", "--n", "1e3,1e4", "--window", window
+        )
+        assert code == 2 and out == "" and err == line + "\n"
+
     def test_amoeba_window_beyond_sampled_depth_exits_2(self, capsys):
         code, out, err = run(
             capsys, "amoeba", "--p", "1", "--q", "2", "--n", "1e3,1e4,1e6,1e8", "--window", "10"

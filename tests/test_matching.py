@@ -111,7 +111,10 @@ class TestBuildSystem:
 
     def test_zero_contact_gap_is_inconsistent(self):
         # A single zero-contact node across levels is rejected when built.
-        with pytest.raises(GraphInvalid, match="zero contact across levels"):
+        with pytest.raises(
+            GraphInvalid,
+            match=r"^node n1 has zero contact in direction 1 but joins level coordinates 0 and 1$",
+        ):
             LeveledDualGraph(
                 num_levels=1,
                 pieces=(
