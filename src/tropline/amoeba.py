@@ -13,17 +13,20 @@ stands in for the Gromov-Hausdorff statement.
 
 The sampler works in log space, so no exponent of n is ever formed for the
 image points: the cloud neither underflows nor overflows, whatever (p, q).
-Along a ladder of bases only the cloud and its two distances are computed
-per base: the depths and angles of the samples, and the curve's polyline
-and pieces inside the window, are built once.  The complex domain points
-behind a cloud are built only on request, by `sample_domain`.
+Along a ladder of bases only the in-window part of the cloud and its two
+distances are computed per base: the depths and angles of the samples, and
+the curve's polyline and pieces inside the window, are built once, and the
+samples whose image leaves the window are never formed.  A full cloud, and
+the complex domain points behind it, are built only on request
+(`sample_amoeba` without a window, `sample_domain`).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,8 +89,6 @@ class ConvergenceReport:
     decay_constant: float
     r_squared: float
     monotone: bool
-    # The cloud of the last base, for callers that also want its points.
-    last_sample: AmoebaSample = field(repr=False, compare=False)
 
 
 def log_image(point, n: float) -> tuple[float, float]:
@@ -143,13 +144,20 @@ def _family_sphere(
         raise ValueError(f"rescaling base {n} exceeds the supported {MAX_BASE:g}")
     if count < 1:
         raise ValueError("need at least one sample point")
+    # A negative depth would reverse the order of the depths along an end.
+    if depth is not None and not depth >= 0:
+        raise ValueError(f"sample depth {depth} must be non-negative")
     p, q = float(family.p), float(family.q)
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
         return _sphere(count, depth if depth is not None else p + q + 2.0, min(p, q))
 
 
 def sample_amoeba(
-    family: LineFamily, n: float, count: int, depth: float | None = None
+    family: LineFamily,
+    n: float,
+    count: int,
+    depth: float | None = None,
+    window: float | None = None,
 ) -> AmoebaSample:
     """Deterministic point cloud of the log image of one line of the family.
 
@@ -159,8 +167,9 @@ def sample_amoeba(
     near 0, w = -1 + n^(-t) e^(i a) near -1, and w = n^(t) e^(i a) near
     infinity.  The infinity end is capped at depth min(p, q), where its
     image meets the quadrant boundary; the others reach `depth` (default
-    p + q + 2).  The scheme is a fixed function of its arguments, so equal
-    inputs give bit-identical clouds; `sample_domain` gives the points w.
+    p + q + 2; a negative or NaN depth is refused).  The scheme is a fixed
+    function of its arguments, so equal inputs give bit-identical clouds;
+    `sample_domain` gives the points w.
 
     The image of f_n(w) = [c1 n^(-p) w : c2 n^(-q) (w + 1) : 1] is
 
@@ -170,9 +179,20 @@ def sample_amoeba(
     and on each end one of log|w|, log|w + 1| is +-t log n while the other
     is log|1 +- eps e^(i a)| with eps = n^(-t), taken from the half-angle
     form |1 +- eps e^(i a)|^2 = (1 - eps)^2 + 4 eps (cos or sin (a/2))^2,
-    which has no cancellation.  Every sample point is kept; a point at
-    infinite depth (a coordinate that is exactly 0) lands at infinity and
-    falls outside every window.
+    which has no cancellation.  Without a window every sample point is
+    kept, sample k on end k % 3; a point at infinite depth (a coordinate
+    that is exactly 0) lands at infinity and falls outside every window.
+
+    With a `window`, which `_window_step` checks, only the points inside
+    [0, window]^2 are returned, listed end by end (0, -1, infinity): the
+    same floats as the full cloud's in-window rows.  The deep coordinate
+    of end 0 (X = x0 + t) and of end -1 (Y = y0 + t) does not decrease
+    with t, so the samples of those ends inside the window are a prefix,
+    found by `searchsorted` on that expression; only the prefix is
+    computed, and its other coordinate, like both of the infinity end's,
+    is tested against the window afterwards.  The full cloud and the
+    windowed one run one loop and differ only in each end's prefix length
+    and output slice.
 
     A ladder of bases shares all but the base: the depths t and -t, the
     half-angle factors and the golden angles come from `_sphere`, a memo
@@ -180,29 +200,48 @@ def sample_amoeba(
     about count / 3 floats per end, ends 0 and -1 sharing t and -t (about
     27 B per sample), which the next call with another key replaces.  Each
     base computes only eps = n^(-t), (1 - eps)^2 and 4 eps, once for the
-    two ends that share their depths, then the log term and the points.
-    The points are allocated column-major and each end writes its strided
-    slice of the two columns in place.
+    two ends that share their depths (over the longer of their prefixes),
+    then the log term and the points.  The points are allocated
+    column-major, so the x and y columns are contiguous, and each end
+    writes its slice of the two columns in place.
     """
     sphere = _family_sphere(family, n, count, depth)
+    if window is not None:
+        _window_step(window)
     log_n = math.log(n)
     x0 = float(family.p) - math.log(abs(family.c1)) / log_n
     y0 = float(family.q) - math.log(abs(family.c2)) / log_n
-    points = np.empty((count, 2), order="F")
 
-    # Sample k lies on end k % 3 (0, -1, infinity), at the (k // 3)-th depth
-    # of that end; each end is the strided slice [end::3] of a column.
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        if window is None:
+            # Sample k lies on end k % 3 (0, -1, infinity), at the (k // 3)-th
+            # depth of that end; each end is the strided slice [end::3].
+            cuts = [len(t) for t, *_ in sphere]
+            points = np.empty((count, 2), order="F")
+            slices = [points[end::3] for end in range(3)]
+        else:
+            # Samples whose deep coordinate, c0 - (-t), is at most the window.
+            cuts = [
+                int(np.searchsorted(c0 - minus_t, window, side="right"))
+                for c0, (_t, minus_t, *_) in zip((x0, y0), sphere)
+            ]
+            cuts.append(len(sphere[2][0]))
+            points = np.empty((sum(cuts), 2), order="F")
+            bounds = list(itertools.accumulate(cuts, initial=0))
+            slices = [points[a:b] for a, b in zip(bounds, bounds[1:])]
         depths = None
-        for end, (t, minus_t, half2, _angle) in enumerate(sphere):
-            # eps = n^(-t), (1 - eps)^2 and 4 eps, once per depth array.
+        for end, ((t, minus_t, half2, _angle), cut, out) in enumerate(zip(sphere, cuts, slices)):
+            # eps = n^(-t), (1 - eps)^2 and 4 eps, once per depth array, over
+            # the longest prefix of the ends that share it.
             if minus_t is not depths:
-                depths, eps = minus_t, np.power(n, minus_t)
+                reach = max(c for (_t, other, *_), c in zip(sphere, cuts) if other is minus_t)
+                depths, eps = minus_t, np.power(n, minus_t[:reach])
                 square, four_eps = (1.0 - eps) ** 2, 4.0 * eps
+            t, minus_t = t[:cut], minus_t[:cut]
             # log|1 - eps e^(i a)| near -1, log|1 + eps e^(i a)| elsewhere, in
             # units of log n: 0.5 * log((1 - eps)^2 + 4 eps half2) / log n.
-            rest = four_eps * half2
-            rest += square
+            rest = four_eps[:cut] * half2[:cut]
+            rest += square[:cut]
             np.log(rest, out=rest)
             rest *= 0.5
             rest /= log_n
@@ -213,17 +252,25 @@ def sample_amoeba(
             else:
                 rest += t
                 log_w, log_w1 = t, rest
-            np.subtract(x0, log_w, out=points[end::3, 0])
-            np.subtract(y0, log_w1, out=points[end::3, 1])
+            np.subtract(x0, log_w, out=out[:, 0])
+            np.subtract(y0, log_w1, out=out[:, 1])
     np.maximum(0.0, points, out=points)
+    if window is not None:
+        keep = points[:, 0] <= window
+        keep &= points[:, 1] <= window
+        if not keep.all():
+            inside = np.empty((np.count_nonzero(keep), 2), order="F")
+            np.compress(keep, points[:, 0], out=inside[:, 0])
+            np.compress(keep, points[:, 1], out=inside[:, 1])
+            points = inside
     return AmoebaSample(n=float(n), points=points)
 
 
 def sample_domain(
     family: LineFamily, n: float, count: int, depth: float | None = None
 ) -> np.ndarray:
-    """The affine chart points w that `sample_amoeba` maps to its cloud,
-    row for row: n^(-t) e^(i a) near 0, -1 + n^(-t) e^(i a) near -1 and
+    """The affine chart points w that `sample_amoeba` without a window maps
+    to its cloud, row for row: n^(-t) e^(i a) near 0, -1 + n^(-t) e^(i a) near -1 and
     n^(t) e^(i a) near infinity.  Depths beyond the float range give
     infinities."""
     sphere = _family_sphere(family, n, count, depth)
@@ -496,19 +543,22 @@ def hausdorff(sample: AmoebaSample, curve: TropicalCurve, window: float) -> floa
     `discretize_curve` by `_squared_nearest`: a polyline point certified to
     have a cloud point no farther away cannot raise the maximum, and every
     other point gets its exact nearest distance.  The result is the float
-    that the full distance matrix gives.  The in-window cloud goes to the
-    helpers as two contiguous columns, cx and cy, taken by index from the
-    sample's columns.  The polyline and the pieces come from
+    that the full distance matrix gives, whatever the order of the points.
+    The in-window cloud goes to the helpers as two columns, cx and cy: the
+    sample's own columns when every point is inside, as in a cloud that
+    `sample_amoeba` sampled with this window, and otherwise the in-window
+    rows taken by index.  The polyline and the pieces come from
     `_curve_in_window`, so a ladder of bases on one curve builds them once.
     `discretize_curve` runs first, so a window that `_window_step` refuses
     raises its ValueError.
     """
     poly, starts, moves = _curve_in_window(curve, window)
-    xs, ys = sample.points[:, 0], sample.points[:, 1]
-    keep = xs <= window
-    keep &= ys <= window
-    inside = np.flatnonzero(keep)
-    cx, cy = xs.take(inside), ys.take(inside)
+    cx, cy = sample.points[:, 0], sample.points[:, 1]
+    keep = cx <= window
+    keep &= cy <= window
+    if not keep.all():
+        inside = np.flatnonzero(keep)
+        cx, cy = cx.take(inside), cy.take(inside)
     if cx.size == 0:
         raise EmptySample("no sample points inside the window")
     if poly.size == 0:
@@ -531,6 +581,9 @@ def convergence_report(
     as `_window_step` checks.
     It may not reach past the sampled depth p + q + 2 either: beyond it the
     cloud is empty and the distance reads the unsampled part of the rays.
+    Each base samples only the points inside the window (`sample_amoeba`
+    with `window`), the only ones `hausdorff` measures, so each distance is
+    the float that the full cloud gives.
     """
     bases = [float(n) for n in bases]
     if len(set(bases)) < 2:
@@ -545,7 +598,7 @@ def convergence_report(
     _curve_in_window.cache_clear()
     entries = []
     for n in bases:
-        sample = sample_amoeba(family, n, count)
+        sample = sample_amoeba(family, n, count, window=window)
         entries.append((n, hausdorff(sample, curve, window)))
     # Closed-form least squares of the distances on 1 / log n.
     xs = [1.0 / math.log(n) for n in bases]
@@ -562,5 +615,4 @@ def convergence_report(
         # Cauchy-Schwarz bounds r^2 by 1, which rounding may overshoot.
         r_squared=1.0 if syy == 0 else min(1.0, sxy * sxy / (sxx * syy)),
         monotone=monotone,
-        last_sample=sample,
     )

@@ -261,11 +261,13 @@ def _cmd_amoeba(args) -> int:
             for n, d in report.entries:
                 handle.write(f"{n:g},{d:.9g}\n")
     if args.points_csv:
-        sample = report.last_sample
-        domain = amoeba_mod.sample_domain(family, sample.n, args.samples)
+        # The full cloud of the last base, with its domain points.
+        n = report.entries[-1][0]
+        points = amoeba_mod.sample_amoeba(family, n, args.samples).points
+        domain = amoeba_mod.sample_domain(family, n, args.samples)
         with open(args.points_csv, "w", encoding="utf-8") as handle:
             handle.write("re_w,im_w,X,Y\n")
-            for w, (x, y) in zip(domain, sample.points):
+            for w, (x, y) in zip(domain, points):
                 handle.write(f"{w.real:.9g},{w.imag:.9g},{x:.9g},{y:.9g}\n")
     print(
         json.dumps(

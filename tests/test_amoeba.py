@@ -35,10 +35,22 @@ def fam(p, q, c1=1.0, c2=1.0):
     return LineFamily.of(p, q, c1, c2)
 
 
+def run_fresh(script: str) -> None:
+    """Run `script` in a fresh interpreter that imports this checkout's
+    `tropline`; it must exit 0."""
+    paths = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths))),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_numpy_loads_on_first_amoeba_name():
     """`import tropline` leaves numpy unloaded; the amoeba names load it
     through the package's `__getattr__`."""
-    script = (
+    run_fresh(
         "import sys, tropline\n"
         "assert 'numpy' not in sys.modules and 'tropline.amoeba' not in sys.modules\n"
         "first = tropline.hausdorff\n"
@@ -51,13 +63,18 @@ def test_numpy_loads_on_first_amoeba_name():
         "    sys.exit(0)\n"
         "sys.exit('an unknown name resolved')\n"
     )
-    paths = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths))),
-        capture_output=True, text=True, timeout=120,
+
+
+def test_exact_submodules_load_without_numpy():
+    """Importing every exact submodule, as a start-up that never samples an
+    amoeba does, leaves numpy and the amoeba module unloaded."""
+    run_fresh(
+        "import sys\n"
+        "import tropline.geometry, tropline.tropical, tropline.building\n"
+        "import tropline.matching, tropline.moduli, tropline.render, tropline._linalg\n"
+        "loaded = {'numpy', 'tropline.amoeba'} & set(sys.modules)\n"
+        "sys.exit(f'loaded {sorted(loaded)}' if loaded else 0)\n"
     )
-    assert proc.returncode == 0, proc.stderr
 
 
 def amoeba_grid_cases():
@@ -348,6 +365,105 @@ class TestSampler:
         assert d < 0.2
 
 
+def windowed_cases():
+    """(family, count, window) cases: every family of `amoeba_grid_cases`,
+    which include c1 = 3 - i, c2 = 1/4, at counts 1, 2, 2000 and 20000 and
+    windows p + q + 1 and 3/2."""
+    families = dict.fromkeys(family for family, *_ in amoeba_grid_cases())
+    for family in families:
+        for count in (1, 2, 2000, 20000):
+            for window in (float(family.p + family.q + 1), 1.5):
+                yield family, count, window
+
+
+def sorted_rows(points) -> bytes:
+    """The rows of a (k, 2) float array as a multiset: their bytes, sorted."""
+    return np.sort(np.ascontiguousarray(points).view("V16").ravel()).tobytes()
+
+
+def distance_or_empty(fn, *args):
+    try:
+        return fn(*args)
+    except EmptySample as exc:
+        return str(exc)
+
+
+class TestWindowedSampler:
+    def test_rows_are_the_full_clouds_in_window_rows(self):
+        """The windowed cloud holds the full cloud's in-window rows, as the
+        same floats, listed end by end, in two contiguous columns."""
+        for family, count, window in windowed_cases():
+            for n in (1e3, 1e8):
+                full = sample_amoeba(family, n, count).points
+                got = sample_amoeba(family, n, count, window=window).points
+                assert got.flags.f_contiguous
+                inside = full[(full[:, 0] <= window) & (full[:, 1] <= window)]
+                assert sorted_rows(got) == sorted_rows(inside)
+                by_end = [full[end::3] for end in range(3)]
+                by_end = [e[(e[:, 0] <= window) & (e[:, 1] <= window)] for e in by_end]
+                assert got.tobytes() == np.concatenate(by_end).tobytes()
+
+    def test_ladder_equals_full_clouds(self):
+        """Each ladder entry is, bit for bit, the distance of the full
+        cloud; an empty window raises the same EmptySample."""
+        bases = [1e3, 1e4, 1e6, 1e8]
+        for family, count, window in windowed_cases():
+            curve = tropicalize_line(family)
+            expected = [
+                distance_or_empty(hausdorff, sample_amoeba(family, n, count), curve, window)
+                for n in bases
+            ]
+            report = distance_or_empty(convergence_report, family, bases, count, window)
+            if isinstance(report, str):
+                assert report == next(d for d in expected if isinstance(d, str))
+            else:
+                assert [d for _, d in report.entries] == expected
+
+    @pytest.mark.parametrize("window", [0.0, -1.0, math.nan, math.inf, 1e300, 5e-324])
+    def test_refused_window(self, window):
+        with pytest.raises(ValueError) as refused:
+            amoeba._window_step(window)
+        with pytest.raises(ValueError) as info:
+            sample_amoeba(fam(1, 2), 1e4, 200, window=window)
+        assert str(info.value) == str(refused.value)
+
+    @pytest.mark.parametrize("depth", [-1.0, -0.5, math.nan])
+    def test_negative_depth(self, depth):
+        # The windowed cut needs depths that rise along each end.
+        for window in (None, 4.0):
+            with pytest.raises(ValueError, match="must be non-negative"):
+                sample_amoeba(fam(1, 2), 1e4, 200, depth=depth, window=window)
+
+    def test_cut_with_given_depths(self):
+        """With a given depth, zero, inside the window, past it or
+        infinite, the cut keeps exactly the in-window rows."""
+        for depth in (0.0, 2.0, 9.0, math.inf):
+            full = sample_amoeba(fam(1, 2), 1e4, 2000, depth=depth).points
+            got = sample_amoeba(fam(1, 2), 1e4, 2000, depth=depth, window=4.0).points
+            by_end = [full[end::3] for end in range(3)]
+            by_end = [e[(e[:, 0] <= 4.0) & (e[:, 1] <= 4.0)] for e in by_end]
+            assert got.tobytes() == np.concatenate(by_end).tobytes()
+
+    def test_in_window_cloud_is_measured_as_it_is(self, monkeypatch):
+        """hausdorff hands a cloud that lies inside the window to the
+        distance helpers as the sample's own columns, without a copy."""
+        seen = []
+        pieces = amoeba._squared_distance_to_pieces
+
+        def recording(px, py, starts, moves):
+            seen.append((px, py))
+            return pieces(px, py, starts, moves)
+
+        monkeypatch.setattr(amoeba, "_squared_distance_to_pieces", recording)
+        curve = tropicalize_line(fam(1, 2))
+        for window, shared in ((4.0, True), (2.0, False)):
+            sample = sample_amoeba(fam(1, 2), 1e4, 2000, window=4.0)
+            hausdorff(sample, curve, window)
+            px, py = seen.pop()
+            assert np.shares_memory(px, sample.points) is shared
+            assert np.shares_memory(py, sample.points) is shared
+
+
 class TestHausdorff:
     def test_self_distance_is_discretization_level(self):
         curve = tropicalize_line(fam(4, 3))
@@ -429,6 +545,19 @@ class TestHausdorff:
                         got = discretize_curve(c, window, step)
                         full = full_walk(c, window, step or window / 512)
                         assert got.tobytes() == full.tobytes()
+        # Windows whose edge, window + 1e-12, meets a segment's step point to
+        # within rounding, so the top index computed from the edge falls
+        # just below that point's, which lies inside: the walked range is
+        # widened by one on top to keep it (found by a search over windows
+        # next to the step points).
+        for (p, q), window, step in (
+            ((1, 2), 1.436619718308859, 0.01),
+            ((4, 3), 1.0423529411754704, 0.01),
+            ((Fraction(3, 2), 3), 1.5211267605623802, 0.03),
+        ):
+            curve = tropicalize_line(fam(p, q))
+            full = full_walk(curve, window, step)
+            assert discretize_curve(curve, window, step).tobytes() == full.tobytes()
 
     @pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf])
     def test_bad_step(self, step):
@@ -684,7 +813,25 @@ class TestConvergence:
 
         monkeypatch.setattr(amoeba, "sample_domain", refuse)
         report = convergence_report(fam(1, 2), [1e3, 1e4, 1e6, 1e8], 2000, 4.0)
-        assert len(report.entries) == 4 and report.last_sample.points.shape == (2000, 2)
+        assert len(report.entries) == 4
+
+    def test_ladder_samples_only_the_window(self, monkeypatch):
+        windows = []
+
+        def recording(family, n, count, depth=None, window=None):
+            windows.append(window)
+            return sample_amoeba(family, n, count, depth, window)
+
+        monkeypatch.setattr(amoeba, "sample_amoeba", recording)
+        convergence_report(fam(1, 2), [1e3, 1e4, 1e6, 1e8], 2000, 4.0)
+        assert windows == [4.0] * 4
+
+    def test_ring_probe_certifies_dense_ladder(self, branches):
+        """On a dense ladder every polyline point that its own cell leaves
+        uncertified is certified by one of the 8 cells around it, so none
+        reaches the exact search; without that probe 44 of them would."""
+        convergence_report(fam(4, 3), [1e3, 1e4, 1e6, 1e8], 20000, 8.0)
+        assert branches == {"certified": 3400, "searched": 0}
 
     @pytest.mark.parametrize("bases", [[1e3], [1e3, 1e3], []])
     def test_fewer_than_two_distinct_bases(self, bases):

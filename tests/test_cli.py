@@ -255,9 +255,9 @@ class TestSvgAndCsv:
         points = tmp_path / "pts.csv"
         sampled = []
 
-        def counting(family, n, count, depth=None):
-            sampled.append(n)
-            return sample_amoeba(family, n, count, depth)
+        def counting(family, n, count, depth=None, window=None):
+            sampled.append((n, window))
+            return sample_amoeba(family, n, count, depth, window)
 
         monkeypatch.setattr(amoeba, "sample_amoeba", counting)
         code, out, _ = run(
@@ -270,8 +270,9 @@ class TestSvgAndCsv:
             "--points-csv", str(points),
         )
         assert code == 0
-        # The points CSV reuses the ladder's last cloud.
-        assert sampled == [1e3, 1e8]
+        # Each base samples only the window [0, p + q + 1]^2; the points CSV
+        # asks for one full cloud, of the last base.
+        assert sampled == [(1e3, 8.0), (1e8, 8.0), (1e8, None)]
         lines = path.read_text().splitlines()
         assert lines[0] == "n,hausdorff"
         assert len(lines) == 3
@@ -306,7 +307,7 @@ class TestSvgAndCsv:
         ],
     )
     def test_memory_error_exits_2(self, capsys, monkeypatch, message, line):
-        def exhausted(family, n, count, depth=None):
+        def exhausted(family, n, count, depth=None, window=None):
             raise MemoryError(message)
 
         monkeypatch.setattr(amoeba, "sample_amoeba", exhausted)
