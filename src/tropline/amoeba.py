@@ -19,6 +19,10 @@ the curve's polyline and pieces inside the window, are built once, and the
 samples whose image leaves the window are never formed.  A full cloud, and
 the complex domain points behind it, are built only on request
 (`sample_amoeba` without a window, `sample_domain`).
+
+numpy is imported at the first amoeba computation, not with this module:
+`tropline.cli` imports this module for `trop amoeba`, and every exact
+subcommand would otherwise pay for loading numpy at start-up.
 """
 
 from __future__ import annotations
@@ -28,10 +32,26 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import tropical
 from .tropical import LineFamily, TropicalCurve
+
+
+class _DeferredNumpy:
+    """Stands in for numpy until its first attribute is read, which
+    imports numpy and rebinds the module's `np` to it, so every later
+    `np.` lookup in this module is a plain global one."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name: str):
+        global np
+        import numpy
+
+        np = numpy
+        return getattr(numpy, name)
+
+
+np = _DeferredNumpy()
 
 __all__ = [
     "ZeroCoordinate",

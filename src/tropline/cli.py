@@ -3,6 +3,13 @@
 Exit codes: 0 success, 2 invalid input, 3 internal invariant violation.
 Mathematical verdicts (infeasible systems, unstable buildings) are data in
 the output and never nonzero exit codes.
+
+Each subcommand imports the layers it uses in its handler, so `trop
+classify` loads `moduli` and not `building` or `matching`.  This module
+still imports `amoeba` when it loads: `perfbench/run.py` reads the
+`tropline.amoeba` line of `-X importtime` on `import tropline.cli`, and
+the import is cheap because `amoeba` imports numpy only at its first
+computation.
 """
 
 from __future__ import annotations
@@ -16,8 +23,6 @@ import sys
 from fractions import Fraction
 
 from . import amoeba as amoeba_mod
-from . import building as building_mod
-from . import matching, moduli, render
 from . import tropical as tropical_mod
 from .geometry import fan_to_text, parse_rational, rational_str
 
@@ -115,6 +120,8 @@ def _read_json(path: str) -> dict:
 
 
 def _cmd_classify(args) -> int:
+    from . import moduli
+
     lt = moduli.classify(args.p, args.q)
     if args.json:
         print(json.dumps({"kind": lt.kind, "label": lt.label, "mirror": lt.mirror}))
@@ -126,8 +133,11 @@ def _cmd_classify(args) -> int:
 
 def _cmd_tropicalize(args) -> int:
     curve = tropical_mod.tropicalize_line(_family(args))
-    levels = building_mod.extract_levels(curve)
     if args.svg:
+        from . import building as building_mod
+        from . import render
+
+        levels = building_mod.extract_levels(curve)
         window = args.p + args.q + 2
         doc = render.render_tropical(curve, levels, render.RenderSpec(window=window))
         with open(args.svg, "w", encoding="utf-8") as handle:
@@ -148,6 +158,8 @@ def _cmd_tropicalize(args) -> int:
 
 
 def _cmd_building(args) -> int:
+    from . import building as building_mod
+
     if args.curve is not None:
         curve = tropical_mod.curve_from_json(_read_json(args.curve))
     elif args.p is not None and args.q is not None:
@@ -163,6 +175,9 @@ def _cmd_building(args) -> int:
 
 
 def _cmd_match(args) -> int:
+    from . import building as building_mod
+    from . import matching
+
     graph = building_mod.graph_from_json(_read_json(args.graph))
     system = matching.build_system(graph)
     cone = matching.solve(system)
@@ -208,6 +223,8 @@ def _cmd_match(args) -> int:
 
 
 def _cmd_fan(args) -> int:
+    from . import moduli
+
     if args.which == "exploded":
         fan = moduli.exploded_fan()
     elif args.which == "ionel":
@@ -215,6 +232,8 @@ def _cmd_fan(args) -> int:
     else:
         fan = moduli.ionel_fan(complete=True)
     if args.svg:
+        from . import render
+
         doc = render.render_fan(fan, render.RenderSpec(window=Fraction(3)))
         with open(args.svg, "w", encoding="utf-8") as handle:
             handle.write(doc)
@@ -223,6 +242,8 @@ def _cmd_fan(args) -> int:
 
 
 def _cmd_blowups(args) -> int:
+    from . import moduli
+
     steps = moduli.blowup_sequence(moduli.exploded_fan(), moduli.ionel_fan())
     for i, (cone, ray) in enumerate(steps, start=1):
         u, v = cone.generators
@@ -233,6 +254,8 @@ def _cmd_blowups(args) -> int:
 
 
 def _cmd_types(args) -> int:
+    from . import moduli
+
     rows = moduli.type_table()
     if args.json:
         print(json.dumps([dataclasses.asdict(r) for r in rows]))
@@ -283,6 +306,9 @@ def _cmd_amoeba(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    from . import building as building_mod
+    from . import matching, render
+
     graph = building_mod.graph_from_json(_read_json(args.graph))
     cone = matching.solve(matching.build_system(graph))
     if not cone.feasible:

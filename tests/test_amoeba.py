@@ -48,15 +48,18 @@ def run_fresh(script: str) -> None:
 
 
 def test_numpy_loads_on_first_amoeba_name():
-    """`import tropline` leaves numpy unloaded; the amoeba names load it
-    through the package's `__getattr__`."""
+    """`import tropline` leaves numpy unloaded, and so does resolving an
+    amoeba name through the package's `__getattr__`; the first amoeba
+    computation loads it."""
     run_fresh(
         "import sys, tropline\n"
         "assert 'numpy' not in sys.modules and 'tropline.amoeba' not in sys.modules\n"
         "first = tropline.hausdorff\n"
-        "assert 'numpy' in sys.modules\n"
-        "from tropline.amoeba import hausdorff\n"
-        "assert first is hausdorff\n"
+        "import tropline.amoeba\n"
+        "assert first is tropline.amoeba.hausdorff\n"
+        "assert 'numpy' not in sys.modules\n"
+        "tropline.sample_amoeba(tropline.LineFamily(1, 2), 1e3, 30)\n"
+        "assert tropline.amoeba.np is sys.modules['numpy']\n"
         "try:\n"
         "    tropline.no_such_name\n"
         "except AttributeError:\n"
