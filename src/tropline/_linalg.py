@@ -1,7 +1,8 @@
 """Exact integer linear algebra on sparse rows, and a tiny Bland-rule simplex.
 
-A matching equation holds two or three nonzeros, so every row is a
-`{column: int}` dict of its nonzero entries.  Elimination is fraction-free
+A matching equation holds two or three nonzeros, so a system is a list of
+sparse rows: a row is its nonzero `(column, coefficient)` pairs in column
+order, and elimination works on a `{column: int}` copy.  It is fraction-free
 Gauss-Jordan with first-nonzero pivoting (Edmonds 1967), and it touches
 only the rows with a nonzero in the pivot column: such a row becomes
 `p*row - row[c]*pivot_row`, for the pivot p > 0, divided by its content
@@ -20,15 +21,12 @@ from fractions import Fraction
 from typing import Sequence
 
 Row = dict[int, int]
+SparseRow = Sequence[tuple[int, int]]
 
 
 class InvariantViolation(RuntimeError):
     """An internal consistency check failed.  Raised explicitly, so the
     check also runs under `python -O`."""
-
-
-def _sparse(row: Sequence[int]) -> Row:
-    return {j: a for j, a in enumerate(map(operator.index, row)) if a}
 
 
 def _eliminate(rows: list[Row], r: int, c: int, holders: Sequence[int]) -> None:
@@ -57,17 +55,18 @@ def _eliminate(rows: list[Row], r: int, c: int, holders: Sequence[int]) -> None:
             rows[i] = {j: a // g for j, a in row.items()}
 
 
-def rref(matrix: Sequence[Sequence[int]]) -> tuple[list[Row], list[int]]:
+def rref(matrix: Sequence[SparseRow]) -> tuple[list[Row], list[int]]:
     """Integer reduced row echelon form with deterministic first-nonzero pivoting.
 
-    Returns the nonzero reduced rows as sparse rows and the pivot column of
-    each: row i holds a positive entry at pivots[i] and none at the other
-    pivot columns, and divided by that entry it is row i of the rational
-    RREF.  Entries must be integers.
+    Returns the nonzero reduced rows as `{column: int}` dicts and the pivot
+    column of each: row i holds a positive entry at pivots[i] and none at
+    the other pivot columns, and divided by that entry it is row i of the
+    rational RREF.  Entries must be integers.
     """
-    rows = [_sparse(row) for row in matrix]
+    rows = [{j: operator.index(a) for j, a in row if a} for row in matrix]
     pivots: list[int] = []
-    for c in range(len(matrix[0]) if matrix else 0):
+    # Elimination never fills a column no input row holds.
+    for c in sorted({j for row in rows for j in row}):
         # The first row at or below row r holding c is the pivot row; every
         # other row holding c is cleared.
         r = len(pivots)
@@ -91,11 +90,11 @@ def rref(matrix: Sequence[Sequence[int]]) -> tuple[list[Row], list[int]]:
     return rows[: len(pivots)], pivots
 
 
-def rank(matrix: Sequence[Sequence[int]]) -> int:
+def rank(matrix: Sequence[SparseRow]) -> int:
     return len(rref(matrix)[1])
 
 
-def kernel_basis(matrix: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:
+def kernel_basis(matrix: Sequence[SparseRow], ncols: int) -> list[list[int]]:
     """Basis of the null space, one vector per free column, in column order.
 
     Each basis vector is the primitive integer vector on its ray that is
@@ -167,7 +166,7 @@ def lattice_canonical(vectors: Sequence[tuple[int, int]]) -> tuple[tuple[int, in
     return ((d, y), (0, g2))
 
 
-def negative_orthant_point(rows: Sequence[Sequence[int]], ncols: int) -> list[Fraction] | None:
+def negative_orthant_point(rows: Sequence[SparseRow], ncols: int) -> list[Fraction] | None:
     """Find exact x with A x = 0 and every x_i <= -1, or None if infeasible.
 
     Substituting x = -1 - y turns the problem into A y = -A.1 with y >= 0,
@@ -175,18 +174,15 @@ def negative_orthant_point(rows: Sequence[Sequence[int]], ncols: int) -> list[Fr
     non-negative, gets one artificial column, and a Bland-rule simplex on
     the sparse integer tableau minimizes the artificial sum.
     """
-    if ncols == 0:
-        return []
     nrows = len(rows)
     width = ncols + nrows  # the right-hand side column
     tableau: list[Row] = []
     for i, row in enumerate(rows):
-        sign = -1 if sum(row) > 0 else 1
-        line = {j: sign * a for j, a in enumerate(row) if a}
-        rhs = -sum(line.values())
+        total = sum(a for _, a in row)
+        line = {j: -a if total > 0 else a for j, a in row}
         line[ncols + i] = 1
-        if rhs:
-            line[width] = rhs
+        if total:
+            line[width] = abs(total)
         tableau.append(line)
     basis = [ncols + i for i in range(nrows)]
     # The last row holds the reduced costs of the phase-1 objective (1 on

@@ -116,7 +116,10 @@ def _family(args) -> tropical_mod.LineFamily:
 
 def _read_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except RecursionError:  # a RuntimeError, which `main` reports as internal
+            raise ValueError("malformed JSON document: nested too deeply") from None
 
 
 def _cmd_classify(args) -> int:
@@ -186,11 +189,7 @@ def _cmd_match(args) -> int:
         "variables": list(system.variables),
         "equations": [
             {
-                "coefficients": {
-                    name: c
-                    for name, c in zip(system.variables, eq.coefficients)
-                    if c != 0
-                },
+                "coefficients": {system.variables[j]: c for j, c in eq.row},
                 "provenance": {
                     "direction": eq.direction,
                     "nodes": list(eq.chain),

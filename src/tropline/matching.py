@@ -16,10 +16,11 @@ of length -alpha(y).  The graph's constructor has checked everything these
 functions need of its shape, so none of them raises on a graph; they reject
 only solutions and cones that do not fit it.
 
-Solutions are handled as integer vectors: `solve` checks its witness w on
-the cleared vector (A w = 0, w <= -unit), and `realize` clears the
-solution's denominators once and builds fractions only for the curve it
-returns.
+Each equation is built once as a sparse row, which `_linalg` and the checks
+read.  Solutions are integer vectors: `solve` checks its witness w on the
+cleared vector (A w = 0, w <= -unit), and one walk of the graph carries all
+the vectors it is given, the cleared solution of `realize` or the basis of
+`torus_weights`.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 from collections.abc import Collection, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 
 from . import _linalg
 from .building import Building, LeveledDualGraph
@@ -70,15 +72,23 @@ def level_var(j: int) -> str:
 
 @dataclass(frozen=True)
 class Equation:
-    """One homogeneous equation, as integer coefficients over the variables."""
+    """One homogeneous equation over `width` variables: its nonzero integer
+    coefficients as `(column, coefficient)` pairs in ascending column order."""
 
-    coefficients: tuple[int, ...]
+    row: tuple[tuple[int, int], ...]
+    width: int
     direction: int  # 1 or 2
     chain: tuple[str, ...]  # node ids, in chain order
     levels: tuple[int, int]  # anchor levels (a, b) with a <= b
 
+    @property
+    def coefficients(self) -> tuple[int, ...]:
+        """The dense view: one coefficient per variable."""
+        terms = dict(self.row)
+        return tuple(terms.get(j, 0) for j in range(self.width))
+
     def evaluate(self, values: Sequence[Fraction]) -> Fraction:
-        return sum(c * v for c, v in zip(self.coefficients, values) if c)
+        return sum(a * values[j] for j, a in self.row)
 
 
 @dataclass(frozen=True)
@@ -130,13 +140,11 @@ class WeightTable:
     entries: dict[str, tuple[tuple[int, ...], tuple[int, ...]]]
 
     def rank(self, piece_id: str) -> int:
-        rows = [list(r) for r in self.entries[piece_id]]
+        rows = [[(k, a) for k, a in enumerate(r) if a] for r in self.entries[piece_id]]
         return _linalg.rank(rows)
 
     def lattice(self, piece_id: str) -> tuple[tuple[int, int], ...]:
-        rows = self.entries[piece_id]
-        columns = [(rows[0][k], rows[1][k]) for k in range(self.dimension)]
-        return _linalg.lattice_canonical(columns)
+        return _linalg.lattice_canonical(list(zip(*self.entries[piece_id])))
 
 
 def _variable_index(graph: LeveledDualGraph) -> dict[str, int]:
@@ -179,35 +187,32 @@ def build_system(graph: LeveledDualGraph) -> MatchingSystem:
                 ids = tuple(n.id for n in chain)
                 walked.update(ids)
                 a, b = sorted(multilevels[p][direction].level for p in (anchor, terminal))
-                coeffs = [0] * len(index)
-                for node_id in ids:
-                    coeffs[index[node_var(node_id)]] += s
+                # A chain repeats no node, and node columns precede levels.
+                row = sorted([(index[node_var(node_id)], s) for node_id in ids])
                 for j in range(a + 1, b + 1):
-                    coeffs[index[level_var(j)]] -= 1
-                equations.append(Equation(tuple(coeffs), direction + 1, ids, (a, b)))
+                    row.append((index[level_var(j)], -1))
+                equations.append(Equation(tuple(row), len(index), direction + 1, ids, (a, b)))
     return MatchingSystem(variables=tuple(index), equations=tuple(equations))
 
 
-def _walk_chain(incidence, start, first_node, stop):
-    """Follow trivial pieces from `start` across `first_node` until `stop`.
+def _walk_chain(incidence, start, first, stop):
+    """Follow trivial pieces from `start` across the edge `first` until `stop`.
 
-    Returns (chain nodes, terminal): the terminal is the id of the first
-    piece with `stop(piece_id)`, or None when the walk runs into an end.
-    Every piece it passes is trivial, since a nontrivial piece sits at a
-    level in both directions and `realize` keeps it.  A trivial piece is a
-    two-valent cylinder, so the walk never branches or closes a cycle, and,
-    as no contact has a negative component, every node of the chain has the
-    contact of the first.
+    Returns (chain edges, terminal): the terminal is the id of the first
+    piece with `stop(piece_id)`, or None when the walk runs into an end,
+    which is then the chain's last edge.  Every piece it passes is trivial,
+    since a nontrivial piece sits at a level in both directions and
+    `realize` keeps it.  A trivial piece is a two-valent cylinder, so the
+    walk never branches or closes a cycle, and, as no contact has a negative
+    component, every edge of the chain has the contact of the first.
     """
-    chain = [first_node]
-    current = first_node.other_end(start)
-    while not stop(current):
+    chain = [first]
+    current = first.other_end(start)
+    while current is not None and not stop(current):
         # The walk entered `current` from another piece, so `chain[-1]` is
         # listed once and the other edge is the way on.
         nxt = next(e for e in incidence[current] if e is not chain[-1])
         current = nxt.other_end(current)
-        if current is None:
-            return chain, None
         chain.append(nxt)
     return chain, current
 
@@ -222,14 +227,13 @@ def solve(system: MatchingSystem) -> SolutionCone:
     formulations equivalent).  Infeasibility is a value, not an error.
     """
     nvars = len(system.variables)
-    rows = [eq.coefficients for eq in system.equations]
+    rows = [eq.row for eq in system.equations]
     # Column j's nonzeros as (row, coefficient), so A v is summed over the
     # support of v alone.
     columns: dict[int, list[tuple[int, int]]] = {}
     for i, row in enumerate(rows):
-        for j, a in enumerate(row):
-            if a:
-                columns.setdefault(j, []).append((i, a))
+        for j, a in row:
+            columns.setdefault(j, []).append((i, a))
 
     def solves(vec) -> bool:
         residual = [0] * len(rows)
@@ -295,41 +299,52 @@ def _solution_values(solution, variables: Collection[str]) -> list[Fraction]:
 
 def _piece_positions(
     graph: LeveledDualGraph,
-    values: Sequence[int],
-    index: Mapping[str, int],
+    vectors: Sequence[Sequence[int]],
     unit: int = 1,
-) -> dict[str, tuple[int, int]]:
-    """Positions of all pieces induced by an integer solution vector.
+) -> dict[str, tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Positions of all pieces induced by integer solution vectors, found in
+    one walk: each coordinate is a tuple with one entry per vector.
 
-    Fully-integer pieces sit at their level-map values; the rest are reached
-    by propagating edge displacements, and every piece is, since the graph
-    is connected and a nontrivial piece is fully integer.  Any inconsistency
-    means the vector does not solve the system.  The values count `1/unit`,
-    and so do the positions; messages give the rational values.
+    Each vector lists its values in the order of `_variable_index`, the
+    nodes and then the levels.  Fully-integer pieces sit at their level-map
+    values; the rest are reached by propagating edge displacements, and
+    every piece is, since the graph is connected and a nontrivial piece is
+    fully integer.  Any inconsistency means a vector does not solve the
+    system.  The values count `1/unit`, and so do the positions; messages
+    give the rational values of the first vector that fails.
     """
-    multilevels = graph.multilevels
+    multilevels, nodes = graph.multilevels, graph.nodes
+    # One tuple per variable, holding its value in each vector.
+    values = list(zip(*vectors)) or [()] * (len(nodes) + graph.num_levels)
     # Level a sits at height[a] = -(alpha_1 + ... + alpha_a).
-    height = [0]
-    for j in range(1, graph.num_levels + 1):
-        height.append(height[-1] - values[index[level_var(j)]])
-    lengths = {n.id: -values[index[node_var(n.id)]] for n in graph.nodes}
+    height = [(0,) * len(vectors)]
+    for alpha in values[len(nodes):]:
+        height.append(tuple(map(sub, height[-1], alpha)))
+    # A node's head sits at its tail plus length * contact, and its length
+    # is -alpha, so each head coordinate is the tail's minus contact * alpha.
+    drops = {}
+    for n, alpha in zip(nodes, values):
+        x, y = n.contact.x, n.contact.y
+        drops[n.id] = (tuple([x * a for a in alpha]), tuple([y * a for a in alpha]))
 
-    positions: dict[str, tuple[int, int]] = {}
+    positions: dict[str, tuple[tuple[int, ...], tuple[int, ...]]] = {}
     for pid, (lx, ly) in multilevels.items():
         if lx.is_integer and ly.is_integer:
             positions[pid] = (height[lx.lo], height[ly.lo])
 
-    pending = list(positions)
+    # Crossing a node a second time checks nothing new: each is crossed once.
+    pending, crossed = list(positions), set()
     while pending:
         current = pending.pop()
         cx, cy = positions[current]
         for edge in graph.incidence[current]:
             other = edge.other_end(current)
-            if other is None:
+            if other is None or edge.id in crossed:
                 continue
-            length = lengths[edge.id]
-            dx, dy = edge.away_from(current)
-            candidate = (cx + length * dx, cy + length * dy)
+            crossed.add(edge.id)
+            step = sub if edge.tail == current else add
+            dx, dy = drops[edge.id]
+            candidate = (tuple(map(step, cx, dx)), tuple(map(step, cy, dy)))
             if other in positions:
                 if positions[other] != candidate:
                     raise SolutionNotInCone(
@@ -340,7 +355,9 @@ def _piece_positions(
                 # the level map; check the defined ones.
                 for direction, lc in enumerate(multilevels[other]):
                     if lc.is_integer and candidate[direction] != height[lc.lo]:
-                        x, y, pin = (Fraction(c, unit) for c in (*candidate, height[lc.lo]))
+                        at = (*candidate, height[lc.lo])
+                        k = [c == h for c, h in zip(at[direction], at[2])].index(False)
+                        x, y, pin = (Fraction(c[k], unit) for c in at)
                         raise SolutionNotInCone(
                             f"piece {other} lands at ({x}, {y}) but its level "
                             f"pins coordinate {direction + 1} to {pin}"
@@ -364,13 +381,8 @@ def torus_weights(graph: LeveledDualGraph, cone: SolutionCone) -> WeightTable:
         raise SolutionNotInCone(
             f"cone variables {cone.variables} differ from the graph's {tuple(index)}"
         )
-    columns = [_piece_positions(graph, vec, index) for vec in cone.basis]
-    entries: dict[str, tuple[tuple[int, ...], tuple[int, ...]]] = {}
-    for piece in graph.pieces:
-        row_x = tuple(col[piece.id][0] for col in columns)
-        row_y = tuple(col[piece.id][1] for col in columns)
-        entries[piece.id] = (row_x, row_y)
-    return WeightTable(dimension=len(cone.basis), entries=entries)
+    positions = _piece_positions(graph, cone.basis)
+    return WeightTable(len(cone.basis), {piece.id: positions[piece.id] for piece in graph.pieces})
 
 
 def realize(
@@ -391,19 +403,16 @@ def realize(
         raise SolutionNotInCone("solution must be strictly negative in every coordinate")
     # Every node displacement and every integer coordinate is checked here,
     # which implies each chain equation of the system.
-    positions = _piece_positions(graph, values, index, unit)
+    positions = _piece_positions(graph, [values], unit)
 
     # Merged pieces are trivial, so two-valent cylinders: a chain through
     # them keeps one contact vector and becomes one segment or ray.
-    keep = {p.id for p in graph.pieces if keep_trivial or not p.trivial}
-    incidence = graph.incidence
-    vertex_ids = {pid: f"v{i}" for i, pid in enumerate(p.id for p in graph.pieces if p.id in keep)}
+    kept = (p.id for p in graph.pieces if keep_trivial or not p.trivial)
+    vertex_ids = {pid: f"v{i}" for i, pid in enumerate(kept)}
     vertices = tuple(
-        Vertex(
-            vertex_ids[pid],
-            QuadrantPoint(Fraction(positions[pid][0], unit), Fraction(positions[pid][1], unit)),
-        )
-        for pid in vertex_ids
+        Vertex(vid, QuadrantPoint(Fraction(x, unit), Fraction(y, unit)))
+        for pid, vid in vertex_ids.items()
+        for (x,), (y,) in [positions[pid]]
     )
 
     segments: list[Segment] = []
@@ -411,21 +420,16 @@ def realize(
     visited_edges: set[int] = set()
 
     for start in vertex_ids:
-        for edge in incidence[start]:
+        for edge in graph.incidence[start]:
             if id(edge) in visited_edges:
                 continue
-            visited_edges.add(id(edge))
             contact = edge.away_from(start)
-            if edge.other_end(start) is None:
-                rays.append(Ray(vertex_ids[start], contact))
-                continue
-            chain, terminal = _walk_chain(incidence, start, edge, vertex_ids.__contains__)
+            chain, terminal = _walk_chain(graph.incidence, start, edge, vertex_ids.__contains__)
             visited_edges.update(id(e) for e in chain)
             if terminal is None:
                 rays.append(Ray(vertex_ids[start], contact))
             else:
-                total = -sum(values[index[node_var(e.id)]] for e in chain)
-                length = Fraction(total, unit)
+                length = Fraction(-sum(values[index[node_var(e.id)]] for e in chain), unit)
                 segments.append(Segment(vertex_ids[start], vertex_ids[terminal], contact, length))
 
     return TropicalCurve(vertices, tuple(segments), tuple(rays))

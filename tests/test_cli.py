@@ -443,6 +443,24 @@ class TestJsonTypes:
         assert len(err.splitlines()) == 1
         assert err.startswith(f"error: malformed {what} document: ")
 
+    @pytest.mark.parametrize("wrapped", [False, True], ids=["bare", "in-nodes"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["match", "--graph"], ["building", "--curve"], ["render", "--svg", "out.svg", "--graph"]],
+        ids=["match", "building", "render"],
+    )
+    def test_deeply_nested_document_exits_2(self, capsys, tmp_path, monkeypatch, argv, wrapped):
+        """A document nested beyond the JSON decoder's recursion limit is
+        malformed input, not an internal error."""
+        nested = "[" * 100000 + "]" * 100000
+        path = tmp_path / "deep.json"
+        path.write_text('{"nodes": ' + nested + "}" if wrapped else nested)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv, str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: malformed JSON document: nested too deeply\n"
+        assert not (tmp_path / "out.svg").exists()
+
     def test_piece_with_three_levels_exits_2(self, capsys, tmp_path, example1_path):
         """A piece has exactly two level coordinates; the graph's constructor
         rejects any other count."""

@@ -9,10 +9,16 @@ import pytest
 
 from tropline import _linalg
 from tropline.building import build_building
-from tropline.matching import build_system
+from tropline.matching import build_system, solve, torus_weights
 from tropline.tropical import LineFamily, tropicalize_line
 
 GOLDENS = Path(__file__).parent / "goldens"
+
+
+def sparse(matrix):
+    """The sparse rows of a dense integer matrix: per row, its nonzero
+    (column, entry) pairs in column order."""
+    return [[(j, a) for j, a in enumerate(row) if a] for row in matrix]
 
 
 def fourier_motzkin_feasible(rows, rhs) -> bool:
@@ -58,16 +64,16 @@ def rational_rows(rows, pivots, ncols):
 
 
 def test_rref_identifies_pivots():
-    rows, pivots = _linalg.rref([[0, 2, 4], [1, 1, 1]])
+    rows, pivots = _linalg.rref(sparse([[0, 2, 4], [1, 1, 1]]))
     assert pivots == [0, 1] and all(row[c] > 0 for row, c in zip(rows, pivots))
     assert rational_rows(rows, pivots, 3) == [[F(1), F(0), F(-1)], [F(0), F(1), F(2)]]
     # A negative pivot is negated, so each row's pivot stays positive; rows
     # are divided by their content and hold only their nonzero entries.
-    rows, pivots = _linalg.rref([[-2, 1], [4, 3]])
+    rows, pivots = _linalg.rref(sparse([[-2, 1], [4, 3]]))
     assert pivots == [0, 1] and rows == [{0: 1}, {1: 1}]
     # Non-integer entries raise instead of being truncated.
     with pytest.raises(TypeError):
-        _linalg.rref([[F(1, 2), 1]])
+        _linalg.rref(sparse([[F(1, 2), 1]]))
 
 
 def test_elimination_keeps_each_row_scale():
@@ -81,7 +87,7 @@ def test_elimination_keeps_each_row_scale():
 
 def test_kernel_basis_simple():
     # x + y - z = 0 has kernel spanned by (-1, 1, 0) and (1, 0, 1).
-    basis = _linalg.kernel_basis([[1, 1, -1]], 3)
+    basis = _linalg.kernel_basis(sparse([[1, 1, -1]]), 3)
     assert len(basis) == 2
     for vec in basis:
         assert vec[0] + vec[1] - vec[2] == 0
@@ -93,11 +99,11 @@ def test_kernel_of_empty_system_is_everything():
 
 def test_kernel_basis_primitive_and_negative():
     # One primitive integer vector per free column, negative there.
-    assert _linalg.kernel_basis([[2, -3]], 2) == [[-3, -2]]
-    assert _linalg.kernel_basis([[2, -1]], 2) == [[-1, -2]]
-    assert _linalg.kernel_basis([[1, 1]], 2) == [[1, -1]]
-    assert _linalg.kernel_basis([[2, 4]], 2) == [[2, -1]]
-    assert _linalg.kernel_basis([[0, 2, 4], [1, 1, 1]], 3) == [[-1, 2, -1]]
+    assert _linalg.kernel_basis(sparse([[2, -3]]), 2) == [[-3, -2]]
+    assert _linalg.kernel_basis(sparse([[2, -1]]), 2) == [[-1, -2]]
+    assert _linalg.kernel_basis(sparse([[1, 1]]), 2) == [[1, -1]]
+    assert _linalg.kernel_basis(sparse([[2, 4]]), 2) == [[2, -1]]
+    assert _linalg.kernel_basis(sparse([[0, 2, 4], [1, 1, 1]]), 3) == [[-1, 2, -1]]
     assert _linalg.kernel_basis([], 2) == [[-1, 0], [0, -1]]
 
 
@@ -129,11 +135,11 @@ def random_matrices(count):
 def test_integer_elimination_against_fractions():
     for matrix, ncols in list(random_matrices(300)) + list(building_systems()):
         expected, pivots = fraction_rref(matrix)
-        rows, got_pivots = _linalg.rref(matrix)
+        rows, got_pivots = _linalg.rref(sparse(matrix))
         assert got_pivots == pivots and all(r[c] > 0 for r, c in zip(rows, pivots)), matrix
         assert rational_rows(rows, pivots, len(matrix[0]) if matrix else 0) == expected, matrix
-        assert _linalg.rank(matrix) == len(pivots)
-        basis = _linalg.kernel_basis(matrix, ncols)
+        assert _linalg.rank(sparse(matrix)) == len(pivots)
+        basis = _linalg.kernel_basis(sparse(matrix), ncols)
         free = [f for f in range(ncols) if f not in pivots]
         assert len(basis) == ncols - len(pivots)
         for f, vec in zip(free, basis):
@@ -194,12 +200,12 @@ def linalg_grid_lines() -> list[str]:
     basis, rank and witness (null when infeasible)."""
     lines = []
     for rows, ncols in linalg_grid_systems():
-        witness = _linalg.negative_orthant_point(rows, ncols)
+        witness = _linalg.negative_orthant_point(sparse(rows), ncols)
         lines.append(json.dumps({
             "rows": rows,
             "ncols": ncols,
-            "basis": _linalg.kernel_basis(rows, ncols),
-            "rank": _linalg.rank(rows),
+            "basis": _linalg.kernel_basis(sparse(rows), ncols),
+            "rank": _linalg.rank(sparse(rows)),
             "witness": None if witness is None else [str(x) for x in witness],
         }))
     return lines
@@ -214,10 +220,10 @@ def test_grid_pinned():
 
 def test_rank_and_row_span():
     rows = [[1, 1, 0, 0, 0, -1, 0], [0, 0, 1, 0, 0, 0, -1]]
-    assert _linalg.rank(rows) == 2
+    assert _linalg.rank(sparse(rows)) == 2
     # A row lies in the span exactly when appending it keeps the rank.
-    assert _linalg.rank(rows + [[1, 1, 1, 0, 0, -1, -1]]) == 2
-    assert _linalg.rank(rows + [[1, 0, 0, 0, 0, 0, 0]]) == 3
+    assert _linalg.rank(sparse(rows + [[1, 1, 1, 0, 0, -1, -1]])) == 2
+    assert _linalg.rank(sparse(rows + [[1, 0, 0, 0, 0, 0, 0]])) == 3
 
 
 def solves_strictly(rows, x) -> bool:
@@ -230,20 +236,20 @@ def solves_strictly(rows, x) -> bool:
 def test_negative_orthant_feasible_line():
     # x1 - x2 = 0: the kernel line (1, 1) reaches below -1.
     rows = [[1, -1]]
-    x = _linalg.negative_orthant_point(rows, 2)
+    x = _linalg.negative_orthant_point(sparse(rows), 2)
     assert x is not None and solves_strictly(rows, x)
 
 
 def test_negative_orthant_infeasible_opposites():
     # x1 + x2 = 0: the two variables cannot both be negative.
-    assert _linalg.negative_orthant_point([[1, 1]], 2) is None
+    assert _linalg.negative_orthant_point(sparse([[1, 1]]), 2) is None
 
 
 def test_negative_orthant_two_parameters():
     # x1 + x2 - x3 = 0 and 2 x4 - x3 = 0: a two-dimensional kernel.
     rows = [[1, 1, -1, 0], [0, 0, -1, 2]]
-    assert len(_linalg.kernel_basis(rows, 4)) == 2
-    x = _linalg.negative_orthant_point(rows, 4)
+    assert len(_linalg.kernel_basis(sparse(rows), 4)) == 2
+    x = _linalg.negative_orthant_point(sparse(rows), 4)
     assert x is not None and solves_strictly(rows, x)
 
 
@@ -258,7 +264,7 @@ def test_negative_orthant_ratio_ties_to_smaller_basis_index():
     # smaller basis index ends at this witness; the reversed rule ends at
     # (-1, -4/3, -4/3, -5/3, -1).
     rows = [[0, -2, -2, 2, 2], [1, -1, 0, -1, 2], [2, 0, -2, 1, -1]]
-    assert _linalg.negative_orthant_point(rows, 5) == [F(-2), F(-1), F(-3), F(-3), F(-1)]
+    assert _linalg.negative_orthant_point(sparse(rows), 5) == [F(-2), F(-1), F(-3), F(-3), F(-1)]
 
 
 def test_negative_orthant_against_fourier_motzkin():
@@ -267,7 +273,7 @@ def test_negative_orthant_against_fourier_motzkin():
         ncols = rng.randint(1, 4)
         nrows = rng.randint(1, 3)
         rows = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(nrows)]
-        x = _linalg.negative_orthant_point(rows, ncols)
+        x = _linalg.negative_orthant_point(sparse(rows), ncols)
         # A x <= 0, -A x <= 0 and x <= -1.
         identity = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
         expected = fourier_motzkin_feasible(
@@ -279,24 +285,40 @@ def test_negative_orthant_against_fourier_motzkin():
             assert solves_strictly(rows, x), rows
 
 
+def refined_graph(cuts: int):
+    """The graph of `(40, 27)` cut at `cuts` extra half-integer levels."""
+    curve = tropicalize_line(LineFamily(40, 27))
+    return build_building(curve, extra_levels=[F(2 * k + 1, 2) for k in range(cuts)]).graph
+
+
 def test_large_refined_system():
     """`(40, 27)` cut at 100 half-integer levels: 267 variables and 192
     equations, 386 nonzeros.  The basis and witness are pinned by digest."""
-    curve = tropicalize_line(LineFamily(40, 27))
-    graph = build_building(curve, extra_levels=[F(2 * k + 1, 2) for k in range(100)]).graph
-    system = build_system(graph)
+    system = build_system(refined_graph(100))
     rows, ncols = system.coefficient_rows(), len(system.variables)
     assert (ncols, len(rows)) == (267, 192)
-    assert _linalg.rank(rows) == 192
-    basis = _linalg.kernel_basis(rows, ncols)
+    sparse_rows = [eq.row for eq in system.equations]
+    assert sparse_rows == [tuple(row) for row in sparse(rows)]
+    assert _linalg.rank(sparse_rows) == 192
+    basis = _linalg.kernel_basis(sparse_rows, ncols)
     assert len(basis) == 75
     for vec in basis:
         assert math.gcd(*vec) == 1
         assert all(sum(a * v for a, v in zip(row, vec) if a) == 0 for row in rows)
-    witness = _linalg.negative_orthant_point(rows, ncols)
+    witness = _linalg.negative_orthant_point(sparse_rows, ncols)
     assert witness is not None and solves_strictly(rows, witness)
     digest = hashlib.sha256(json.dumps([basis, [str(x) for x in witness]]).encode())
     assert digest.hexdigest() == "a4798a46accd472704620c67174a4e36cd7e883ca011769ab5789912d0dbca3a"
+
+
+def test_large_refined_weight_table():
+    """The torus weights of the same building, 75 columns for each of its
+    pieces, pinned by digest."""
+    graph = refined_graph(100)
+    weights = torus_weights(graph, solve(build_system(graph)))
+    assert weights.dimension == 75 and list(weights.entries) == [p.id for p in graph.pieces]
+    digest = hashlib.sha256(json.dumps(weights.entries, sort_keys=True).encode())
+    assert digest.hexdigest() == "55fc0b661b4fd3a3ec4d7565457e2c424c5a4207d75b3d6b81a43893eb7984a0"
 
 
 def test_lattice_canonical_invariance():

@@ -40,8 +40,8 @@ def coeff_map(system, eq):
 
 
 def row_for(system, terms):
-    """Integer row for an equation written as {variable: coefficient}."""
-    return [terms.get(name, 0) for name in system.variables]
+    """Sparse row for an equation written as {variable: coefficient}."""
+    return [(j, terms[name]) for j, name in enumerate(system.variables) if terms.get(name)]
 
 
 def example1_system(example1_graph):
@@ -96,7 +96,7 @@ class TestBuildSystem:
 
     def test_full_chain_equations_are_implied(self, example1_graph):
         system = example1_system(example1_graph)
-        rows = system.coefficient_rows()
+        rows = [eq.row for eq in system.equations]
         for redundant in REDUNDANT_EQS:
             assert _linalg.rank(rows + [row_for(system, redundant)]) == _linalg.rank(rows)
 
@@ -157,6 +157,19 @@ class TestBuildSystem:
                 nodes=(NodeEdge("n1", "a", "b", V(0, 0)),),
                 ends=(),
             )
+
+    def test_rows_are_sparse_and_ascending(self):
+        """Each row holds only nonzero coefficients, in strictly ascending
+        columns, and the dense view lists the same entries."""
+        for p, q, cuts in ((4, 3, ()), (F(9, 2), 2, [F(1, 3), 3]),
+                           (40, 27, [F(2 * k + 1, 2) for k in range(25)])):
+            curve = tropicalize_line(LineFamily.of(p, q))
+            system = build_system(build_building(curve, extra_levels=cuts).graph)
+            for eq in system.equations:
+                columns = [j for j, _ in eq.row]
+                assert columns == sorted(set(columns)) and all(a for _, a in eq.row)
+                assert len(eq.coefficients) == len(system.variables)
+                assert [(j, a) for j, a in enumerate(eq.coefficients) if a] == list(eq.row)
 
     def test_multiplicity_scales_node_coefficients(self):
         graph = LeveledDualGraph(
@@ -329,6 +342,52 @@ class TestTorusWeights:
                 dx = (moved_pos[vid.id].x - base_pos[vid.id].x) / delta
                 dy = (moved_pos[vid.id].y - base_pos[vid.id].y) / delta
                 assert dx == rows[0][k] and dy == rows[1][k]
+
+    @staticmethod
+    def assert_weights_place_the_witness(graph):
+        """Every vertex of the realized witness, trivial pieces kept, is its
+        piece's weight matrix applied to the witness's basis coordinates.
+
+        Basis vector k is the only one nonzero at its free column f_k, its
+        last nonzero column, so the witness w has coordinate
+        lambda_k = w[f_k] / b_k[f_k]; the sum of lambda_k * b_k must give w
+        back, which checks the coordinates without trusting that layout.
+        """
+        cone = solve(build_system(graph))
+        weights = torus_weights(graph, cone)
+        w = cone.witness
+        lam = []
+        for vec in cone.basis:
+            f = max(j for j, b in enumerate(vec) if b)
+            lam.append(w[f] / vec[f])
+        assert [sum(c * b[j] for c, b in zip(lam, cone.basis)) for j in range(len(w))] == list(w)
+        curve = realize(graph, w, keep_trivial=True)
+        assert len(curve.vertices) == len(graph.pieces)
+        for piece, vertex in zip(graph.pieces, curve.vertices):
+            wx, wy = weights.entries[piece.id]
+            placed = (sum(c * x for c, x in zip(lam, wx)), sum(c * y for c, y in zip(lam, wy)))
+            assert (vertex.position.x, vertex.position.y) == placed, piece.id
+
+    def test_weights_place_the_witness_on_seeded_families(self):
+        """300 seeded families, each cut at 0-10 extra quarter-integer levels."""
+        rng = random.Random(2024)
+        pieces = 0
+        for _ in range(300):
+            p = F(rng.randint(0, 10), rng.choice([1, 2]))
+            q = F(rng.randint(0, 10), rng.choice([1, 2]))
+            cuts = [F(rng.randint(1, 48), 4) for _ in range(rng.randint(0, 10))]
+            graph = build_building(tropicalize_line(LineFamily.of(p, q)), extra_levels=cuts).graph
+            if solve(build_system(graph)).feasible:
+                self.assert_weights_place_the_witness(graph)
+                pieces += len(graph.pieces)
+        assert pieces > 2000
+
+    @pytest.mark.parametrize("cuts", [25, 100])
+    def test_weights_place_the_witness_on_refined_buildings(self, cuts):
+        """`(40, 27)` cut at 25 and 100 half-integer levels."""
+        levels = [F(2 * k + 1, 2) for k in range(cuts)]
+        graph = build_building(tropicalize_line(LineFamily(40, 27)), extra_levels=levels).graph
+        self.assert_weights_place_the_witness(graph)
 
     def test_infeasible_cone_rejected(self, example1_graph):
         with pytest.raises(GraphInvalid):
