@@ -15,9 +15,11 @@ The sampler works in log space, so no exponent of n is ever formed for the
 image points: the cloud neither underflows nor overflows, whatever (p, q).
 Along a ladder of bases only the in-window part of the cloud and its two
 distances are computed per base: the depths and angles of the samples, and
-the curve's polyline and pieces inside the window, are built once, and the
-samples whose image leaves the window are never formed.  A full cloud, and
-the complex domain points behind it, are built only on request
+the curve's pieces inside the window and the polyline walked along them,
+are built once, and the samples whose image leaves the window are never
+formed.  One routine, `_window_pieces`, cuts the curve to the window; the
+distance to the curve and the polyline both read its pieces.  A full
+cloud, and the complex domain points behind it, are built only on request
 (`sample_amoeba` without a window, `sample_domain`).
 
 numpy is imported at the first amoeba computation, not with this module:
@@ -76,10 +78,6 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # float range.
 _MAX_WINDOW = 1.0e150
 
-# Most steps a polyline piece takes: below 2**53 every step index is an
-# exact float.
-_MAX_STEPS = 2.0**53
-
 # (target, cloud point) pairs that `_grid_search` expands at once, at about
 # 48 B each.
 _PAIRS = 1 << 19
@@ -135,22 +133,23 @@ def _sphere(count: int, max_depth: float, cap: float) -> tuple[tuple[np.ndarray,
     The arrays are read-only, since every caller with the same key shares
     them."""
     ends = []
-    for end, reach in enumerate((max_depth, max_depth, cap)):
-        k = np.arange(end, count, 3)
-        if end == 1 and len(k) == len(ends[0][0]):
-            t, minus_t = ends[0][:2]
-        else:
-            t = reach * (np.arange(len(k)) + 0.5) / len(k)
-            minus_t = -t
-        # The fractional part, x - floor(x), is x % 1.0 for x >= 0.
-        turns = k * _GOLDEN
-        turns -= np.floor(turns)
-        angle = 2.0 * math.pi * turns
-        half = np.sin(0.5 * angle) if end == 1 else np.cos(0.5 * angle)
-        arrays = (t, minus_t, half**2, angle)
-        for a in arrays:
-            a.flags.writeable = False
-        ends.append(arrays)
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        for end, reach in enumerate((max_depth, max_depth, cap)):
+            k = np.arange(end, count, 3)
+            if end == 1 and len(k) == len(ends[0][0]):
+                t, minus_t = ends[0][:2]
+            else:
+                t = reach * (np.arange(len(k)) + 0.5) / len(k)
+                minus_t = -t
+            # The fractional part, x - floor(x), is x % 1.0 for x >= 0.
+            turns = k * _GOLDEN
+            turns -= np.floor(turns)
+            angle = 2.0 * math.pi * turns
+            half = np.sin(0.5 * angle) if end == 1 else np.cos(0.5 * angle)
+            arrays = (t, minus_t, half**2, angle)
+            for a in arrays:
+                a.flags.writeable = False
+            ends.append(arrays)
     return tuple(ends)
 
 
@@ -168,8 +167,7 @@ def _family_sphere(
     if depth is not None and not depth >= 0:
         raise ValueError(f"sample depth {depth} must be non-negative")
     p, q = float(family.p), float(family.q)
-    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        return _sphere(count, depth if depth is not None else p + q + 2.0, min(p, q))
+    return _sphere(count, depth if depth is not None else p + q + 2.0, min(p, q))
 
 
 def sample_amoeba(
@@ -242,7 +240,7 @@ def sample_amoeba(
         else:
             # Samples whose deep coordinate, c0 - (-t), is at most the window.
             cuts = [
-                int(np.searchsorted(c0 - minus_t, window, side="right"))
+                int((c0 - minus_t).searchsorted(window, side="right"))
                 for c0, (_t, minus_t, *_) in zip((x0, y0), sphere)
             ]
             cuts.append(len(sphere[2][0]))
@@ -275,14 +273,15 @@ def sample_amoeba(
             np.subtract(x0, log_w, out=out[:, 0])
             np.subtract(y0, log_w1, out=out[:, 1])
     np.maximum(0.0, points, out=points)
-    if window is not None:
+    # One reduction rules out the mask when every point is inside, as with
+    # the default window.  The points are at least 0, the start of the max.
+    if window is not None and not points.max(initial=0.0) <= window:
         keep = points[:, 0] <= window
         keep &= points[:, 1] <= window
-        if not keep.all():
-            inside = np.empty((np.count_nonzero(keep), 2), order="F")
-            np.compress(keep, points[:, 0], out=inside[:, 0])
-            np.compress(keep, points[:, 1], out=inside[:, 1])
-            points = inside
+        inside = np.empty((np.count_nonzero(keep), 2), order="F")
+        np.compress(keep, points[:, 0], out=inside[:, 0])
+        np.compress(keep, points[:, 1], out=inside[:, 1])
+        points = inside
     return AmoebaSample(n=float(n), points=points)
 
 
@@ -304,91 +303,41 @@ def sample_domain(
     return domain
 
 
-def _window_step(window: float, step: float | None = None, longest: float = 0.0) -> float:
-    """The polyline step of a window: `step`, or window / 512 by default.
+def _window_step(window: float) -> float:
+    """The polyline step of a window, window / 512.
 
     Raises a ValueError naming the window unless 0 < window <= _MAX_WINDOW
-    and the step is usable: positive, and covering a piece of length
-    `longest` in at most _MAX_STEPS steps.  A given step must also be
-    finite.
+    and the step is positive.
     """
     if not 0 < window <= _MAX_WINDOW:
         raise ValueError(f"window {window} must be positive and at most {_MAX_WINDOW:g}")
-    if step is None:
-        step = window / 512.0
-    elif not 0 < step < math.inf:
-        raise ValueError(f"step {step} must be a positive finite number")
+    step = window / 512.0
     if step == 0:
         raise ValueError(f"window {window} is too small: its polyline step rounds to 0")
-    if not longest / step <= _MAX_STEPS:
-        raise ValueError(
-            f"window {window} has no usable polyline step: {step:g} takes more "
-            f"than 2**53 steps along a piece of length {longest:g}"
-        )
     return step
 
 
-def discretize_curve(
-    curve: TropicalCurve, window: float, step: float | None = None
-) -> np.ndarray:
-    """Dense polyline point set of a curve, truncated to [0, window]^2.
+def discretize_curve(curve: TropicalCurve, window: float) -> np.ndarray:
+    """Dense polyline point set of a curve inside [0, window]^2.
 
-    Each piece, a segment or a ray cut where it leaves the window, is
-    walked in k equal steps of at most `step`, to the points t = tmax i / k
-    for i = 1..k, and the vertices are added.  Only the indices i that can
-    land inside the window, widened by one on each side, are formed, so a
-    tiny window costs no more than a wide one.  `_window_step` checks the
-    window and the step.
+    Each `_window_pieces` piece, a segment or a ray already cut to the
+    window, is walked from its start in k = max(1, ceil(|move| / step))
+    equal steps of at most the `_window_step` step: the points
+    start + move i / k for i = 0..k.  A piece is at most sqrt(2) window
+    long, so it takes at most about 725 steps, however small the window.
     """
-    edge = window + 1e-12
-    pos = {v.id: (float(v.position.x), float(v.position.y)) for v in curve.vertices}
-    walks = [
-        (*pos[s.tail], float(s.contact.x), float(s.contact.y), float(s.length))
-        for s in curve.segments
-    ]
-    for r in curve.rays:
-        x0, y0 = pos[r.base]
-        dx, dy = float(r.contact.x), float(r.contact.y)
-        # Longest parameter keeping the ray inside the window.
-        limits = []
-        if dx > 0:
-            limits.append((window - x0) / dx)
-        if dy > 0:
-            limits.append((window - y0) / dy)
-        tmax = min(limits) if limits else 0.0
-        if tmax > 0:
-            walks.append((x0, y0, dx, dy, tmax))
-    longest = max((tmax * math.hypot(dx, dy) for *_, dx, dy, tmax in walks), default=0.0)
-    step = _window_step(window, step, longest)
-    points = [np.array(list(pos.values()), dtype=np.float64).reshape(-1, 2)]
-    for x0, y0, dx, dy, tmax in walks:
-        k = max(1, int(math.ceil(tmax / step * math.hypot(dx, dy))))
-        # The parameters in [lo, hi] keep both coordinates at most the edge.
-        lo, hi = 0.0, tmax
-        for c0, dc in ((x0, dx), (y0, dy)):
-            if dc > 0:
-                hi = min(hi, (edge - c0) / dc)
-            elif dc < 0:
-                lo = max(lo, (edge - c0) / dc)
-            elif c0 > edge:
-                hi = 0.0
-        if tmax > 0:
-            lo, hi = (min(max(t, 0.0), tmax) / tmax * k for t in (lo, hi))
-        first = max(1, math.ceil(lo) - 1)
-        last = min(k, math.floor(hi) + 1)
-        if first <= last:
-            t = tmax * np.arange(first, last + 1) / k
-            points.append(np.column_stack((x0 + t * dx, y0 + t * dy)))
-    pts = np.concatenate(points)
-    inside = (pts[:, 0] <= edge) & (pts[:, 1] <= edge)
-    return pts[inside]
+    step = _window_step(window)
+    walks = [np.empty((0, 2))]
+    for start, move in zip(*_window_pieces(curve, window)):
+        k = max(1, math.ceil(math.hypot(*move) / step))
+        walks.append(start + move * np.arange(k + 1.0)[:, None] / k)
+    return np.concatenate(walks)
 
 
 def _window_pieces(curve: TropicalCurve, window: float) -> tuple[np.ndarray, np.ndarray]:
     """The curve inside [0, window]^2 as segments: start points and
-    displacements, one row each, with rays cut where they leave the window.
-    The window edge has the tolerance `discretize_curve` gives it."""
-    window += 1e-12
+    displacements, one row each.  Each segment and ray is cut where it
+    leaves the window, and dropped if it lies outside."""
     pos = {v.id: (float(v.position.x), float(v.position.y)) for v in curve.vertices}
     edges = [(pos[s.tail], s.contact, float(s.length)) for s in curve.segments]
     edges += [(pos[r.base], r.contact, math.inf) for r in curve.rays]
@@ -546,9 +495,11 @@ def _grid_search(tx, ty, centre, cx, cy, keys, side: int, cell: float) -> np.nda
 def _curve_in_window(curve: TropicalCurve, window: float) -> tuple[np.ndarray, ...]:
     """The part of `hausdorff` that does not depend on the cloud: the
     `discretize_curve` polyline and the `_window_pieces` starts and
-    displacements.  It holds one entry, which the next call with another
-    (curve, window) replaces; the arrays are read-only, since every caller
-    with the same key shares them."""
+    displacements it walks.  `discretize_curve` is looked up as a module
+    global, so a wrapper installed on it sees each polyline built.  It
+    holds one entry, which the next call with another (curve, window)
+    replaces; the arrays are read-only, since every caller with the same
+    key shares them."""
     arrays = (discretize_curve(curve, window), *_window_pieces(curve, window))
     for a in arrays:
         a.flags.writeable = False
@@ -558,11 +509,12 @@ def _curve_in_window(curve: TropicalCurve, window: float) -> tuple[np.ndarray, .
 def hausdorff(sample: AmoebaSample, curve: TropicalCurve, window: float) -> float:
     """Symmetric Hausdorff distance between cloud and curve inside the window.
 
-    Cloud to curve is the exact distance to the curve's segments and
-    window-cut rays.  It bounds curve to cloud, measured from the points of
-    `discretize_curve` by `_squared_nearest`: a polyline point certified to
-    have a cloud point no farther away cannot raise the maximum, and every
-    other point gets its exact nearest distance.  The result is the float
+    Cloud to curve is the exact distance to the `_window_pieces`, the
+    curve's segments and rays cut to the window.  It bounds curve to cloud,
+    measured from the points of `discretize_curve`, walked along the same
+    pieces, by `_squared_nearest`: a polyline point certified to have a
+    cloud point no farther away cannot raise the maximum, and every other
+    point gets its exact nearest distance.  The result is the float
     that the full distance matrix gives, whatever the order of the points.
     The in-window cloud goes to the helpers as two columns, cx and cy: the
     sample's own columns when every point is inside, as in a cloud that

@@ -499,39 +499,23 @@ class TestHausdorff:
         assert str(info.value) == f"window {window} must be positive and at most 1e+150"
 
     def test_tiny_windows_walk_only_inside(self):
-        """A window far below the vertices forms no polyline point at once;
-        below the float range of its step it is refused by name."""
+        """A window far below the vertices forms no polyline point, however
+        small; a window whose step rounds to 0 is refused by name."""
         curve = tropicalize_line(fam(1, 2))
-        for window in (1e-5, 1e-7, 1e-13):
+        for window in (1e-5, 1e-7, 1e-13, 1e-300, 1e-310):
             assert discretize_curve(curve, window).shape == (0, 2)
-        # The (0, 0) vertex is the origin: its rays are walked in 512 steps.
-        assert len(discretize_curve(tropicalize_line(fam(0, 0)), 1e-300)) == 1 + 2 * 512
-        with pytest.raises(ValueError, match=r"^window 1e-300 has no usable polyline step"):
-            discretize_curve(curve, 1e-300)
+        # The (0, 0) vertex is the origin: each of its two rays is walked in
+        # 512 steps, both ends included.
+        assert len(discretize_curve(tropicalize_line(fam(0, 0)), 1e-300)) == 2 * (1 + 512)
         with pytest.raises(ValueError, match=r"^window 5e-324 is too small"):
             discretize_curve(curve, 5e-324)
 
-    def test_walk_equals_full_walk(self):
-        """Walking only the indices that can land inside the window gives the
-        polyline of walking every index, on windows below, between and past
-        the vertices and on curves with a reflected segment."""
-
-        def full_walk(curve, window, step):
-            pos = {v.id: (float(v.position.x), float(v.position.y)) for v in curve.vertices}
-            points = [np.array(list(pos.values())).reshape(-1, 2)]
-            walks = [(*pos[s.tail], s.contact, float(s.length)) for s in curve.segments]
-            for r in curve.rays:
-                x0, y0 = pos[r.base]
-                limits = [(window - c0) / d for c0, d in ((x0, r.contact.x), (y0, r.contact.y)) if d > 0]
-                if limits and min(limits) > 0:
-                    walks.append((x0, y0, r.contact, min(limits)))
-            for x0, y0, c, tmax in walks:
-                k = max(1, int(math.ceil(tmax / step * math.hypot(c.x, c.y))))
-                t = tmax * np.arange(1, k + 1) / k
-                points.append(np.column_stack((x0 + t * float(c.x), y0 + t * float(c.y))))
-            pts = np.concatenate(points)
-            return pts[(pts[:, 0] <= window + 1e-12) & (pts[:, 1] <= window + 1e-12)]
-
+    def test_walk_steps_along_window_pieces(self):
+        """The polyline walks each `_window_pieces` piece from end to end in
+        steps of at most window / 512, on windows below, between and past
+        the vertices and on curves with a reflected segment: every point
+        lies on a piece and within one ulp of [0, window]^2, and each piece
+        holds points at both its ends and no wider gap than a step."""
         rng = np.random.default_rng(17)
         for p, q in ((1, 2), (4, 3), (0, 0), (Fraction(3, 2), 3), (Fraction(7, 3), 2)):
             curve = tropicalize_line(fam(p, q))
@@ -544,30 +528,25 @@ class TestHausdorff:
                 windows = [0.3, float(min(p, q)) or 0.7, float(p) or 0.9, float(p + q + 1), top]
                 windows += list(rng.uniform(0.01, top, 6))
                 for window in windows:
-                    for step in (None, window / 37):
-                        got = discretize_curve(c, window, step)
-                        full = full_walk(c, window, step or window / 512)
-                        assert got.tobytes() == full.tobytes()
-        # Windows whose edge, window + 1e-12, meets a segment's step point to
-        # within rounding, so the top index computed from the edge falls
-        # just below that point's, which lies inside: the walked range is
-        # widened by one on top to keep it (found by a search over windows
-        # next to the step points).
-        for (p, q), window, step in (
-            ((1, 2), 1.436619718308859, 0.01),
-            ((4, 3), 1.0423529411754704, 0.01),
-            ((Fraction(3, 2), 3), 1.5211267605623802, 0.03),
-        ):
-            curve = tropicalize_line(fam(p, q))
-            full = full_walk(curve, window, step)
-            assert discretize_curve(curve, window, step).tobytes() == full.tobytes()
-
-    @pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf])
-    def test_bad_step(self, step):
-        # A zero step would divide by zero, and a negative one would pass
-        # unnoticed with one point per piece.
-        with pytest.raises(ValueError, match="positive finite"):
-            discretize_curve(tropicalize_line(fam(1, 2)), 8.0, step=step)
+                    poly = discretize_curve(c, window)
+                    starts, moves = amoeba._window_pieces(c, window)
+                    # Rounding in the walk and in these checks stays within a few ulps.
+                    step, tol = window / 512, 4 * np.spacing(window)
+                    if len(starts) == 0:
+                        assert poly.shape == (0, 2)
+                        continue
+                    assert (poly >= np.nextafter(0.0, -1.0)).all()
+                    assert (poly <= np.nextafter(window, math.inf)).all()
+                    assert (reference_distance_to_pieces(poly, starts, moves) <= tol**2).all()
+                    for start, move in zip(starts, moves):
+                        length = math.hypot(*move)
+                        rel = poly - start
+                        along = rel @ move / (length or 1.0)
+                        off = np.abs(rel[:, 0] * move[1] - rel[:, 1] * move[0]) / (length or 1.0)
+                        on = (off <= tol) & (along >= -tol) & (along <= length + tol)
+                        on = np.sort(along[on])
+                        assert len(on) > 0 and on[0] <= tol and on[-1] >= length - tol
+                        assert (np.diff(on) <= step + tol).all()
 
     def test_mirror_isometry_is_exact(self):
         sample = sample_amoeba(fam(4, 3), 1e4, 1500)
@@ -578,12 +557,16 @@ class TestHausdorff:
 
     def test_cloud_to_curve_is_exact(self):
         # Far from the curve, the cloud-to-curve side dominates: it must match
-        # the distance to a fine polyline to within half its step.
+        # the distance to a fine polyline, each window piece walked in equal
+        # steps of at most 8 / 20000, to within half a step.
         curve = tropicalize_line(fam(4, 3))
         rng = np.random.default_rng(5)
         points = rng.uniform(0.0, 8.0, (300, 2))
         sample = AmoebaSample(n=10.0, points=points)
-        fine = discretize_curve(curve, 8.0, step=8.0 / 20000)
+        fine = np.concatenate([
+            start + move * np.linspace(0.0, 1.0, math.ceil(math.hypot(*move) / 4e-4) + 1)[:, None]
+            for start, move in zip(*amoeba._window_pieces(curve, 8.0))
+        ])
         nearest = np.sqrt(((sample.points[:, None, :] - fine[None]) ** 2).sum(-1)).min(axis=1)
         d = hausdorff(sample, curve, 8.0)
         assert nearest.max() - 8.0 / 40000 <= d <= nearest.max()
@@ -795,9 +778,9 @@ class TestConvergence:
     def test_ladder_builds_one_polyline(self, monkeypatch):
         polylines = []
 
-        def counting(curve, window, step=None):
+        def counting(curve, window):
             polylines.append(window)
-            return discretize_curve(curve, window, step)
+            return discretize_curve(curve, window)
 
         monkeypatch.setattr(amoeba, "discretize_curve", counting)
         # The second ladder builds its own, though the first left one behind.
@@ -834,7 +817,7 @@ class TestConvergence:
         uncertified is certified by one of the 8 cells around it, so none
         reaches the exact search; without that probe 44 of them would."""
         convergence_report(fam(4, 3), [1e3, 1e4, 1e6, 1e8], 20000, 8.0)
-        assert branches == {"certified": 3400, "searched": 0}
+        assert branches == {"certified": 3404, "searched": 0}
 
     @pytest.mark.parametrize("bases", [[1e3], [1e3, 1e3], []])
     def test_fewer_than_two_distinct_bases(self, bases):

@@ -332,8 +332,7 @@ class TestSvgAndCsv:
         "window, line",
         [
             ("1e-7", "error: no sample points inside the window"),
-            ("1e-310", "error: window 1e-310 has no usable polyline step: 1.95312e-313 "
-                       "takes more than 2**53 steps along a piece of length 1.41421"),
+            ("1e-310", "error: no sample points inside the window"),
             ("5e-324", "error: window 5e-324 is too small: its polyline step rounds to 0"),
         ],
         ids=["1e-7", "1e-310", "5e-324"],
@@ -384,6 +383,52 @@ class TestSvgAndCsv:
     def test_unreadable_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "match", "--graph", str(tmp_path / "missing.json"))
         assert code == 2 and err
+
+
+# Windows from the smallest subnormal to far past the accepted 1e150, and
+# the non-finite and non-positive values a user can type.
+WINDOWS = st.one_of(
+    st.floats(min_value=5e-324, max_value=1e300),
+    st.sampled_from([5e-324, 1e-310, 1e-300, 1e-7, 1.5, 1e150, 1e300]),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, -1e-5]),
+)
+# Ladders of accepted bases, and lists that may hold any base.
+BASES = st.one_of(
+    st.lists(st.floats(min_value=1.5, max_value=1e8), min_size=2, max_size=4, unique=True),
+    st.lists(
+        st.floats(min_value=1.0, max_value=1e9)
+        | st.sampled_from([1e3, 1e8, 1.0, 0.5, -1e3, 0.0, math.nan, math.inf]),
+        max_size=4,
+    ),
+)
+
+
+class TestAmoebaArguments:
+    @given(
+        pq=st.sampled_from([("1", "2"), ("0", "0"), ("3/2", "3"), ("4", "3")]),
+        window=st.none() | st.floats(min_value=1e-3, max_value=12.0) | WINDOWS,
+        samples=st.integers(-3, 3000),
+        bases=BASES,
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_every_ladder_exits_0_or_2(self, pq, window, samples, bases):
+        """`trop amoeba` on any window, sample count and base list exits 0
+        with JSON on stdout, or 2 with one `error:` line on stderr."""
+        argv = ["amoeba", "--p", pq[0], "--q", pq[1], f"--samples={samples}"]
+        argv.append("--n=" + ",".join(map(repr, bases)))
+        if window is not None:
+            argv.append(f"--window={window!r}")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        if code == 0:
+            json.loads(out.getvalue())
+            assert err.getvalue() == ""
+        else:
+            assert code == 2, (argv, err.getvalue())
+            assert out.getvalue() == ""
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
 
 
 class TestJsonTypes:
