@@ -23,7 +23,6 @@ _EXPORTS = {
         "QuadrantPoint",
         "Rational",
         "complete_fan",
-        "fan_from_text",
         "fan_to_text",
         "locate",
         "primitive",

@@ -154,7 +154,7 @@ def _sphere(count: int, max_depth: float, cap: float) -> tuple[tuple[np.ndarray,
 
 
 def _family_sphere(
-    family: LineFamily, n: float, count: int, depth: float | None
+    family: LineFamily, n: float, count: int
 ) -> tuple[tuple[np.ndarray, ...], ...]:
     """Check the sampling arguments and return the family's `_sphere`."""
     if not n > 1:
@@ -163,19 +163,12 @@ def _family_sphere(
         raise ValueError(f"rescaling base {n} exceeds the supported {MAX_BASE:g}")
     if count < 1:
         raise ValueError("need at least one sample point")
-    # A negative depth would reverse the order of the depths along an end.
-    if depth is not None and not depth >= 0:
-        raise ValueError(f"sample depth {depth} must be non-negative")
     p, q = float(family.p), float(family.q)
-    return _sphere(count, depth if depth is not None else p + q + 2.0, min(p, q))
+    return _sphere(count, p + q + 2.0, min(p, q))
 
 
 def sample_amoeba(
-    family: LineFamily,
-    n: float,
-    count: int,
-    depth: float | None = None,
-    window: float | None = None,
+    family: LineFamily, n: float, count: int, window: float | None = None
 ) -> AmoebaSample:
     """Deterministic point cloud of the log image of one line of the family.
 
@@ -184,8 +177,8 @@ def sample_amoeba(
     log-uniformly in base n with golden-angle rotation: w = n^(-t) e^(i a)
     near 0, w = -1 + n^(-t) e^(i a) near -1, and w = n^(t) e^(i a) near
     infinity.  The infinity end is capped at depth min(p, q), where its
-    image meets the quadrant boundary; the others reach `depth` (default
-    p + q + 2; a negative or NaN depth is refused).  The scheme is a fixed
+    image meets the quadrant boundary; the others reach depth p + q + 2.
+    The scheme is a fixed
     function of its arguments, so equal inputs give bit-identical clouds;
     `sample_domain` gives the points w.
 
@@ -208,13 +201,13 @@ def sample_amoeba(
     with t, so the samples of those ends inside the window are a prefix,
     found by `searchsorted` on that expression; only the prefix is
     computed, and its other coordinate, like both of the infinity end's,
-    is tested against the window afterwards.  The full cloud and the
-    windowed one run one loop and differ only in each end's prefix length
-    and output slice.
+    is tested against the window afterwards, by `_in_window`.  The full
+    cloud and the windowed one run one loop and differ only in each end's
+    prefix length and output slice.
 
     A ladder of bases shares all but the base: the depths t and -t, the
     half-angle factors and the golden angles come from `_sphere`, a memo
-    keyed by (count, depth, min(p, q)).  It holds one entry, 4 arrays of
+    keyed by (count, p + q + 2, min(p, q)).  It holds one entry, 4 arrays of
     about count / 3 floats per end, ends 0 and -1 sharing t and -t (about
     27 B per sample), which the next call with another key replaces.  Each
     base computes only eps = n^(-t), (1 - eps)^2 and 4 eps, once for the
@@ -223,7 +216,7 @@ def sample_amoeba(
     column-major, so the x and y columns are contiguous, and each end
     writes its slice of the two columns in place.
     """
-    sphere = _family_sphere(family, n, count, depth)
+    sphere = _family_sphere(family, n, count)
     if window is not None:
         _window_step(window)
     log_n = math.log(n)
@@ -273,26 +266,31 @@ def sample_amoeba(
             np.subtract(x0, log_w, out=out[:, 0])
             np.subtract(y0, log_w1, out=out[:, 1])
     np.maximum(0.0, points, out=points)
-    # One reduction rules out the mask when every point is inside, as with
-    # the default window.  The points are at least 0, the start of the max.
-    if window is not None and not points.max(initial=0.0) <= window:
-        keep = points[:, 0] <= window
-        keep &= points[:, 1] <= window
-        inside = np.empty((np.count_nonzero(keep), 2), order="F")
-        np.compress(keep, points[:, 0], out=inside[:, 0])
-        np.compress(keep, points[:, 1], out=inside[:, 1])
-        points = inside
+    if window is not None:
+        points = _in_window(points, window)
     return AmoebaSample(n=float(n), points=points)
 
 
-def sample_domain(
-    family: LineFamily, n: float, count: int, depth: float | None = None
-) -> np.ndarray:
+def _in_window(points: np.ndarray, window: float) -> np.ndarray:
+    """The rows of a clipped cloud inside [0, window]^2, copied column-major;
+    one reduction, from 0, returns `points` as it is when every point is
+    inside, as in a cloud sampled with this window."""
+    if points.max(initial=0.0) <= window:
+        return points
+    keep = points[:, 0] <= window
+    keep &= points[:, 1] <= window
+    inside = np.empty((np.count_nonzero(keep), 2), order="F")
+    np.compress(keep, points[:, 0], out=inside[:, 0])
+    np.compress(keep, points[:, 1], out=inside[:, 1])
+    return inside
+
+
+def sample_domain(family: LineFamily, n: float, count: int) -> np.ndarray:
     """The affine chart points w that `sample_amoeba` without a window maps
     to its cloud, row for row: n^(-t) e^(i a) near 0, -1 + n^(-t) e^(i a) near -1 and
     n^(t) e^(i a) near infinity.  Depths beyond the float range give
     infinities."""
-    sphere = _family_sphere(family, n, count, depth)
+    sphere = _family_sphere(family, n, count)
     domain = np.empty(count, dtype=np.complex128)
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
         for end, (t, minus_t, _half2, angle) in enumerate(sphere):
@@ -516,21 +514,14 @@ def hausdorff(sample: AmoebaSample, curve: TropicalCurve, window: float) -> floa
     cloud point no farther away cannot raise the maximum, and every other
     point gets its exact nearest distance.  The result is the float
     that the full distance matrix gives, whatever the order of the points.
-    The in-window cloud goes to the helpers as two columns, cx and cy: the
-    sample's own columns when every point is inside, as in a cloud that
-    `sample_amoeba` sampled with this window, and otherwise the in-window
-    rows taken by index.  The polyline and the pieces come from
-    `_curve_in_window`, so a ladder of bases on one curve builds them once.
-    `discretize_curve` runs first, so a window that `_window_step` refuses
-    raises its ValueError.
+    The helpers read the `_in_window` rows of the cloud as two columns, cx
+    and cy, and the polyline and pieces from `_curve_in_window`, so a
+    ladder of bases on one curve builds those once.  `discretize_curve`
+    runs first, so a window that `_window_step` refuses raises its
+    ValueError.
     """
     poly, starts, moves = _curve_in_window(curve, window)
-    cx, cy = sample.points[:, 0], sample.points[:, 1]
-    keep = cx <= window
-    keep &= cy <= window
-    if not keep.all():
-        inside = np.flatnonzero(keep)
-        cx, cy = cx.take(inside), cy.take(inside)
+    cx, cy = _in_window(sample.points, window).T
     if cx.size == 0:
         raise EmptySample("no sample points inside the window")
     if poly.size == 0:
@@ -548,7 +539,8 @@ def convergence_report(
 ) -> ConvergenceReport:
     """Hausdorff distances over a ladder of bases, with a 1/log n fit.
 
-    The fit needs at least two distinct bases, and the window must be
+    The fit needs at least two distinct bases, which give at least two
+    distinct values of 1 / log n, and the window must be
     positive and small enough that squared distances inside it stay finite,
     as `_window_step` checks.
     It may not reach past the sampled depth p + q + 2 either: beyond it the
@@ -574,6 +566,8 @@ def convergence_report(
         entries.append((n, hausdorff(sample, curve, window)))
     # Closed-form least squares of the distances on 1 / log n.
     xs = [1.0 / math.log(n) for n in bases]
+    if len(set(xs)) < 2:
+        raise ValueError("a convergence ladder needs bases with two distinct values of 1 / log n")
     ds = [d for _, d in entries]
     mx, my = sum(xs) / len(xs), sum(ds) / len(ds)
     sxx = sum((x - mx) ** 2 for x in xs)

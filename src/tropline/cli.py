@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from . import amoeba as amoeba_mod
 from . import tropical as tropical_mod
-from .geometry import fan_to_text, parse_rational, rational_str
+from .geometry import complete_fan, fan_to_text, parse_rational, rational_str
 
 
 def _rational_arg(text: str) -> Fraction:
@@ -229,7 +229,7 @@ def _cmd_fan(args) -> int:
     elif args.which == "ionel":
         fan = moduli.ionel_fan()
     else:
-        fan = moduli.ionel_fan(complete=True)
+        fan = complete_fan(moduli.ionel_fan())
     if args.svg:
         from . import render
 

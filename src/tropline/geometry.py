@@ -38,7 +38,6 @@ __all__ = [
     "complete_fan",
     "fan_from_cones",
     "fan_to_text",
-    "fan_from_text",
     "rational_str",
     "parse_rational",
 ]
@@ -421,25 +420,3 @@ def fan_to_text(fan: Fan) -> str:
         u, v = cone.generators
         lines.append(f"cone {u.x} {u.y} {v.x} {v.y}")
     return "\n".join(lines) + "\n"
-
-
-def fan_from_text(text: str) -> Fan:
-    rays: list[LatticeVector] = []
-    cones: list[Cone] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split()
-        try:
-            if parts[0] == "ray" and len(parts) == 3:
-                rays.append(LatticeVector(int(parts[1]), int(parts[2])))
-            elif parts[0] == "cone" and len(parts) == 5:
-                u = LatticeVector(int(parts[1]), int(parts[2]))
-                v = LatticeVector(int(parts[3]), int(parts[4]))
-                cones.append(Cone((u, v)))
-            else:
-                raise ValueError
-        except ValueError as exc:
-            raise StructuralInvalid(f"bad fan line {lineno}: {raw!r}") from exc
-    return Fan(rays=tuple(rays), cones=tuple(cones))

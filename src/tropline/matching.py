@@ -72,20 +72,13 @@ def level_var(j: int) -> str:
 
 @dataclass(frozen=True)
 class Equation:
-    """One homogeneous equation over `width` variables: its nonzero integer
-    coefficients as `(column, coefficient)` pairs in ascending column order."""
+    """One homogeneous equation: its nonzero integer coefficients as
+    `(column, coefficient)` pairs in ascending column order."""
 
     row: tuple[tuple[int, int], ...]
-    width: int
     direction: int  # 1 or 2
     chain: tuple[str, ...]  # node ids, in chain order
     levels: tuple[int, int]  # anchor levels (a, b) with a <= b
-
-    @property
-    def coefficients(self) -> tuple[int, ...]:
-        """The dense view: one coefficient per variable."""
-        terms = dict(self.row)
-        return tuple(terms.get(j, 0) for j in range(self.width))
 
     def evaluate(self, values: Sequence[Fraction]) -> Fraction:
         return sum(a * values[j] for j, a in self.row)
@@ -97,7 +90,12 @@ class MatchingSystem:
     equations: tuple[Equation, ...]
 
     def coefficient_rows(self) -> list[list[int]]:
-        return [list(eq.coefficients) for eq in self.equations]
+        """The dense rows: one coefficient per variable, per equation."""
+        width, rows = len(self.variables), []
+        for eq in self.equations:
+            terms = dict(eq.row)
+            rows.append([terms.get(j, 0) for j in range(width)])
+        return rows
 
 
 @dataclass(frozen=True)
@@ -191,7 +189,7 @@ def build_system(graph: LeveledDualGraph) -> MatchingSystem:
                 row = sorted([(index[node_var(node_id)], s) for node_id in ids])
                 for j in range(a + 1, b + 1):
                     row.append((index[level_var(j)], -1))
-                equations.append(Equation(tuple(row), len(index), direction + 1, ids, (a, b)))
+                equations.append(Equation(tuple(row), direction + 1, ids, (a, b)))
     return MatchingSystem(variables=tuple(index), equations=tuple(equations))
 
 

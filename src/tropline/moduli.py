@@ -25,7 +25,6 @@ from .geometry import (
     LatticeVector,
     ZERO_CONE,
     _fraction,
-    complete_fan,
     fan_from_cones,
     locate,
     stellar_subdivide,
@@ -70,16 +69,15 @@ class TypeRow:
     mirror: str
 
 
-@functools.lru_cache(maxsize=None)
-def exploded_fan(complete: bool = False) -> Fan:
+@functools.cache
+def exploded_fan() -> Fan:
     """The coarse moduli fan: the quadrant divided along the diagonal."""
     e10, e11, e01 = LatticeVector(1, 0), LatticeVector(1, 1), LatticeVector(0, 1)
-    fan = fan_from_cones([Cone((e10, e11)), Cone((e11, e01))])
-    return complete_fan(fan) if complete else fan
+    return fan_from_cones([Cone((e10, e11)), Cone((e11, e01))])
 
 
-@functools.lru_cache(maxsize=None)
-def ionel_fan(complete: bool = False) -> Fan:
+@functools.cache
+def ionel_fan() -> Fan:
     """The fine moduli fan: four stellar subdivisions of the coarse fan.
 
     Two blowups at the corners adjacent to the diagonal, then two more at
@@ -90,8 +88,7 @@ def ionel_fan(complete: bool = False) -> Fan:
     fan = stellar_subdivide(fan, Cone((e10, e11)), LatticeVector(2, 1))
     fan = stellar_subdivide(fan, Cone((e11, e01)), LatticeVector(1, 2))
     fan = stellar_subdivide(fan, Cone((LatticeVector(2, 1), e11)), LatticeVector(3, 2))
-    fan = stellar_subdivide(fan, Cone((e11, LatticeVector(1, 2))), LatticeVector(2, 3))
-    return complete_fan(fan) if complete else fan
+    return stellar_subdivide(fan, Cone((e11, LatticeVector(1, 2))), LatticeVector(2, 3))
 
 
 def _cone_label(cone: Cone) -> str:

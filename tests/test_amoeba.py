@@ -164,12 +164,11 @@ class TestLogImage:
             log_image((1.0, 1.0, 1.0), 1.0)
 
 
-def reference_sample(family, n, count, depth=None):
+def reference_sample(family, n, count):
     """The sampler as one all-ends formulation: every end is computed for
     every sample and `np.where` keeps the one the sample lies on."""
     p, q = float(family.p), float(family.q)
-    max_depth = depth if depth is not None else p + q + 2.0
-    caps = np.array((max_depth, max_depth, min(p, q)))
+    caps = np.array((p + q + 2.0, p + q + 2.0, min(p, q)))
     per_end = np.array([len(range(e, count, 3)) for e in range(3)])
     k = np.arange(count)
     end = k % 3
@@ -245,22 +244,22 @@ def branches(monkeypatch):
 
 class TestSampler:
     @pytest.mark.parametrize(
-        "family, depth",
+        "family",
         [
-            (fam(4, 3), None),
-            (fam(Fraction(7, 3), 2, c1=3.0 - 1.0j, c2=0.25), None),
-            (fam(0, 0), 4.0),
-            (fam(40, 27), None),
-            (fam(200, 150), None),
+            fam(4, 3),
+            fam(Fraction(7, 3), 2, c1=3.0 - 1.0j, c2=0.25),
+            fam(0, 0),
+            fam(40, 27),
+            fam(200, 150),
         ],
     )
-    def test_per_end_sampler_equals_all_ends_reference(self, family, depth):
+    def test_per_end_sampler_equals_all_ends_reference(self, family):
         for n in (1e3, 1e8):
             for count in (1, 2, 5, 2000):
-                sample = sample_amoeba(family, n, count, depth=depth)
-                points, domain = reference_sample(family, n, count, depth)
+                sample = sample_amoeba(family, n, count)
+                points, domain = reference_sample(family, n, count)
                 assert np.array_equal(sample.points, points)
-                got = sample_domain(family, n, count, depth=depth)
+                got = sample_domain(family, n, count)
                 assert np.array_equal(got, domain, equal_nan=True)
 
     def test_ladder_builds_one_sphere(self):
@@ -364,7 +363,7 @@ class TestSampler:
 
     def test_ordinary_line_cloud(self):
         curve = tropicalize_line(fam(0, 0))
-        d = hausdorff(sample_amoeba(fam(0, 0), 1e6, 2000, depth=4.0), curve, 3.0)
+        d = hausdorff(sample_amoeba(fam(0, 0), 1e6, 2000), curve, 2.0)
         assert d < 0.2
 
 
@@ -429,23 +428,6 @@ class TestWindowedSampler:
         with pytest.raises(ValueError) as info:
             sample_amoeba(fam(1, 2), 1e4, 200, window=window)
         assert str(info.value) == str(refused.value)
-
-    @pytest.mark.parametrize("depth", [-1.0, -0.5, math.nan])
-    def test_negative_depth(self, depth):
-        # The windowed cut needs depths that rise along each end.
-        for window in (None, 4.0):
-            with pytest.raises(ValueError, match="must be non-negative"):
-                sample_amoeba(fam(1, 2), 1e4, 200, depth=depth, window=window)
-
-    def test_cut_with_given_depths(self):
-        """With a given depth, zero, inside the window, past it or
-        infinite, the cut keeps exactly the in-window rows."""
-        for depth in (0.0, 2.0, 9.0, math.inf):
-            full = sample_amoeba(fam(1, 2), 1e4, 2000, depth=depth).points
-            got = sample_amoeba(fam(1, 2), 1e4, 2000, depth=depth, window=4.0).points
-            by_end = [full[end::3] for end in range(3)]
-            by_end = [e[(e[:, 0] <= 4.0) & (e[:, 1] <= 4.0)] for e in by_end]
-            assert got.tobytes() == np.concatenate(by_end).tobytes()
 
     def test_in_window_cloud_is_measured_as_it_is(self, monkeypatch):
         """hausdorff hands a cloud that lies inside the window to the
@@ -804,9 +786,9 @@ class TestConvergence:
     def test_ladder_samples_only_the_window(self, monkeypatch):
         windows = []
 
-        def recording(family, n, count, depth=None, window=None):
+        def recording(family, n, count, window=None):
             windows.append(window)
-            return sample_amoeba(family, n, count, depth, window)
+            return sample_amoeba(family, n, count, window)
 
         monkeypatch.setattr(amoeba, "sample_amoeba", recording)
         convergence_report(fam(1, 2), [1e3, 1e4, 1e6, 1e8], 2000, 4.0)

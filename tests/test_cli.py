@@ -255,9 +255,9 @@ class TestSvgAndCsv:
         points = tmp_path / "pts.csv"
         sampled = []
 
-        def counting(family, n, count, depth=None, window=None):
+        def counting(family, n, count, window=None):
             sampled.append((n, window))
-            return sample_amoeba(family, n, count, depth, window)
+            return sample_amoeba(family, n, count, window)
 
         monkeypatch.setattr(amoeba, "sample_amoeba", counting)
         code, out, _ = run(
@@ -307,7 +307,7 @@ class TestSvgAndCsv:
         ],
     )
     def test_memory_error_exits_2(self, capsys, monkeypatch, message, line):
-        def exhausted(family, n, count, depth=None, window=None):
+        def exhausted(family, n, count, window=None):
             raise MemoryError(message)
 
         monkeypatch.setattr(amoeba, "sample_amoeba", exhausted)
@@ -327,6 +327,17 @@ class TestSvgAndCsv:
         code, out, err = run(capsys, "amoeba", "--p", "1", "--q", "2", "--samples", "200", *flags)
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+    def test_amoeba_bases_with_one_log_exits_2(self, capsys):
+        # Distinct bases one ulp apart give one value of 1 / log n to fit on.
+        code, out, err = run(
+            capsys, "amoeba", "--p", "1", "--q", "2", "--samples", "200",
+            "--n", "1000.0,1000.0000000000001",
+        )
+        assert code == 2 and out == ""
+        assert err == (
+            "error: a convergence ladder needs bases with two distinct values of 1 / log n\n"
+        )
 
     @pytest.mark.parametrize(
         "window, line",

@@ -15,7 +15,6 @@ from tropline.geometry import (
     ZERO_CONE,
     complete_fan,
     fan_from_cones,
-    fan_from_text,
     fan_to_text,
     locate,
     parse_rational,
@@ -182,10 +181,6 @@ class TestValidateFan:
 
 
 class TestSerialization:
-    def test_fan_text_round_trip(self):
-        fan = complete_fan(quadrant_fan())
-        assert fan_from_text(fan_to_text(fan)) == fan
-
     def test_fan_text_shape(self):
         text = fan_to_text(quadrant_fan())
         lines = text.strip().splitlines()

@@ -36,7 +36,7 @@ BETWEEN = LevelCoordinate.between
 
 
 def coeff_map(system, eq):
-    return {v: c for v, c in zip(system.variables, eq.coefficients) if c}
+    return {system.variables[j]: c for j, c in eq.row}
 
 
 def row_for(system, terms):
@@ -160,16 +160,16 @@ class TestBuildSystem:
 
     def test_rows_are_sparse_and_ascending(self):
         """Each row holds only nonzero coefficients, in strictly ascending
-        columns, and the dense view lists the same entries."""
+        columns, and the dense rows list the same entries."""
         for p, q, cuts in ((4, 3, ()), (F(9, 2), 2, [F(1, 3), 3]),
                            (40, 27, [F(2 * k + 1, 2) for k in range(25)])):
             curve = tropicalize_line(LineFamily.of(p, q))
             system = build_system(build_building(curve, extra_levels=cuts).graph)
-            for eq in system.equations:
+            for eq, dense in zip(system.equations, system.coefficient_rows()):
                 columns = [j for j, _ in eq.row]
                 assert columns == sorted(set(columns)) and all(a for _, a in eq.row)
-                assert len(eq.coefficients) == len(system.variables)
-                assert [(j, a) for j, a in enumerate(eq.coefficients) if a] == list(eq.row)
+                assert len(dense) == len(system.variables)
+                assert [(j, a) for j, a in enumerate(dense) if a] == list(eq.row)
 
     def test_multiplicity_scales_node_coefficients(self):
         graph = LeveledDualGraph(

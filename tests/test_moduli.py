@@ -6,7 +6,14 @@ from pathlib import Path
 import pytest
 
 from tropline.building import build_building, graph_to_json
-from tropline.geometry import Cone, LatticeVector, locate, stellar_subdivide, validate_fan
+from tropline.geometry import (
+    Cone,
+    LatticeVector,
+    complete_fan,
+    locate,
+    stellar_subdivide,
+    validate_fan,
+)
 from tropline.matching import build_system, solve
 from tropline.moduli import (
     NotARefinement,
@@ -79,9 +86,9 @@ class TestFans:
         assert gens == swapped
 
     def test_completed_fans(self):
-        report = validate_fan(ionel_fan(complete=True))
+        report = validate_fan(complete_fan(ionel_fan()))
         assert report.smooth and report.complete
-        report = validate_fan(exploded_fan(complete=True))
+        report = validate_fan(complete_fan(exploded_fan()))
         assert report.smooth and report.complete
 
 

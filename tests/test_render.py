@@ -6,7 +6,7 @@ from xml.etree import ElementTree
 from tropline.building import build_building, extract_levels
 from tropline.moduli import exploded_fan, ionel_fan
 from tropline.render import RenderSpec, render_fan, render_tropical
-from tropline.geometry import Fan
+from tropline.geometry import Fan, complete_fan
 from tropline.tropical import LineFamily, tropicalize_line
 
 GOLDENS = Path(__file__).parent / "goldens"
@@ -109,4 +109,4 @@ class TestRenderFan:
         )
 
     def test_valid_xml(self):
-        ElementTree.fromstring(render_fan(ionel_fan(complete=True), RenderSpec(window=F(3))))
+        ElementTree.fromstring(render_fan(complete_fan(ionel_fan()), RenderSpec(window=F(3))))
