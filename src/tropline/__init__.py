@@ -21,22 +21,16 @@ _EXPORTS = {
         "Fan",
         "LatticeVector",
         "QuadrantPoint",
-        "Rational",
         "complete_fan",
         "fan_to_text",
         "locate",
-        "primitive",
         "stellar_subdivide",
-        "validate_fan",
     ),
     "tropical": (
         "LineFamily",
         "TropicalCurve",
-        "corner_locus_oracle",
         "curve_from_json",
         "curve_to_json",
-        "curves_equal",
-        "reflect",
         "tropicalize_line",
         "validate_curve",
     ),
@@ -76,7 +70,6 @@ _EXPORTS = {
         "AmoebaSample",
         "ConvergenceReport",
         "hausdorff",
-        "log_image",
         "sample_amoeba",
         "sample_domain",
     ),

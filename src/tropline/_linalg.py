@@ -90,10 +90,6 @@ def rref(matrix: Sequence[SparseRow]) -> tuple[list[Row], list[int]]:
     return rows[: len(pivots)], pivots
 
 
-def rank(matrix: Sequence[SparseRow]) -> int:
-    return len(rref(matrix)[1])
-
-
 def kernel_basis(matrix: Sequence[SparseRow], ncols: int) -> list[list[int]]:
     """Basis of the null space, one vector per free column, in column order.
 
@@ -117,53 +113,6 @@ def kernel_basis(matrix: Sequence[SparseRow], ncols: int) -> list[list[int]]:
         g = math.gcd(*vec)
         basis.append([x // g for x in vec] if g > 1 else vec)
     return basis
-
-
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended gcd: returns (g, s, t) with g = s*a + t*b and g >= 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
-def lattice_canonical(vectors: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    """Canonical basis of the sublattice of Z^2 spanned by `vectors`.
-
-    The result is independent of the generating set: empty for the zero
-    lattice, a single sign-normalized vector for rank one, and a Hermite
-    pair ((d1, y0), (0, g2)) with 0 <= y0 < g2 for rank two.
-    """
-    vecs = [(int(a), int(b)) for a, b in vectors if (a, b) != (0, 0)]
-    if not vecs:
-        return ()
-    if all(a == 0 for a, _ in vecs):
-        g2 = 0
-        for _, b in vecs:
-            g2 = math.gcd(g2, b)
-        return ((0, g2),)
-    # Combine into one vector (d1, y0) whose first entry is the gcd of all
-    # first entries, collecting the induced second coordinates.
-    d, y = 0, 0
-    for a, b in vecs:
-        g, s, t = xgcd(d, a)
-        y = s * y + t * b
-        d = g
-    # d and g2 are gcds, so no sign needs normalizing.
-    g2 = 0
-    for a, b in vecs:
-        g2 = math.gcd(g2, b - a // d * y)
-    if g2 == 0:
-        return ((d, y),)
-    y %= g2
-    return ((d, y), (0, g2))
 
 
 def negative_orthant_point(rows: Sequence[SparseRow], ncols: int) -> list[Fraction] | None:

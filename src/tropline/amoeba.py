@@ -56,12 +56,10 @@ class _DeferredNumpy:
 np = _DeferredNumpy()
 
 __all__ = [
-    "ZeroCoordinate",
     "EmptySample",
     "AmoebaSample",
     "ConvergenceReport",
     "MAX_BASE",
-    "log_image",
     "sample_amoeba",
     "sample_domain",
     "hausdorff",
@@ -81,10 +79,6 @@ _MAX_WINDOW = 1.0e150
 # (target, cloud point) pairs that `_grid_search` expands at once, at about
 # 48 B each.
 _PAIRS = 1 << 19
-
-
-class ZeroCoordinate(ValueError):
-    """log_image needs all three homogeneous coordinates nonzero."""
 
 
 class EmptySample(ValueError):
@@ -107,19 +101,6 @@ class ConvergenceReport:
     decay_constant: float
     r_squared: float
     monotone: bool
-
-
-def log_image(point, n: float) -> tuple[float, float]:
-    """Rescaled log-modulus image of a projective point, clipped to the quadrant."""
-    z1, z2, z3 = (complex(z) for z in point)
-    if z1 == 0 or z2 == 0 or z3 == 0:
-        raise ZeroCoordinate("log image needs nonzero homogeneous coordinates")
-    if not n > 1:
-        raise ValueError("rescaling base must exceed 1")
-    log_n = math.log(n)
-    x = -math.log(abs(z1 / z3)) / log_n
-    y = -math.log(abs(z2 / z3)) / log_n
-    return (max(0.0, x), max(0.0, y))
 
 
 @functools.lru_cache(maxsize=1)
@@ -178,9 +159,8 @@ def sample_amoeba(
     near 0, w = -1 + n^(-t) e^(i a) near -1, and w = n^(t) e^(i a) near
     infinity.  The infinity end is capped at depth min(p, q), where its
     image meets the quadrant boundary; the others reach depth p + q + 2.
-    The scheme is a fixed
-    function of its arguments, so equal inputs give bit-identical clouds;
-    `sample_domain` gives the points w.
+    The scheme is a fixed function of its arguments, so equal inputs give
+    bit-identical clouds; `sample_domain` gives the points w.
 
     The image of f_n(w) = [c1 n^(-p) w : c2 n^(-q) (w + 1) : 1] is
 
@@ -539,12 +519,13 @@ def convergence_report(
 ) -> ConvergenceReport:
     """Hausdorff distances over a ladder of bases, with a 1/log n fit.
 
-    The fit needs at least two distinct bases, which give at least two
-    distinct values of 1 / log n, and the window must be
-    positive and small enough that squared distances inside it stay finite,
-    as `_window_step` checks.
-    It may not reach past the sampled depth p + q + 2 either: beyond it the
-    cloud is empty and the distance reads the unsampled part of the rays.
+    The fit needs bases with at least two distinct values of 1 / log n.
+    Two distinct bases need not give them: 1000.0 and 1000.0000000000001
+    have the same float 1 / log n, and such a ladder is refused after it
+    is sampled.  The window must be positive and small enough that squared
+    distances inside it stay finite, as `_window_step` checks.  It may not
+    reach past the sampled depth p + q + 2 either: beyond it the cloud is
+    empty and the distance reads the unsampled part of the rays.
     Each base samples only the points inside the window (`sample_amoeba`
     with `window`), the only ones `hausdorff` measures, so each distance is
     the float that the full cloud gives.

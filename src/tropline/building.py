@@ -184,6 +184,7 @@ class LeveledDualGraph:
     one checks its references and these conditions, so a graph in hand has
     them all, as every graph of `build_building` does:
 
+    - `num_levels` is not negative, and no level coordinate exceeds it;
     - a node runs upward, tail to head, in each direction of its contact;
     - every node and end has a nonzero contact with no negative component;
     - a node whose contact is 0 in a direction joins two pieces with the
@@ -208,6 +209,8 @@ class LeveledDualGraph:
     )
 
     def __post_init__(self) -> None:
+        if self.num_levels < 0:
+            raise GraphInvalid(f"num_levels {self.num_levels} is negative")
         levels = {p.id: p.levels for p in self.pieces}
         if len(levels) != len(self.pieces):
             raise GraphInvalid("duplicate piece ids")

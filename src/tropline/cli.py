@@ -309,6 +309,8 @@ def _cmd_render(args) -> int:
     from . import matching, render
 
     graph = building_mod.graph_from_json(_read_json(args.graph))
+    if not graph.pieces:
+        raise ValueError("graph has no pieces to render")
     cone = matching.solve(matching.build_system(graph))
     if not cone.feasible:
         raise ValueError("graph has no strictly negative solution to realize")

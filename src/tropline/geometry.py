@@ -17,24 +17,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "LatticeVector",
     "QuadrantPoint",
     "Cone",
     "Fan",
-    "FanReport",
     "GeometryError",
     "StructuralInvalid",
     "PointOutsideSupport",
     "RayNotInterior",
     "TargetNotInFan",
-    "primitive",
     "locate",
     "stellar_subdivide",
-    "validate_fan",
     "complete_fan",
     "fan_from_cones",
     "fan_to_text",
@@ -123,14 +117,8 @@ class LatticeVector:
     def __add__(self, other: "LatticeVector") -> "LatticeVector":
         return LatticeVector(self.x + other.x, self.y + other.y)
 
-    def __sub__(self, other: "LatticeVector") -> "LatticeVector":
-        return LatticeVector(self.x - other.x, self.y - other.y)
-
     def __neg__(self) -> "LatticeVector":
         return LatticeVector(-self.x, -self.y)
-
-    def scale(self, k: int) -> "LatticeVector":
-        return LatticeVector(k * self.x, k * self.y)
 
     def cross(self, other: "LatticeVector") -> int:
         return self.x * other.y - self.y * other.x
@@ -143,9 +131,6 @@ class LatticeVector:
 
     def swapped(self) -> "LatticeVector":
         return LatticeVector(self.y, self.x)
-
-
-ZERO_VECTOR = LatticeVector(0, 0)
 
 
 def _connected(ids: Iterable[str], pairs: Iterable[tuple[str, str]]) -> bool:
@@ -162,18 +147,6 @@ def _connected(ids: Iterable[str], pairs: Iterable[tuple[str, str]]) -> bool:
     for a, b in pairs:
         parent[find(a)] = find(b)
     return len({find(i) for i in parent}) <= 1
-
-
-def primitive(v: LatticeVector) -> tuple[LatticeVector, int]:
-    """Split an integer vector into primitive direction and multiplicity.
-
-    Returns `(direction, k)` with `v = k * direction`, `k >= 0`, and
-    `direction` primitive (or zero exactly when `v` is zero).
-    """
-    g = math.gcd(v.x, v.y)
-    if g == 0:
-        return ZERO_VECTOR, 0
-    return LatticeVector(v.x // g, v.y // g), g
 
 
 def _ccw_key(v: LatticeVector) -> tuple[int, bool, Fraction | int]:
@@ -245,11 +218,6 @@ class Cone:
     def dim(self) -> int:
         return len(self.generators)
 
-    def determinant(self) -> int:
-        if self.dim != 2:
-            return 0
-        return self.generators[0].cross(self.generators[1])
-
     def side(self, x: int, y: int) -> int:
         """Where the integer direction (x, y) lies: 1 in the relative interior,
         0 on the relative boundary, -1 outside the cone.
@@ -279,12 +247,6 @@ class Cone:
 
 
 ZERO_CONE = Cone(())
-
-
-@dataclass(frozen=True)
-class FanReport:
-    smooth: bool
-    complete: bool
 
 
 @dataclass(frozen=True)
@@ -379,21 +341,6 @@ def stellar_subdivide(fan: Fan, target: Cone, ray: LatticeVector) -> Fan:
     new_cones = [c for c in fan.cones2d if c != target]
     new_cones.extend([Cone((u, ray)), Cone((ray, v))])
     return Fan(rays=fan.rays + (ray,), cones=tuple(new_cones))
-
-
-def validate_fan(fan: Fan) -> FanReport:
-    """Report smoothness and completeness of a fan."""
-    smooth = all(abs(c.determinant()) == 1 for c in fan.cones2d)
-    rays = fan.rays
-    complete = len(rays) >= 3
-    if complete:
-        cone_set = {c.generators for c in fan.cones2d}
-        for i, r in enumerate(rays):
-            nxt = rays[(i + 1) % len(rays)]
-            if r.cross(nxt) <= 0 or (r, nxt) not in cone_set:
-                complete = False
-                break
-    return FanReport(smooth=smooth, complete=complete)
 
 
 def complete_fan(fan: Fan) -> Fan:

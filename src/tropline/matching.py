@@ -80,9 +80,6 @@ class Equation:
     chain: tuple[str, ...]  # node ids, in chain order
     levels: tuple[int, int]  # anchor levels (a, b) with a <= b
 
-    def evaluate(self, values: Sequence[Fraction]) -> Fraction:
-        return sum(a * values[j] for j, a in self.row)
-
 
 @dataclass(frozen=True)
 class MatchingSystem:
@@ -136,13 +133,6 @@ class WeightTable:
 
     dimension: int
     entries: dict[str, tuple[tuple[int, ...], tuple[int, ...]]]
-
-    def rank(self, piece_id: str) -> int:
-        rows = [[(k, a) for k, a in enumerate(r) if a] for r in self.entries[piece_id]]
-        return _linalg.rank(rows)
-
-    def lattice(self, piece_id: str) -> tuple[tuple[int, int], ...]:
-        return _linalg.lattice_canonical(list(zip(*self.entries[piece_id])))
 
 
 def _variable_index(graph: LeveledDualGraph) -> dict[str, int]:

@@ -19,7 +19,6 @@ when it is built; `validate()` checks head - tail = length * contact.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,7 +26,6 @@ from .geometry import (
     GeometryError,
     LatticeVector,
     QuadrantPoint,
-    _cleared,
     _connected,
     _fraction,
     parse_rational,
@@ -45,11 +43,7 @@ __all__ = [
     "VertexBalance",
     "BalanceReport",
     "tropicalize_line",
-    "corner_locus_oracle",
-    "reflect",
     "validate_curve",
-    "curves_equal",
-    "min_squared_distance",
     "curve_to_json",
     "curve_from_json",
 ]
@@ -153,25 +147,6 @@ class TropicalCurve:
                     f"delta ({dx}, {dy}) != {s.length} * {tuple(s.contact)}"
                 )
 
-    def canonical(self):
-        """Geometry-only normal form, independent of vertex ids and order."""
-        pos = {v.id: (v.position.x, v.position.y) for v in self.vertices}
-        verts = tuple(sorted(pos.values()))
-        segs = []
-        for s in self.segments:
-            a, b = pos[s.tail], pos[s.head]
-            if a <= b:
-                segs.append((a, b, (s.contact.x, s.contact.y), s.length))
-            else:
-                segs.append((b, a, (-s.contact.x, -s.contact.y), s.length))
-        rays = tuple(sorted((pos[r.base], (r.contact.x, r.contact.y)) for r in self.rays))
-        return verts, tuple(sorted(segs)), rays
-
-
-def curves_equal(a: TropicalCurve, b: TropicalCurve) -> bool:
-    """Exact geometric equality, ignoring vertex naming."""
-    return a.canonical() == b.canonical()
-
 
 _E10, _E01, _E11 = LatticeVector(1, 0), LatticeVector(0, 1), LatticeVector(1, 1)
 
@@ -197,56 +172,6 @@ def tropicalize_line(family: LineFamily) -> TropicalCurve:
     return TropicalCurve((v0, v1), (seg,), (Ray("v1", _E10), Ray("v1", _E01)))
 
 
-def corner_locus_oracle(
-    family: LineFamily,
-    window: Fraction,
-    step: Fraction,
-    tol: Fraction,
-) -> set[tuple[Fraction, Fraction]]:
-    """Brute-force corner locus scan over the grid of spacing `step`.
-
-    Evaluates the three tropical terms at every grid point of
-    [0, window]^2 and keeps the points where the two smallest terms are
-    within `tol` of each other.  Entirely independent of the case analysis
-    in :func:`tropicalize_line`; everything is computed in a common integer
-    unit so the scan is exact and fast.
-    """
-    window, step, tol = Fraction(window), Fraction(step), Fraction(tol)
-    if window <= 0 or step <= 0 or tol < 0:
-        raise ValueError("window and step must be positive, tol non-negative")
-    p, q = family.p, family.q
-    dens = [step.denominator, p.denominator, q.denominator, tol.denominator]
-    unit = 1
-    for d in dens:
-        unit = unit * d // math.gcd(unit, d)
-    pi, qi = int(p * unit), int(q * unit)
-    si = int(step * unit)
-    ti = int(tol * unit)
-    count = int(window / step)
-    hits: set[tuple[Fraction, Fraction]] = set()
-    const = pi + qi
-    for i in range(count + 1):
-        t1 = qi + i * si
-        for j in range(count + 1):
-            t2 = pi + j * si
-            a, b, c = sorted((t1, t2, const))
-            if b - a <= ti:
-                hits.add((Fraction(i * si, unit), Fraction(j * si, unit)))
-    return hits
-
-
-def reflect(curve: TropicalCurve) -> TropicalCurve:
-    """Swap the two coordinates of every position and contact vector."""
-    vertices = tuple(
-        Vertex(v.id, QuadrantPoint(v.position.y, v.position.x)) for v in curve.vertices
-    )
-    segments = tuple(
-        Segment(s.tail, s.head, s.contact.swapped(), s.length) for s in curve.segments
-    )
-    rays = tuple(Ray(r.base, r.contact.swapped()) for r in curve.rays)
-    return TropicalCurve(vertices, segments, rays)
-
-
 @dataclass(frozen=True)
 class VertexBalance:
     vertex: str
@@ -258,12 +183,6 @@ class VertexBalance:
 @dataclass(frozen=True)
 class BalanceReport:
     entries: tuple[VertexBalance, ...]
-
-    def entry(self, vertex_id: str) -> VertexBalance:
-        for e in self.entries:
-            if e.vertex == vertex_id:
-                return e
-        raise KeyError(vertex_id)
 
 
 def validate_curve(curve: TropicalCurve) -> BalanceReport:
@@ -300,43 +219,6 @@ def validate_curve(curve: TropicalCurve) -> BalanceReport:
         sx, sy = sums[v.id]
         entries.append(VertexBalance(v.id, LatticeVector(sx, sy), stratum, sx == sy == 0))
     return BalanceReport(tuple(entries))
-
-
-def min_squared_distance(curve: TropicalCurve, point) -> Fraction:
-    """Exact squared Euclidean distance from a point to the curve.
-
-    Like :func:`corner_locus_oracle`, everything is computed in a common
-    integer unit; the only fraction built is the result.
-    """
-    if not curve.vertices:
-        raise CurveInvalid("curve has no vertices")
-    coords = [c for v in curve.vertices for c in v.position]
-    unit, (px, py, *scaled) = _cleared(
-        [Fraction(point[0]), Fraction(point[1]), *coords, *(s.length for s in curve.segments)]
-    )
-    # Offsets from each vertex to the point, in the unit.
-    offset = {
-        v.id: (px - scaled[2 * i], py - scaled[2 * i + 1]) for i, v in enumerate(curve.vertices)
-    }
-    best, best_den = min(wx * wx + wy * wy for wx, wy in offset.values()), 1
-    edges = [
-        (offset[s.tail], s.contact, t) for s, t in zip(curve.segments, scaled[len(coords):])
-    ]
-    edges += [(offset[r.base], r.contact, None) for r in curve.rays]
-    for (wx, wy), c, tmax in edges:
-        # Project onto w - t*c with t clamped to [0, tmax]; t <= 0 is the
-        # base vertex, already counted.  Inside the edge the squared
-        # distance is (|w|^2 den - num^2) / den.
-        num, den = wx * c.x + wy * c.y, c.x * c.x + c.y * c.y
-        if num <= 0:
-            continue
-        if tmax is not None and num >= tmax * den:
-            d2, den = (wx - tmax * c.x) ** 2 + (wy - tmax * c.y) ** 2, 1
-        else:
-            d2 = (wx * wx + wy * wy) * den - num * num
-        if d2 * best_den < best * den:
-            best, best_den = d2, den
-    return Fraction(best, best_den * unit * unit)
 
 
 def curve_to_json(curve: TropicalCurve) -> dict:

@@ -17,16 +17,16 @@ from tropline import amoeba
 from tropline.amoeba import (
     AmoebaSample,
     EmptySample,
-    ZeroCoordinate,
     convergence_report,
     discretize_curve,
     hausdorff,
-    log_image,
     sample_amoeba,
     sample_domain,
 )
 from tropline.geometry import LatticeVector
 from tropline.tropical import LineFamily, Segment, tropicalize_line
+
+from oracles import ZeroCoordinate, log_image
 
 GOLDENS = Path(__file__).resolve().parent / "goldens"
 

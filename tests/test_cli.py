@@ -12,21 +12,16 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tropline import amoeba
 from tropline.amoeba import sample_amoeba, sample_domain
 from tropline.building import GraphInvalid, graph_from_json
 from tropline.cli import main
 from tropline.matching import build_system, realize, solve, torus_weights
-from tropline.tropical import (
-    LineFamily,
-    curve_from_json,
-    curve_to_json,
-    curves_equal,
-    reflect,
-    tropicalize_line,
-)
+from tropline.tropical import LineFamily, curve_from_json, curve_to_json, tropicalize_line
+
+from oracles import curves_equal, reflect
 
 GOLDENS = Path(__file__).parent / "goldens"
 
@@ -391,6 +386,17 @@ class TestSvgAndCsv:
         assert (code, out, err) == (0, f"wrote {svg}\n", "")
         assert svg.read_text().startswith("<svg")
 
+    @pytest.mark.parametrize("num_levels", [0, 2])
+    def test_render_graph_with_no_pieces_exits_2(self, capsys, tmp_path, num_levels):
+        """`trop match` accepts a graph without pieces; `trop render` has no
+        curve to draw and says so."""
+        graph, svg = tmp_path / "g.json", tmp_path / "g.svg"
+        graph.write_text(json.dumps({"num_levels": num_levels, "pieces": [], "nodes": [], "ends": []}))
+        assert run(capsys, "match", "--graph", str(graph))[0] == 0
+        code, out, err = run(capsys, "render", "--graph", str(graph), "--svg", str(svg))
+        assert (code, out, err) == (2, "", "error: graph has no pieces to render\n")
+        assert not svg.exists()
+
     def test_unreadable_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "match", "--graph", str(tmp_path / "missing.json"))
         assert code == 2 and err
@@ -440,6 +446,64 @@ class TestAmoebaArguments:
             assert out.getvalue() == ""
             lines = err.getvalue().splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
+
+
+# Numerals of one digit to past Python's 4300-digit limit on int parsing,
+# zeros and decimals among them.
+NUMERALS = st.one_of(
+    st.integers(1, 10**6).map(str),
+    st.sampled_from(["0", "00", "0003", "1.5", ".5", "2.", "1e3"]),
+    st.sampled_from([400, 5000]).flatmap(lambda k: st.sampled_from(["1" + "0" * (k - 1), "9" * k])),
+)
+# `N` and `N/D` with signs, `-0`, zero denominators, decimals and
+# surrounding whitespace.
+RATIONAL_TEXT = st.builds(
+    lambda pad, sign, num, den: f"{pad[0]}{sign}{num}{den}{pad[1]}",
+    st.sampled_from([("", ""), (" ", ""), ("", " "), ("\t", "  ")]),
+    st.sampled_from(["", "", "+", "-"]),
+    NUMERALS,
+    st.just("") | NUMERALS.map("/{}".format),
+)
+
+
+class TestRationalArguments:
+    @given(
+        command=st.sampled_from(["classify", "tropicalize", "building"]),
+        p=RATIONAL_TEXT,
+        q=RATIONAL_TEXT,
+        levels=st.lists(RATIONAL_TEXT, max_size=3),
+        joined=st.booleans(),
+    )
+    @settings(
+        max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    def test_every_rational_exits_0_or_2(self, tmp_path, command, p, q, levels, joined):
+        """`trop classify`, `tropicalize` (with `--json` and `--svg`) and
+        `building` (with each `--add-level`) on any rational text exit 0
+        with JSON on stdout, or 2 with one `error:` line on stderr."""
+        svg = tmp_path / "curve.svg"
+        svg.unlink(missing_ok=True)
+        pairs = [("--p", p), ("--q", q)]
+        if command == "building":
+            pairs += [("--add-level", level) for level in levels]
+        argv = [command, "--json"]
+        for flag, value in pairs:
+            argv += [f"{flag}={value}"] if joined else [flag, value]
+        if command == "tropicalize":
+            argv += ["--svg", str(svg)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        if code == 0:
+            json.loads(out.getvalue())
+            assert err.getvalue() == ""
+            assert command != "tropicalize" or svg.read_text().startswith("<svg")
+        else:
+            assert code == 2, (argv, err.getvalue())
+            assert out.getvalue() == ""
+            lines = err.getvalue().splitlines()
+            errors = [line for line in lines if "error:" in line]
+            assert len(errors) == 1 and errors[0] == lines[-1], (argv, lines)
 
 
 class TestJsonTypes:
@@ -527,6 +591,21 @@ class TestJsonTypes:
         code, out, err = run(capsys, "match", "--graph", str(path))
         assert (code, out) == (2, "")
         assert err == f"error: piece {doc['pieces'][0]['id']} needs exactly 2 level coordinates\n"
+
+    @pytest.mark.parametrize(
+        "num_levels, pieces",
+        [(-5, []), (-1, [{"id": "a", "levels": [{"at": 0}, {"at": 0}], "trivial": False}])],
+        ids=["no-pieces", "one-piece"],
+    )
+    def test_negative_num_levels_exits_2(self, capsys, tmp_path, num_levels, pieces):
+        """`num_levels` is refused when negative, before any piece's levels
+        are compared with it."""
+        path = tmp_path / "doc.json"
+        doc = {"num_levels": num_levels, "pieces": pieces, "nodes": [], "ends": []}
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "match", "--graph", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: num_levels {num_levels} is negative\n"
 
 
 class TestDeterminism:

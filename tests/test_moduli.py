@@ -12,11 +12,9 @@ from tropline.geometry import (
     complete_fan,
     locate,
     stellar_subdivide,
-    validate_fan,
 )
 from tropline.matching import build_system, solve
 from tropline.moduli import (
-    NotARefinement,
     NotSmoothlyFactorizable,
     blowup_sequence,
     classify,
@@ -25,6 +23,8 @@ from tropline.moduli import (
     type_table,
 )
 from tropline.tropical import LineFamily, tropicalize_line
+
+from oracles import validate_fan
 
 V = LatticeVector
 GOLDENS = Path(__file__).parent / "goldens"
@@ -196,7 +196,7 @@ class TestBlowupSequence:
         assert len(steps) == 1 and tuple(steps[0][1]) == (2, 1)
 
     def test_not_a_refinement(self):
-        with pytest.raises(NotARefinement):
+        with pytest.raises(NotSmoothlyFactorizable):
             blowup_sequence(ionel_fan(), exploded_fan())
 
 
