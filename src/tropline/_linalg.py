@@ -1,4 +1,4 @@
-"""Exact integer linear algebra on sparse rows, and a tiny Bland-rule simplex.
+"""Exact integer linear algebra on sparse rows, and a zero-cost dual simplex.
 
 A matching equation holds two or three nonzeros, so a system is a list of
 sparse rows: a row is its nonzero `(column, coefficient)` pairs in column
@@ -9,8 +9,10 @@ only the rows with a nonzero in the pivot column: such a row becomes
 rather than by a common previous pivot as in Bareiss (1968).  Each row thus
 keeps its own positive scale, so the sign of every entry and the ratio of
 any two entries of a row are those of the rational row, whatever the other
-rows did.  No fraction is built until a witness is read off, one
-`Fraction(-a - rhs, a)` per basic entry from its row's own pivot a.
+rows did.  One `rref` serves both readers: the kernel basis is read off its
+rows, and the simplex starts from its pivots.  No fraction is built until
+a witness is read off, one `Fraction(-a - rhs, a)` per basic entry from its
+row's own pivot a.
 """
 
 from __future__ import annotations
@@ -90,13 +92,14 @@ def rref(matrix: Sequence[SparseRow]) -> tuple[list[Row], list[int]]:
     return rows[: len(pivots)], pivots
 
 
-def kernel_basis(matrix: Sequence[SparseRow], ncols: int) -> list[list[int]]:
-    """Basis of the null space, one vector per free column, in column order.
+def kernel_basis(reduced: Sequence[Row], pivots: Sequence[int], ncols: int) -> list[list[int]]:
+    """Basis of the null space of the first `ncols` columns of a reduced
+    system, as `rref` returns it, one vector per free column in column order.
+    A column past `ncols`, such as a right-hand side, is ignored.
 
     Each basis vector is the primitive integer vector on its ray that is
     negative at its free column and zero at the other free columns.
     """
-    reduced, pivots = rref(matrix)
     pivot_set = set(pivots)
     basis: list[list[int]] = []
     for f in range(ncols):
@@ -115,58 +118,41 @@ def kernel_basis(matrix: Sequence[SparseRow], ncols: int) -> list[list[int]]:
     return basis
 
 
-def negative_orthant_point(rows: Sequence[SparseRow], ncols: int) -> list[Fraction] | None:
+def negative_orthant_point(
+    reduced: Sequence[Row], pivots: Sequence[int], ncols: int
+) -> list[Fraction] | None:
     """Find exact x with A x = 0 and every x_i <= -1, or None if infeasible.
 
-    Substituting x = -1 - y turns the problem into A y = -A.1 with y >= 0,
-    a standard-form phase 1: each row is signed so its right-hand side is
-    non-negative, gets one artificial column, and a Bland-rule simplex on
-    the sparse integer tableau minimizes the artificial sum.
+    Substituting x = -1 - y turns the problem into A y = -A.1 with y >= 0.
+    `reduced` and `pivots` are `rref` of [A | -A.1], the right-hand side in
+    column `ncols`; they are read, not changed.  The pivots are a basis of
+    that system, and a dual simplex with zero costs makes it feasible: while
+    some row has a negative right-hand side, the one with the smallest basic
+    column leaves, and the smallest column with a negative entry in it
+    enters.  With zero costs every column ties in the dual ratio test, so
+    this is Bland's rule on the dual and it terminates.  A leaving row with
+    no negative entry is nonnegative on y and negative on the right, so no
+    y >= 0 solves it: the system is infeasible.
     """
-    nrows = len(rows)
-    width = ncols + nrows  # the right-hand side column
-    tableau: list[Row] = []
-    for i, row in enumerate(rows):
-        total = sum(a for _, a in row)
-        line = {j: -a if total > 0 else a for j, a in row}
-        line[ncols + i] = 1
-        if total:
-            line[width] = abs(total)
-        tableau.append(line)
-    basis = [ncols + i for i in range(nrows)]
-    # The last row holds the reduced costs of the phase-1 objective (1 on
-    # artificial columns, with the artificial basis priced out), and its
-    # right-hand side is minus the objective.  Like every row it keeps a
-    # positive scale, so its signs are those of the rationals.
-    cost: Row = {}
-    for line in tableau:
-        for j, a in line.items():
-            if j < ncols or j == width:
-                cost[j] = cost.get(j, 0) - a
-    tableau.append({j: a for j, a in cost.items() if a})
-
+    tableau, basis = [dict(row) for row in reduced], list(pivots)
     while True:
-        entering = min((j for j, a in tableau[nrows].items() if a < 0 and j < width), default=None)
-        if entering is None:
+        leaving = min(
+            (i for i, row in enumerate(tableau) if row.get(ncols, 0) < 0),
+            key=basis.__getitem__, default=None,
+        )
+        if leaving is None:
             break
-        holders = [i for i, line in enumerate(tableau) if entering in line]
-        leaving = None
-        for i in holders[:-1]:  # the last holder is the cost row
-            a = tableau[i][entering]
-            if a > 0:
-                rhs = tableau[i].get(width, 0)
-                # rhs_i / a < rhs_l / a_l, ties to the smaller basis index.
-                if leaving is None or (rhs * lead, basis[i]) < (lead_rhs * a, basis[leaving]):
-                    leaving, lead, lead_rhs = i, a, rhs
-        _eliminate(tableau, leaving, entering, [i for i in holders if i != leaving])
+        row = tableau[leaving]
+        entering = min((j for j, a in row.items() if a < 0 and j < ncols), default=None)
+        if entering is None:
+            return None
+        tableau[leaving] = {j: -a for j, a in row.items()}
+        holders = [i for i, other in enumerate(tableau) if entering in other and i != leaving]
+        _eliminate(tableau, leaving, entering, holders)
         basis[leaving] = entering
-
-    if width in tableau[nrows]:
-        return None
     x = [Fraction(-1)] * ncols
-    for line, b in zip(tableau, basis):
-        if b < ncols:
-            # y_b = rhs / a on the row's own pivot a, and x_b = -1 - y_b.
-            a = line[b]
-            x[b] = Fraction(-a - line.get(width, 0), a)
+    for row, b in zip(tableau, basis):
+        # y_b = rhs / a on the row's own pivot a, and x_b = -1 - y_b.
+        a = row[b]
+        x[b] = Fraction(-a - row.get(ncols, 0), a)
     return x

@@ -237,10 +237,6 @@ class Cone:
             low = min(x * v.y - y * v.x, u.x * y - u.y * x)
         return (low > 0) - (low < 0)
 
-    def contains(self, px, py) -> bool:
-        """Membership of the rational point (px, py) in the closed cone."""
-        return self.side(*_integer_direction(px, py)) >= 0
-
     def interior_contains(self, px, py) -> bool:
         """Membership of the rational point (px, py) in the relative interior."""
         return self.side(*_integer_direction(px, py)) > 0

@@ -208,11 +208,12 @@ def _walk_chain(incidence, start, first, stop):
 def solve(system: MatchingSystem) -> SolutionCone:
     """Exact kernel and strict-negativity certificate of a matching system.
 
-    The kernel is computed by fraction-free Gauss-Jordan elimination and
-    gives the basis and dimension; feasibility of the open all-negative cone
-    is decided by a Bland-rule simplex on the equations themselves, seeking a
-    solution with every coordinate <= -1 (homogeneity makes the two
-    formulations equivalent).  Infeasibility is a value, not an error.
+    One fraction-free Gauss-Jordan elimination of [A | -A.1] gives both
+    answers.  The kernel basis and dimension are read off its rows.
+    Feasibility of the open all-negative cone is decided from its pivots by
+    a zero-cost dual simplex, seeking a solution with every coordinate <= -1
+    (homogeneity makes the two formulations equivalent).  Infeasibility is
+    a value, not an error.
     """
     nvars = len(system.variables)
     rows = [eq.row for eq in system.equations]
@@ -231,10 +232,12 @@ def solve(system: MatchingSystem) -> SolutionCone:
                     residual[i] += a * x
         return not any(residual)
 
-    basis = tuple(map(tuple, _linalg.kernel_basis(rows, nvars)))
+    # The right-hand side -A.1 goes in column nvars.
+    reduced, pivots = _linalg.rref([(*row, (nvars, -sum(a for _, a in row))) for row in rows])
+    basis = tuple(map(tuple, _linalg.kernel_basis(reduced, pivots, nvars)))
     if not all(map(solves, basis)):
         raise _linalg.InvariantViolation("kernel vector violates a matching equation")
-    witness = _linalg.negative_orthant_point(rows, nvars)
+    witness = _linalg.negative_orthant_point(reduced, pivots, nvars)
     if witness is None:
         return SolutionCone(system.variables, basis, None)
     # Checked on the cleared integer vector: A w = 0 and every w_i <= -unit.

@@ -8,6 +8,8 @@ testable.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,6 +35,13 @@ class RenderSpec:
         object.__setattr__(self, "window", _fraction(self.window))
         if self.window.numerator <= 0:
             raise ValueError("window must be positive")
+        # The canvas draws in float pixels: the side, window * _SCALE, and
+        # each coordinate up to the window, as a float times _SCALE.
+        if self.window * _SCALE > sys.float_info.max or math.isinf(float(self.window) * _SCALE):
+            raise ValueError(
+                f"window is too large to draw: its side, window * {_SCALE} px, "
+                "is past the float range"
+            )
 
 
 def _fmt(x: float) -> str:

@@ -23,6 +23,7 @@ from tropline.tropical import LineFamily, curve_from_json, curve_to_json, tropic
 
 from oracles import curves_equal, reflect
 
+FIXTURES = Path(__file__).parent / "fixtures"
 GOLDENS = Path(__file__).parent / "goldens"
 
 
@@ -126,6 +127,14 @@ class TestPipeline:
         code, out, _ = run(capsys, "match", "--graph", str(example1_path))
         assert code == 0
         assert out == (GOLDENS / "match-example1.json").read_text()
+
+    def test_match_infeasible_golden_bytes(self, capsys):
+        # The worked example with c4 raised to levels (3, 3): alpha(n4) = 0.
+        graph = FIXTURES / "example1-infeasible.json"
+        code, out, _ = run(capsys, "match", "--graph", str(graph))
+        assert code == 0
+        assert out == (GOLDENS / "match-infeasible.json").read_text()
+        assert json.loads(out)["feasible"] is False
 
     def test_match_rule_flag(self, capsys, example1_path):
         code, out, _ = run(
@@ -238,6 +247,19 @@ class TestSvgAndCsv:
         )
         assert code == 0
         assert path.read_text().startswith("<svg")
+
+    def test_tropicalize_svg_past_float_range_exits_2(self, capsys, tmp_path):
+        # At 400 digits the window p + q + 2, drawn at 60 px a unit, is past
+        # the float range and refused by name; at 306 digits it still draws.
+        path = tmp_path / "c.svg"
+        code, out, err = run(capsys, "tropicalize", "--p", "9" * 400, "--q", "1", "--svg", str(path))
+        assert (code, out) == (2, "") and not path.exists()
+        assert err == (
+            "error: window is too large to draw: its side, window * 60 px, "
+            "is past the float range\n"
+        )
+        code, _, _ = run(capsys, "tropicalize", "--p", "9" * 306, "--q", "1", "--svg", str(path))
+        assert code == 0 and path.read_text().startswith("<svg")
 
     def test_fan_svg(self, capsys, tmp_path):
         path = tmp_path / "f.svg"
@@ -506,6 +528,79 @@ class TestRationalArguments:
             assert len(errors) == 1 and errors[0] == lines[-1], (argv, lines)
 
 
+class TestCommandArguments:
+    @given(
+        command=st.sampled_from(["match", "render", "fan", "blowups", "types"]),
+        data=st.data(),
+    )
+    @settings(
+        max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    def test_every_argument_list_exits_0_or_2(self, tmp_path, command, data):
+        """`trop match`, `render`, `fan`, `blowups` and `types` with each of
+        their flags left out, given no value, a bad value or a good one, in
+        any order and with stray words, exit 0 with their output on stdout,
+        or 2 with one `error:` line on stderr."""
+        (tmp_path / "text.json").write_text("not json")
+        # Per flag, the values it takes and values it refuses: unknown
+        # choices, non-JSON, missing and unwritable paths, directories, "".
+        values = {
+            "--graph": (
+                [str(FIXTURES / "example1.json"), str(FIXTURES / "example1-infeasible.json")],
+                [str(tmp_path / "text.json"), str(tmp_path / "missing.json"), str(tmp_path), ""],
+            ),
+            "--svg": (
+                [str(tmp_path / "out.svg")],
+                [str(tmp_path / "missing" / "out.svg"), str(tmp_path), ""],
+            ),
+            "--rule": (["union", "per-direction"], ["strict", ""]),
+            "--which": (["exploded", "ionel", "complete"], ["fine", ""]),
+        }
+        own = {
+            "match": ["--graph", "--rule"],
+            "render": ["--graph", "--svg"],
+            "fan": ["--which", "--svg"],
+            "blowups": [],
+            "types": ["--json"],
+        }[command]
+        items, last = [], {}
+        for flag in own:
+            kind = data.draw(st.integers(0, 9))
+            if kind == 0:
+                continue  # left out
+            if flag not in values or kind == 1:
+                items.append([flag])  # a switch, or a flag missing its value
+                continue
+            value = data.draw(st.sampled_from(values[flag][kind < 4]))  # bad at kind 2, 3
+            items.append([f"{flag}={value}"] if data.draw(st.booleans()) else [flag, value])
+            last[flag] = value
+        items += data.draw(st.sampled_from([[]] * 3 + [["--bogus"], ["stray"], ["--json"], ["--p", "1"]]))
+        argv = [command] + [word for item in data.draw(st.permutations(items)) for word in item]
+        (tmp_path / "out.svg").unlink(missing_ok=True)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        out = out.getvalue()
+        if code == 0:
+            assert err.getvalue() == "", argv
+            if command == "match" or "--json" in argv:
+                json.loads(out)
+            elif command == "render":
+                assert out == f"wrote {last['--svg']}\n", argv
+            elif command == "fan":
+                assert out == (GOLDENS / f"fan-{last['--which']}.txt").read_text(), argv
+            else:
+                assert out == (GOLDENS / f"{command}.txt").read_text(), argv
+            if last.get("--svg"):
+                assert Path(last["--svg"]).read_text().startswith("<svg"), argv
+        else:
+            assert code == 2, (argv, err.getvalue())
+            assert out == ""
+            lines = err.getvalue().splitlines()
+            errors = [line for line in lines if "error:" in line]
+            assert len(errors) == 1 and errors[0] == lines[-1], (argv, lines)
+
+
 class TestJsonTypes:
     @pytest.mark.parametrize(
         "command, keys, value",
@@ -732,19 +827,19 @@ class TestInvariantChecks:
 
             # A simplex point off the matching equations.
             simplex = _linalg.negative_orthant_point
-            _linalg.negative_orthant_point = lambda rows, ncols: [Fraction(-1)] * ncols
+            _linalg.negative_orthant_point = lambda reduced, pivots, ncols: [Fraction(-1)] * ncols
             if main(["match", "--graph", {str(example1_path)!r}]) != 3:
                 sys.exit("witness check did not run")
             # A point on the equations whose entries are not all <= -1.
-            _linalg.negative_orthant_point = lambda rows, ncols: [
-                x / 2 for x in simplex(rows, ncols)
+            _linalg.negative_orthant_point = lambda reduced, pivots, ncols: [
+                x / 2 for x in simplex(reduced, pivots, ncols)
             ]
             if main(["match", "--graph", {str(example1_path)!r}]) != 3:
                 sys.exit("witness bound was not checked")
             _linalg.negative_orthant_point = simplex
 
             # A kernel basis vector off the matching equations.
-            _linalg.kernel_basis = lambda rows, nvars: [[Fraction(1)] * nvars]
+            _linalg.kernel_basis = lambda reduced, pivots, nvars: [[Fraction(1)] * nvars]
             sys.exit(0 if main(["match", "--graph", {str(example1_path)!r}]) == 3 else 1)
             """
         )

@@ -23,6 +23,12 @@ def sparse(matrix):
     return [[(j, a) for j, a in enumerate(row) if a] for row in matrix]
 
 
+def augmented(rows, ncols):
+    """`rref` of [A | -A.1] for sparse rows A, the right-hand side in column
+    `ncols`, as `solve` reduces a matching system."""
+    return _linalg.rref([(*row, (ncols, -sum(a for _, a in row))) for row in rows])
+
+
 def fourier_motzkin_feasible(rows, rhs) -> bool:
     """Exact feasibility of {t : rows . t <= rhs} by variable elimination."""
     ineqs = [([F(c) for c in r], F(b)) for r, b in zip(rows, rhs)]
@@ -89,24 +95,24 @@ def test_elimination_keeps_each_row_scale():
 
 def test_kernel_basis_simple():
     # x + y - z = 0 has kernel spanned by (-1, 1, 0) and (1, 0, 1).
-    basis = _linalg.kernel_basis(sparse([[1, 1, -1]]), 3)
+    basis = _linalg.kernel_basis(*augmented(sparse([[1, 1, -1]]), 3), 3)
     assert len(basis) == 2
     for vec in basis:
         assert vec[0] + vec[1] - vec[2] == 0
 
 
 def test_kernel_of_empty_system_is_everything():
-    assert len(_linalg.kernel_basis([], 4)) == 4
+    assert len(_linalg.kernel_basis([], [], 4)) == 4
 
 
 def test_kernel_basis_primitive_and_negative():
     # One primitive integer vector per free column, negative there.
-    assert _linalg.kernel_basis(sparse([[2, -3]]), 2) == [[-3, -2]]
-    assert _linalg.kernel_basis(sparse([[2, -1]]), 2) == [[-1, -2]]
-    assert _linalg.kernel_basis(sparse([[1, 1]]), 2) == [[1, -1]]
-    assert _linalg.kernel_basis(sparse([[2, 4]]), 2) == [[2, -1]]
-    assert _linalg.kernel_basis(sparse([[0, 2, 4], [1, 1, 1]]), 3) == [[-1, 2, -1]]
-    assert _linalg.kernel_basis([], 2) == [[-1, 0], [0, -1]]
+    assert _linalg.kernel_basis(*augmented(sparse([[2, -3]]), 2), 2) == [[-3, -2]]
+    assert _linalg.kernel_basis(*augmented(sparse([[2, -1]]), 2), 2) == [[-1, -2]]
+    assert _linalg.kernel_basis(*augmented(sparse([[1, 1]]), 2), 2) == [[1, -1]]
+    assert _linalg.kernel_basis(*augmented(sparse([[2, 4]]), 2), 2) == [[2, -1]]
+    assert _linalg.kernel_basis(*augmented(sparse([[0, 2, 4], [1, 1, 1]]), 3), 3) == [[-1, 2, -1]]
+    assert _linalg.kernel_basis([], [], 2) == [[-1, 0], [0, -1]]
 
 
 def building_systems():
@@ -141,7 +147,7 @@ def test_integer_elimination_against_fractions():
         assert got_pivots == pivots and all(r[c] > 0 for r, c in zip(rows, pivots)), matrix
         assert rational_rows(rows, pivots, len(matrix[0]) if matrix else 0) == expected, matrix
         assert rank(sparse(matrix)) == len(pivots)
-        basis = _linalg.kernel_basis(sparse(matrix), ncols)
+        basis = _linalg.kernel_basis(*augmented(sparse(matrix), ncols), ncols)
         free = [f for f in range(ncols) if f not in pivots]
         assert len(basis) == ncols - len(pivots)
         for f, vec in zip(free, basis):
@@ -202,11 +208,12 @@ def linalg_grid_lines() -> list[str]:
     basis, rank and witness (null when infeasible)."""
     lines = []
     for rows, ncols in linalg_grid_systems():
-        witness = _linalg.negative_orthant_point(sparse(rows), ncols)
+        reduced, pivots = augmented(sparse(rows), ncols)
+        witness = _linalg.negative_orthant_point(reduced, pivots, ncols)
         lines.append(json.dumps({
             "rows": rows,
             "ncols": ncols,
-            "basis": _linalg.kernel_basis(sparse(rows), ncols),
+            "basis": _linalg.kernel_basis(reduced, pivots, ncols),
             "rank": rank(sparse(rows)),
             "witness": None if witness is None else [str(x) for x in witness],
         }))
@@ -238,35 +245,38 @@ def solves_strictly(rows, x) -> bool:
 def test_negative_orthant_feasible_line():
     # x1 - x2 = 0: the kernel line (1, 1) reaches below -1.
     rows = [[1, -1]]
-    x = _linalg.negative_orthant_point(sparse(rows), 2)
+    x = _linalg.negative_orthant_point(*augmented(sparse(rows), 2), 2)
     assert x is not None and solves_strictly(rows, x)
 
 
 def test_negative_orthant_infeasible_opposites():
     # x1 + x2 = 0: the two variables cannot both be negative.
-    assert _linalg.negative_orthant_point(sparse([[1, 1]]), 2) is None
+    assert _linalg.negative_orthant_point(*augmented(sparse([[1, 1]]), 2), 2) is None
 
 
 def test_negative_orthant_two_parameters():
     # x1 + x2 - x3 = 0 and 2 x4 - x3 = 0: a two-dimensional kernel.
     rows = [[1, 1, -1, 0], [0, 0, -1, 2]]
-    assert len(_linalg.kernel_basis(sparse(rows), 4)) == 2
-    x = _linalg.negative_orthant_point(sparse(rows), 4)
+    assert len(_linalg.kernel_basis(*augmented(sparse(rows), 4), 4)) == 2
+    x = _linalg.negative_orthant_point(*augmented(sparse(rows), 4), 4)
     assert x is not None and solves_strictly(rows, x)
 
 
 def test_negative_orthant_empty():
-    assert _linalg.negative_orthant_point([], 0) == []
+    assert _linalg.negative_orthant_point([], [], 0) == []
     # No equations: every variable is free to sit at -1.
-    assert _linalg.negative_orthant_point([], 3) == [F(-1)] * 3
+    assert _linalg.negative_orthant_point([], [], 3) == [F(-1)] * 3
 
 
-def test_negative_orthant_ratio_ties_to_smaller_basis_index():
-    # A system whose ratio tests tie: the rule that gives a tie to the
-    # smaller basis index ends at this witness; the reversed rule ends at
-    # (-1, -4/3, -4/3, -5/3, -1).
-    rows = [[0, -2, -2, 2, 2], [1, -1, 0, -1, 2], [2, 0, -2, 1, -1]]
-    assert _linalg.negative_orthant_point(sparse(rows), 5) == [F(-2), F(-1), F(-3), F(-3), F(-1)]
+def test_negative_orthant_dual_pivots_follow_bland_rule():
+    # A system that takes more than one dual pivot from the RREF basis.
+    # Bland's rule, the leaving row of smallest basic column and the
+    # entering column of smallest index, ends at this witness.  Entering at
+    # the largest index ends at (-1, -5, -1, -12, -1, -15), and leaving at
+    # the first row with a negative right-hand side at (-2, -1, -1, -2, -1, -4).
+    rows = [[-2, 2, 2, -1, 2, 0], [2, 1, 0, 2, -1, -2], [1, -2, 0, 2, 0, -1]]
+    x = _linalg.negative_orthant_point(*augmented(sparse(rows), 6), 6)
+    assert x == [F(-9, 2), F(-1), F(-1), F(-1), F(-3), F(-9, 2)]
 
 
 def test_negative_orthant_against_fourier_motzkin():
@@ -275,7 +285,7 @@ def test_negative_orthant_against_fourier_motzkin():
         ncols = rng.randint(1, 4)
         nrows = rng.randint(1, 3)
         rows = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(nrows)]
-        x = _linalg.negative_orthant_point(sparse(rows), ncols)
+        x = _linalg.negative_orthant_point(*augmented(sparse(rows), ncols), ncols)
         # A x <= 0, -A x <= 0 and x <= -1.
         identity = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
         expected = fourier_motzkin_feasible(
@@ -302,12 +312,13 @@ def test_large_refined_system():
     sparse_rows = [eq.row for eq in system.equations]
     assert sparse_rows == [tuple(row) for row in sparse(rows)]
     assert rank(sparse_rows) == 192
-    basis = _linalg.kernel_basis(sparse_rows, ncols)
+    reduced, pivots = augmented(sparse_rows, ncols)
+    basis = _linalg.kernel_basis(reduced, pivots, ncols)
     assert len(basis) == 75
     for vec in basis:
         assert math.gcd(*vec) == 1
         assert all(sum(a * v for a, v in zip(row, vec) if a) == 0 for row in rows)
-    witness = _linalg.negative_orthant_point(sparse_rows, ncols)
+    witness = _linalg.negative_orthant_point(reduced, pivots, ncols)
     assert witness is not None and solves_strictly(rows, witness)
     digest = hashlib.sha256(json.dumps([basis, [str(x) for x in witness]]).encode())
     assert digest.hexdigest() == "a4798a46accd472704620c67174a4e36cd7e883ca011769ab5789912d0dbca3a"

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from tropline import _linalg
 from tropline.building import (
     EndEdge,
     GraphInvalid,
@@ -223,6 +224,17 @@ class TestSolve:
         assert {"alpha(n4)": 1} in maps
         cone = solve(system)
         assert not cone.feasible and cone.witness is None
+
+    def test_one_elimination_per_solve(self, example1_graph, monkeypatch):
+        # The kernel and the simplex both read the one `rref`, on a feasible
+        # and on an infeasible system.
+        calls = []
+        rref = _linalg.rref
+        monkeypatch.setattr(_linalg, "rref", lambda rows: calls.append(rows) or rref(rows))
+        for graph in (example1_graph, with_c4_at(example1_graph, AT(3), AT(3))):
+            calls.clear()
+            solve(build_system(graph))
+            assert len(calls) == 1
 
     def test_empty_system_on_zero_variables(self):
         b = build_building(tropicalize_line(LineFamily.of(0, 0)))

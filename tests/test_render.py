@@ -1,7 +1,10 @@
 import hashlib
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 from xml.etree import ElementTree
+
+import pytest
 
 from tropline.building import build_building, extract_levels
 from tropline.moduli import exploded_fan, ionel_fan
@@ -71,6 +74,15 @@ class TestRenderTropical:
         """`goldens/render-grid.txt` pins every SVG of `render_grid_lines`."""
         golden = (GOLDENS / "render-grid.txt").read_text().splitlines()
         assert render_grid_lines() == golden
+
+    def test_window_past_float_range_is_refused(self):
+        # The canvas draws the side, window * 60 px, and each coordinate up
+        # to the window times 60 as floats; the largest float bounds both.
+        top = int(sys.float_info.max)
+        assert RenderSpec(window=F(top, 61)).window == F(top, 61)
+        for window in (F(top, 60), F(top + 1, 60), F(10**400)):
+            with pytest.raises(ValueError, match="window is too large to draw"):
+                RenderSpec(window=window)
 
     def test_axis_case_boundary_run(self):
         # The (3,0) vertex sits on the x-axis: one run back to the origin.
