@@ -162,10 +162,10 @@ def sample_amoeba(
     The scheme is a fixed function of its arguments, so equal inputs give
     bit-identical clouds; `sample_domain` gives the points w.
 
-    The image of f_n(w) = [c1 n^(-p) w : c2 n^(-q) (w + 1) : 1] is
+    The image of f_n(w) = [n^(-p) w : n^(-q) (w + 1) : 1] is
 
-        X = p - log|c1| / log n - log|w| / log n
-        Y = q - log|c2| / log n - log|w + 1| / log n,
+        X = p - log|w| / log n
+        Y = q - log|w + 1| / log n,
 
     and on each end one of log|w|, log|w + 1| is +-t log n while the other
     is log|1 +- eps e^(i a)| with eps = n^(-t), taken from the half-angle
@@ -177,7 +177,7 @@ def sample_amoeba(
     With a `window`, which `_window_step` checks, only the points inside
     [0, window]^2 are returned, listed end by end (0, -1, infinity): the
     same floats as the full cloud's in-window rows.  The deep coordinate
-    of end 0 (X = x0 + t) and of end -1 (Y = y0 + t) does not decrease
+    of end 0 (X = p + t) and of end -1 (Y = q + t) does not decrease
     with t, so the samples of those ends inside the window are a prefix,
     found by `searchsorted` on that expression; only the prefix is
     computed, and its other coordinate, like both of the infinity end's,
@@ -200,8 +200,7 @@ def sample_amoeba(
     if window is not None:
         _window_step(window)
     log_n = math.log(n)
-    x0 = float(family.p) - math.log(abs(family.c1)) / log_n
-    y0 = float(family.q) - math.log(abs(family.c2)) / log_n
+    x0, y0 = float(family.p), float(family.q)
 
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
         if window is None:

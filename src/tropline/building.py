@@ -306,8 +306,9 @@ def build_building(curve: TropicalCurve, extra_levels=()) -> Building:
     nodes, or ends for the last fragment of a ray.  One sort of the pieces by
     their level coordinates, then by position, names them c1, c2, ...; nodes
     and ends are listed in the order of their pieces.  `extra_levels` inserts
-    additional cut values; this never changes the set of non-trivial pieces,
-    it only adds trivial cylinders (used to probe the stability rules).
+    cut values, which probe the stability rules: each adds a trivial piece
+    wherever an edge crosses it and no piece where none does, as past every
+    vertex of a curve without rays.
     """
     # Every position, length, level and level crossing t = (v - c0) / c is
     # an integer in units of 1/unit: the lcm of the denominators times the

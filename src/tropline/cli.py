@@ -34,6 +34,12 @@ def _rational_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+def _path_arg(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("an empty path names no file")
+    return text
+
+
 _RATIONAL_FLAGS = ("--p", "--q", "--add-level")
 
 
@@ -71,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_trop = sub.add_parser("tropicalize", help="tropical limit curve of the family")
     add_pq(p_trop)
     p_trop.add_argument("--json", action="store_true")
-    p_trop.add_argument("--svg", metavar="PATH")
+    p_trop.add_argument("--svg", type=_path_arg, metavar="PATH")
 
     p_building = sub.add_parser("building", help="leveled dual graph of the limit")
     p_building.add_argument("--p", type=_rational_arg)
@@ -86,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_fan = sub.add_parser("fan", help="emit a moduli fan")
     p_fan.add_argument("--which", choices=["exploded", "ionel", "complete"], required=True)
-    p_fan.add_argument("--svg", metavar="PATH")
+    p_fan.add_argument("--svg", type=_path_arg, metavar="PATH")
 
     sub.add_parser("blowups", help="blowup factorization from the coarse to the fine fan")
 
@@ -97,15 +103,16 @@ def _build_parser() -> argparse.ArgumentParser:
     add_pq(p_amoeba)
     p_amoeba.add_argument("--n", required=True, help="comma separated rescaling bases")
     p_amoeba.add_argument("--samples", type=int, default=2000)
-    p_amoeba.add_argument("--csv", metavar="PATH")
+    p_amoeba.add_argument("--csv", type=_path_arg, metavar="PATH")
     p_amoeba.add_argument(
-        "--points-csv", metavar="PATH", help="per-point cloud of the last base"
+        "--points-csv", type=_path_arg, metavar="PATH",
+        help="per-point cloud of the last base",
     )
     p_amoeba.add_argument("--window", type=float, default=None)
 
     p_render = sub.add_parser("render", help="render the realized curve of a graph")
     p_render.add_argument("--graph", metavar="PATH", required=True)
-    p_render.add_argument("--svg", metavar="PATH", required=True)
+    p_render.add_argument("--svg", type=_path_arg, metavar="PATH", required=True)
 
     return parser
 

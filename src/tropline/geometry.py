@@ -168,11 +168,6 @@ def _fraction(value) -> Fraction:
     return value if type(value) is Fraction else Fraction(value)
 
 
-def _integer_direction(x, y) -> list[int]:
-    """The rational point (x, y) scaled by the least common denominator."""
-    return _cleared((_fraction(x), _fraction(y)))[1]
-
-
 @dataclass(frozen=True)
 class QuadrantPoint:
     """A point of the closed quadrant [0, oo)^2 with exact coordinates."""
@@ -236,10 +231,6 @@ class Cone:
             v = self.generators[1]
             low = min(x * v.y - y * v.x, u.x * y - u.y * x)
         return (low > 0) - (low < 0)
-
-    def interior_contains(self, px, py) -> bool:
-        """Membership of the rational point (px, py) in the relative interior."""
-        return self.side(*_integer_direction(px, py)) > 0
 
 
 ZERO_CONE = Cone(())
@@ -311,7 +302,7 @@ def locate(fan: Fan, p) -> Cone:
     :class:`PointOutsideSupport` when `p` misses the fan's support.
     """
     px, py = p
-    direction = _integer_direction(px, py)
+    direction = _cleared((_fraction(px), _fraction(py)))[1]
     for cone in fan.cones:
         if cone.side(*direction) > 0:
             return cone
@@ -331,7 +322,7 @@ def stellar_subdivide(fan: Fan, target: Cone, ray: LatticeVector) -> Fan:
         raise TargetNotInFan(f"{target} is not a 2D cone of the fan")
     if not ray.is_primitive():
         raise RayNotInterior(f"subdivision ray {ray} must be primitive")
-    if not target.interior_contains(ray.x, ray.y):
+    if target.side(ray.x, ray.y) <= 0:
         raise RayNotInterior(f"ray {ray} is not interior to {target}")
     u, v = target.generators
     new_cones = [c for c in fan.cones2d if c != target]

@@ -376,17 +376,14 @@ def torus_weights(graph: LeveledDualGraph, cone: SolutionCone) -> WeightTable:
     return WeightTable(len(cone.basis), {piece.id: positions[piece.id] for piece in graph.pieces})
 
 
-def realize(
-    graph: LeveledDualGraph, solution, keep_trivial: bool = False
-) -> TropicalCurve:
+def realize(graph: LeveledDualGraph, solution) -> TropicalCurve:
     """Build the tropical curve of a strictly negative solution.
 
     Non-trivial pieces become vertices, nodes become segments of length
     -alpha(y), ends become rays.  Trivial pieces are interior points of
-    their chains and are merged away unless `keep_trivial` is set, in which
-    case every piece becomes a (possibly bivalent) vertex.  The solution's
-    denominators are cleared once; fractions are built only for the kept
-    vertices and the segment lengths.
+    their chains and are merged away.  The solution's denominators are
+    cleared once; fractions are built only for the kept vertices and the
+    segment lengths.
     """
     index = _variable_index(graph)
     unit, values = _cleared(_solution_values(solution, index))
@@ -398,7 +395,7 @@ def realize(
 
     # Merged pieces are trivial, so two-valent cylinders: a chain through
     # them keeps one contact vector and becomes one segment or ray.
-    kept = (p.id for p in graph.pieces if keep_trivial or not p.trivial)
+    kept = (p.id for p in graph.pieces if not p.trivial)
     vertex_ids = {pid: f"v{i}" for i, pid in enumerate(kept)}
     vertices = tuple(
         Vertex(vid, QuadrantPoint(Fraction(x, unit), Fraction(y, unit)))

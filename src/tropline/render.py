@@ -29,7 +29,7 @@ _CONE_FILLS = ("#f2e8d5", "#dbe9f2")
 
 @dataclass(frozen=True)
 class RenderSpec:
-    window: Fraction = Fraction(6)
+    window: Fraction
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "window", _fraction(self.window))
@@ -131,25 +131,20 @@ def _boundary_shadows(pos: dict[str, tuple[float, float]], report: BalanceReport
     return shadows
 
 
-def render_tropical(
-    curve: TropicalCurve,
-    levels: LevelStructure | None = None,
-    spec: RenderSpec | None = None,
-) -> str:
-    """SVG picture of a curve, with dashed level lines when `levels` given.
+def render_tropical(curve: TropicalCurve, levels: LevelStructure, spec: RenderSpec) -> str:
+    """SVG picture of a curve, with a dashed line at each level.
 
     Each level, vertex and window value is converted to float once.
     """
     report = validate_curve(curve)
-    canvas = _Canvas(spec or RenderSpec())
+    canvas = _Canvas(spec)
     window = canvas.window
-    if levels is not None:
-        style = f'stroke="{_LEVEL_COLOR}" stroke-width="1" stroke-dasharray="6 4"'
-        values = [v for v in map(float, levels.values) if v <= window]
-        for v in values:
-            canvas.line((v, 0), (v, window), "level", style)
-        for v in values:
-            canvas.line((0, v), (window, v), "level", style)
+    style = f'stroke="{_LEVEL_COLOR}" stroke-width="1" stroke-dasharray="6 4"'
+    values = [v for v in map(float, levels.values) if v <= window]
+    for v in values:
+        canvas.line((v, 0), (v, window), "level", style)
+    for v in values:
+        canvas.line((0, v), (window, v), "level", style)
     canvas.axes()
     style = f'stroke="{_CURVE_COLOR}" stroke-width="2.5" stroke-linecap="round"'
     pos = {v.id: (float(v.position.x), float(v.position.y)) for v in curve.vertices}
@@ -167,9 +162,9 @@ def render_tropical(
     return canvas.finish()
 
 
-def render_fan(fan: Fan, spec: RenderSpec | None = None) -> str:
+def render_fan(fan: Fan, spec: RenderSpec) -> str:
     """SVG picture of a fan: shaded cones and arrowed rays from the origin."""
-    canvas = _Canvas(spec or RenderSpec())
+    canvas = _Canvas(spec)
     window = canvas.window
 
     def boundary_point(v: LatticeVector):

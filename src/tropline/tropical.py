@@ -4,9 +4,9 @@ Conventions.  The family of lines is
 
     f_n([w1, w2]) = [x_n * w1,  y_n * (w1 + w2),  w2],
 
-with coefficient valuations x_n ~ c1 * n^(-p) and y_n ~ c2 * n^(-q).  The
-image line satisfies  y_n z1 - x_n z2 + x_n y_n z3 = 0, so in min-plus
-coordinates (v(n^(-t)) = t) its tropicalization is the corner locus of
+with coefficients x_n = n^(-p) and y_n = n^(-q).  The image line satisfies
+y_n z1 - x_n z2 + x_n y_n z3 = 0, so in min-plus coordinates (v(n^(-t)) = t)
+its tropicalization is the corner locus of
 
     min(q + X,  p + Y,  p + q)
 
@@ -59,29 +59,17 @@ class CurveInvalid(ValueError):
 
 @dataclass(frozen=True)
 class LineFamily:
-    """A degenerating family of lines, recorded through its valuations.
-
-    `p` and `q` are the decay exponents of the two coefficients; the
-    complex coefficients `c1`, `c2` only matter to the floating-point
-    amoeba module.
-    """
+    """A degenerating family of lines, recorded through its valuations:
+    `p` and `q` are the decay exponents of the two coefficients."""
 
     p: Fraction
     q: Fraction
-    c1: complex = 1 + 0j
-    c2: complex = 1 + 0j
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "p", _fraction(self.p))
         object.__setattr__(self, "q", _fraction(self.q))
         if self.p.numerator < 0 or self.q.numerator < 0:
             raise NegativeExponent(f"exponents must be >= 0, got ({self.p}, {self.q})")
-        if self.c1 == 0 or self.c2 == 0:
-            raise ValueError("coefficients must be nonzero")
-
-    @classmethod
-    def of(cls, p, q, c1: complex = 1, c2: complex = 1) -> "LineFamily":
-        return cls(_fraction(p), _fraction(q), complex(c1), complex(c2))
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,10 @@
 
 No `trop` command and no library module calls these: each is a brute-force
 scan, a normal form or a checker that states what a result must be
-independently of how the library computes it.  Test modules import them
-with `from oracles import ...`, since pytest puts `tests/` on `sys.path`.
+independently of how the library computes it, except `piece_positions`,
+which reads every piece's position off the library's own walk.  Test
+modules import them with `from oracles import ...`, since pytest puts
+`tests/` on `sys.path`.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from tropline import _linalg
+from tropline import _linalg, matching
 from tropline.geometry import Fan, QuadrantPoint, _cleared
 from tropline.matching import Equation, WeightTable
 from tropline.tropical import CurveInvalid, LineFamily, Ray, Segment, TropicalCurve, Vertex
@@ -232,6 +234,18 @@ def lattice_canonical(vectors: Sequence[tuple[int, int]]) -> tuple[tuple[int, in
 def evaluate(equation: Equation, values: Sequence[Fraction]) -> Fraction:
     """The left-hand side of `equation` at `values`, one per variable."""
     return sum(a * values[j] for j, a in equation.row)
+
+
+def piece_positions(graph, solution) -> dict[str, tuple[Fraction, Fraction]]:
+    """The position of every piece, trivial ones included, that `solution`
+    places it at, as `matching.realize` finds it before merging the trivial
+    pieces away."""
+    index = matching._variable_index(graph)
+    unit, values = _cleared(matching._solution_values(solution, index))
+    return {
+        pid: (Fraction(x, unit), Fraction(y, unit))
+        for pid, ((x,), (y,)) in matching._piece_positions(graph, [values], unit).items()
+    }
 
 
 def piece_rank(table: WeightTable, piece_id: str) -> int:

@@ -50,7 +50,7 @@ def report(num: int, name: str, ok: bool, detail: str = "") -> None:
 
 
 def line_building(p, q, extra=()):
-    return build_building(tropicalize_line(LineFamily.of(p, q)), extra_levels=extra)
+    return build_building(tropicalize_line(LineFamily(p, q)), extra_levels=extra)
 
 
 def test_c01_example_matching_system(example1_graph):
@@ -93,7 +93,7 @@ def test_c01_example_matching_system(example1_graph):
 
 
 def test_c02_level_map():
-    levels = extract_levels(tropicalize_line(LineFamily.of(4, 3)))
+    levels = extract_levels(tropicalize_line(LineFamily(4, 3)))
     ok = levels.values == (F(1), F(3), F(4))
     ok = ok and [levels.phi(a) for a in range(4)] == [0, 1, 3, 4]
     report(2, "level map", ok, f"levels={[str(v) for v in levels.values]}")
@@ -231,7 +231,7 @@ def test_c09_realize_round_trip():
     count = 0
     for p in grid:
         for q in grid:
-            curve = tropicalize_line(LineFamily.of(p, q))
+            curve = tropicalize_line(LineFamily(p, q))
             b = build_building(curve)
             realized = realize(b.graph, building_solution(b))
             ok = ok and curves_equal(realized, curve)
@@ -248,7 +248,7 @@ def test_c10_oracle_equivalence():
         p = F(rng.randint(0, 9), rng.randint(1, 3))
         q = F(rng.randint(0, 9), rng.randint(1, 3))
         window = 2 * (p + q) + 2
-        family = LineFamily.of(p, q)
+        family = LineFamily(p, q)
         curve = tropicalize_line(family)
         hits = corner_locus_oracle(family, window=window, step=step, tol=step)
         ok = ok and _oracle_two_sided(curve, hits, window, step)
@@ -296,7 +296,7 @@ def _oracle_two_sided(curve, hits, window, step) -> bool:
 
 def test_c11_amoeba_convergence():
     start = time.monotonic()
-    family = LineFamily.of(4, 3)
+    family = LineFamily(4, 3)
     rep = convergence_report(family, [1e3, 1e4, 1e6, 1e8], 2000, 8.0)
     distances = [d for _, d in rep.entries]
     ok = all(b < a * 1.1 for a, b in zip(distances, distances[1:]))

@@ -31,10 +31,6 @@ from oracles import ZeroCoordinate, log_image
 GOLDENS = Path(__file__).resolve().parent / "goldens"
 
 
-def fam(p, q, c1=1.0, c2=1.0):
-    return LineFamily.of(p, q, c1, c2)
-
-
 def run_fresh(script: str) -> None:
     """Run `script` in a fresh interpreter that imports this checkout's
     `tropline`; it must exit 0."""
@@ -83,21 +79,19 @@ def test_exact_submodules_load_without_numpy():
 def amoeba_grid_cases():
     """(family, count, window, base) cases: 16 seeded families with p, q <= 3
     over denominators 1-3 at counts 1, 2, 4, 300, 2000 and 2002 (every
-    count % 3), three of them also at 20000, then (40, 27), (200, 150) and a
-    family with non-unit c1 and c2; each at windows p + q + 1 and 3/2 and
-    bases 1e3 and 1e8."""
+    count % 3), three of them also at 20000, then (40, 27) and (200, 150);
+    each at windows p + q + 1 and 3/2 and bases 1e3 and 1e8."""
     rng = random.Random(181)
 
     def exponent():
         d = rng.choice((1, 2, 3))
         return Fraction(rng.randint(0, 3 * d), d)
 
-    families = [(fam(exponent(), exponent()), (1, 2, 4, 300, 2000, 2002)) for _ in range(16)]
+    families = [(LineFamily(exponent(), exponent()), (1, 2, 4, 300, 2000, 2002)) for _ in range(16)]
     families += [(family, (20000,)) for family, _ in families[:3]]
     families += [
-        (fam(40, 27), (2, 300, 2000)),
-        (fam(200, 150), (2, 300, 2000)),
-        (fam(Fraction(7, 3), 2, c1=3.0 - 1.0j, c2=0.25), (1, 2, 4, 300, 2000, 2002)),
+        (LineFamily(40, 27), (2, 300, 2000)),
+        (LineFamily(200, 150), (2, 300, 2000)),
     ]
     for family, counts in families:
         for count in counts:
@@ -119,9 +113,7 @@ def amoeba_grid_lines() -> list[str]:
             distance = str(exc)
         domain = sample_domain(family, n, count)
         lines.append(json.dumps({
-            "p": str(family.p), "q": str(family.q),
-            "c1": repr(family.c1), "c2": repr(family.c2),
-            "count": count, "window": window, "n": n,
+            "p": str(family.p), "q": str(family.q), "count": count, "window": window, "n": n,
             "hausdorff": distance,
             "points": hashlib.sha256(sample.points.tobytes()).hexdigest(),
             "domain": hashlib.sha256(domain.tobytes()).hexdigest(),
@@ -182,8 +174,8 @@ def reference_sample(family, n, count):
         rest = 0.5 * np.log((1.0 - eps) ** 2 + 4.0 * eps * half**2) / log_n
         log_w = np.where(near_zero, -t, np.where(near_minus_one, rest, t))
         log_w1 = np.where(near_zero, rest, np.where(near_minus_one, -t, t + rest))
-        x = p - math.log(abs(family.c1)) / log_n - log_w
-        y = q - math.log(abs(family.c2)) / log_n - log_w1
+        x = p - log_w
+        y = q - log_w1
         radius = np.where(near_infinity, np.power(n, t), eps)
         domain = np.empty(count, dtype=np.complex128)
         domain.real = radius * np.cos(angle) - near_minus_one
@@ -246,11 +238,11 @@ class TestSampler:
     @pytest.mark.parametrize(
         "family",
         [
-            fam(4, 3),
-            fam(Fraction(7, 3), 2, c1=3.0 - 1.0j, c2=0.25),
-            fam(0, 0),
-            fam(40, 27),
-            fam(200, 150),
+            LineFamily(4, 3),
+            LineFamily(Fraction(7, 3), 2),
+            LineFamily(0, 0),
+            LineFamily(40, 27),
+            LineFamily(200, 150),
         ],
     )
     def test_per_end_sampler_equals_all_ends_reference(self, family):
@@ -264,7 +256,7 @@ class TestSampler:
 
     def test_ladder_builds_one_sphere(self):
         amoeba._sphere.cache_clear()
-        convergence_report(fam(1, 2), [1e3, 1e4, 1e6, 1e8], 2000, 4.0)
+        convergence_report(LineFamily(1, 2), [1e3, 1e4, 1e6, 1e8], 2000, 4.0)
         info = amoeba._sphere.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
 
@@ -280,8 +272,8 @@ class TestSampler:
         """The cloud is stored column-major; it equals, byte for byte, the
         reference built row by row."""
         for count in (1, 2, 2000, 2002):
-            sample = sample_amoeba(fam(Fraction(3, 2), 3), 1e6, count)
-            points, _ = reference_sample(fam(Fraction(3, 2), 3), 1e6, count)
+            sample = sample_amoeba(LineFamily(Fraction(3, 2), 3), 1e6, count)
+            points, _ = reference_sample(LineFamily(Fraction(3, 2), 3), 1e6, count)
             assert sample.points.flags.f_contiguous and points.flags.c_contiguous
             assert np.array_equal(sample.points, points)
             assert sample.points.tobytes() == points.tobytes()
@@ -299,55 +291,54 @@ class TestSampler:
     def test_sphere_key_holds_the_infinity_cap(self):
         # (1, 3) and (2, 2) share p + q + 2 but not min(p, q).
         for p, q in ((1, 3), (2, 2)):
-            sample = sample_amoeba(fam(p, q), 1e4, 2000)
-            points, domain = reference_sample(fam(p, q), 1e4, 2000)
+            sample = sample_amoeba(LineFamily(p, q), 1e4, 2000)
+            points, domain = reference_sample(LineFamily(p, q), 1e4, 2000)
             assert np.array_equal(sample.points, points)
-            assert np.array_equal(sample_domain(fam(p, q), 1e4, 2000), domain)
+            assert np.array_equal(sample_domain(LineFamily(p, q), 1e4, 2000), domain)
 
     def test_deterministic(self):
-        a = sample_amoeba(fam(4, 3), 1e4, 500)
-        b = sample_amoeba(fam(4, 3), 1e4, 500)
+        a = sample_amoeba(LineFamily(4, 3), 1e4, 500)
+        b = sample_amoeba(LineFamily(4, 3), 1e4, 500)
         assert np.array_equal(a.points, b.points)
-        domains = [sample_domain(fam(4, 3), 1e4, 500) for _ in range(2)]
+        domains = [sample_domain(LineFamily(4, 3), 1e4, 500) for _ in range(2)]
         assert np.array_equal(*domains)
 
     def test_clipped_to_quadrant(self):
-        sample = sample_amoeba(fam(2, 1), 1e3, 800)
+        sample = sample_amoeba(LineFamily(2, 1), 1e3, 800)
         assert (sample.points >= 0).all()
 
     def test_cloud_concentrates_near_curve(self):
-        curve = tropicalize_line(fam(4, 3))
-        d1 = hausdorff(sample_amoeba(fam(4, 3), 1e4, 2000), curve, 8.0)
-        d8 = hausdorff(sample_amoeba(fam(4, 3), 1e8, 2000), curve, 8.0)
+        curve = tropicalize_line(LineFamily(4, 3))
+        d1 = hausdorff(sample_amoeba(LineFamily(4, 3), 1e4, 2000), curve, 8.0)
+        d8 = hausdorff(sample_amoeba(LineFamily(4, 3), 1e8, 2000), curve, 8.0)
         assert d8 < d1
 
     def test_base_cap(self):
         with pytest.raises(ValueError):
-            sample_amoeba(fam(1, 1), 1e9, 10)
+            sample_amoeba(LineFamily(1, 1), 1e9, 10)
 
-    @pytest.mark.parametrize("c2", [1.0, 0.5 + 2.0j])
-    def test_minus_one_end_depth(self, c2):
-        # Near -1, w + 1 = n^(-t) e^(i a), so Y = q + t - log|c2| / log n;
-        # |w| is near 1 there, so X can be checked against the domain point.
+    def test_minus_one_end_depth(self):
+        # Near -1, w + 1 = n^(-t) e^(i a), so Y = q + t; |w| is near 1
+        # there, so X can be checked against the domain point.
         n, count = 1e4, 20000
-        family = fam(1, Fraction(5, 2), c2=c2)
+        family = LineFamily(1, Fraction(5, 2))
         sample = sample_amoeba(family, n, count)
         k = np.arange(1, count, 3)
         max_depth = 1 + 2.5 + 2  # p + q + 2
         t = max_depth * (k // 3 + 0.5) / len(k)
-        expected_y = 2.5 + t - math.log(abs(c2)) / math.log(n)
+        expected_y = 2.5 + t
         assert np.abs(sample.points[k, 1] - expected_y).max() < 1e-9
         expected_x = 1 - np.log(np.abs(sample_domain(family, n, count)[k])) / math.log(n)
         assert np.abs(sample.points[k, 0] - expected_x).max() < 1e-9
 
     def test_matches_log_image_off_minus_one(self):
         # Away from w = -1 the linear-space oracle has no cancellation.
-        family = fam(Fraction(7, 3), 2, c1=3.0 - 1.0j, c2=0.25)
+        family = LineFamily(Fraction(7, 3), 2)
         n = 1e3
         sample = sample_amoeba(family, n, 3000)
         domain = sample_domain(family, n, 3000)
-        x_n = family.c1 * n ** -float(family.p)
-        y_n = family.c2 * n ** -float(family.q)
+        x_n = n ** -float(family.p)
+        y_n = n ** -float(family.q)
         for k in range(3000):
             if k % 3 == 1:
                 continue
@@ -357,20 +348,19 @@ class TestSampler:
 
     def test_extreme_exponents_keep_every_point(self):
         for n in (1e3, 1e8):
-            sample = sample_amoeba(fam(200, 150), n, 2000)
+            sample = sample_amoeba(LineFamily(200, 150), n, 2000)
             assert sample.points.shape == (2000, 2)
             assert np.isfinite(sample.points).all()
 
     def test_ordinary_line_cloud(self):
-        curve = tropicalize_line(fam(0, 0))
-        d = hausdorff(sample_amoeba(fam(0, 0), 1e6, 2000), curve, 2.0)
+        curve = tropicalize_line(LineFamily(0, 0))
+        d = hausdorff(sample_amoeba(LineFamily(0, 0), 1e6, 2000), curve, 2.0)
         assert d < 0.2
 
 
 def windowed_cases():
-    """(family, count, window) cases: every family of `amoeba_grid_cases`,
-    which include c1 = 3 - i, c2 = 1/4, at counts 1, 2, 2000 and 20000 and
-    windows p + q + 1 and 3/2."""
+    """(family, count, window) cases: every family of `amoeba_grid_cases` at
+    counts 1, 2, 2000 and 20000 and windows p + q + 1 and 3/2."""
     families = dict.fromkeys(family for family, *_ in amoeba_grid_cases())
     for family in families:
         for count in (1, 2, 2000, 20000):
@@ -426,7 +416,7 @@ class TestWindowedSampler:
         with pytest.raises(ValueError) as refused:
             amoeba._window_step(window)
         with pytest.raises(ValueError) as info:
-            sample_amoeba(fam(1, 2), 1e4, 200, window=window)
+            sample_amoeba(LineFamily(1, 2), 1e4, 200, window=window)
         assert str(info.value) == str(refused.value)
 
     def test_in_window_cloud_is_measured_as_it_is(self, monkeypatch):
@@ -440,9 +430,9 @@ class TestWindowedSampler:
             return pieces(px, py, starts, moves)
 
         monkeypatch.setattr(amoeba, "_squared_distance_to_pieces", recording)
-        curve = tropicalize_line(fam(1, 2))
+        curve = tropicalize_line(LineFamily(1, 2))
         for window, shared in ((4.0, True), (2.0, False)):
-            sample = sample_amoeba(fam(1, 2), 1e4, 2000, window=4.0)
+            sample = sample_amoeba(LineFamily(1, 2), 1e4, 2000, window=4.0)
             hausdorff(sample, curve, window)
             px, py = seen.pop()
             assert np.shares_memory(px, sample.points) is shared
@@ -451,7 +441,7 @@ class TestWindowedSampler:
 
 class TestHausdorff:
     def test_self_distance_is_discretization_level(self):
-        curve = tropicalize_line(fam(4, 3))
+        curve = tropicalize_line(LineFamily(4, 3))
         poly = discretize_curve(curve, 8.0)
         sample = AmoebaSample(n=10.0, points=poly)
         assert hausdorff(sample, curve, 8.0) < 8.0 / 256
@@ -460,13 +450,13 @@ class TestHausdorff:
     def test_empty_sample(self):
         sample = AmoebaSample(n=10.0, points=np.array([[9.0, 9.0]]))
         with pytest.raises(EmptySample):
-            hausdorff(sample, tropicalize_line(fam(1, 1)), 2.0)
+            hausdorff(sample, tropicalize_line(LineFamily(1, 1)), 2.0)
 
     @pytest.mark.parametrize("window", [0.0, -1.0, math.nan])
     def test_non_positive_window(self, window):
         # (1, 2) has a segment, so a zero window once divided by zero.
-        curve = tropicalize_line(fam(1, 2))
-        sample = sample_amoeba(fam(1, 2), 1e4, 200)
+        curve = tropicalize_line(LineFamily(1, 2))
+        sample = sample_amoeba(LineFamily(1, 2), 1e4, 200)
         with pytest.raises(ValueError, match="must be positive"):
             discretize_curve(curve, window)
         with pytest.raises(ValueError, match="must be positive"):
@@ -474,8 +464,8 @@ class TestHausdorff:
 
     @pytest.mark.parametrize("window", [1e300, math.inf])
     def test_window_above_range(self, window):
-        curve = tropicalize_line(fam(1, 2))
-        sample = sample_amoeba(fam(1, 2), 1e4, 200)
+        curve = tropicalize_line(LineFamily(1, 2))
+        sample = sample_amoeba(LineFamily(1, 2), 1e4, 200)
         with pytest.raises(ValueError) as info:
             hausdorff(sample, curve, window)
         assert str(info.value) == f"window {window} must be positive and at most 1e+150"
@@ -483,12 +473,12 @@ class TestHausdorff:
     def test_tiny_windows_walk_only_inside(self):
         """A window far below the vertices forms no polyline point, however
         small; a window whose step rounds to 0 is refused by name."""
-        curve = tropicalize_line(fam(1, 2))
+        curve = tropicalize_line(LineFamily(1, 2))
         for window in (1e-5, 1e-7, 1e-13, 1e-300, 1e-310):
             assert discretize_curve(curve, window).shape == (0, 2)
         # The (0, 0) vertex is the origin: each of its two rays is walked in
         # 512 steps, both ends included.
-        assert len(discretize_curve(tropicalize_line(fam(0, 0)), 1e-300)) == 2 * (1 + 512)
+        assert len(discretize_curve(tropicalize_line(LineFamily(0, 0)), 1e-300)) == 2 * (1 + 512)
         with pytest.raises(ValueError, match=r"^window 5e-324 is too small"):
             discretize_curve(curve, 5e-324)
 
@@ -500,7 +490,7 @@ class TestHausdorff:
         holds points at both its ends and no wider gap than a step."""
         rng = np.random.default_rng(17)
         for p, q in ((1, 2), (4, 3), (0, 0), (Fraction(3, 2), 3), (Fraction(7, 3), 2)):
-            curve = tropicalize_line(fam(p, q))
+            curve = tropicalize_line(LineFamily(p, q))
             flipped = tuple(
                 Segment(s.head, s.tail, LatticeVector(-s.contact.x, -s.contact.y), s.length)
                 for s in curve.segments
@@ -531,17 +521,17 @@ class TestHausdorff:
                         assert (np.diff(on) <= step + tol).all()
 
     def test_mirror_isometry_is_exact(self):
-        sample = sample_amoeba(fam(4, 3), 1e4, 1500)
+        sample = sample_amoeba(LineFamily(4, 3), 1e4, 1500)
         swapped = AmoebaSample(n=sample.n, points=sample.points[:, ::-1].copy())
-        d = hausdorff(sample, tropicalize_line(fam(4, 3)), 8.0)
-        d_swapped = hausdorff(swapped, tropicalize_line(fam(3, 4)), 8.0)
+        d = hausdorff(sample, tropicalize_line(LineFamily(4, 3)), 8.0)
+        d_swapped = hausdorff(swapped, tropicalize_line(LineFamily(3, 4)), 8.0)
         assert d == d_swapped
 
     def test_cloud_to_curve_is_exact(self):
         # Far from the curve, the cloud-to-curve side dominates: it must match
         # the distance to a fine polyline, each window piece walked in equal
         # steps of at most 8 / 20000, to within half a step.
-        curve = tropicalize_line(fam(4, 3))
+        curve = tropicalize_line(LineFamily(4, 3))
         rng = np.random.default_rng(5)
         points = rng.uniform(0.0, 8.0, (300, 2))
         sample = AmoebaSample(n=10.0, points=points)
@@ -558,13 +548,13 @@ class TestHausdorff:
         # whichever end it starts from, so the corner is at distance 1; the
         # (1, 3) curve keeps only the segment from (0, 2) to (0.5, 2.5), its
         # ray along y = 3 lying outside, so the corner is at distance 2.
-        curve = tropicalize_line(fam(4, 3))
+        curve = tropicalize_line(LineFamily(4, 3))
         seg = curve.segments[0]
         flipped = Segment(seg.head, seg.tail, LatticeVector(-1, -1), seg.length)
         cases = (
             (curve, 1.0),
             (dataclasses.replace(curve, segments=(flipped,)), 1.0),
-            (tropicalize_line(fam(1, 3)), 2.0),
+            (tropicalize_line(LineFamily(1, 3)), 2.0),
         )
         for c, expected in cases:
             points = np.vstack([discretize_curve(c, 2.5), [[2.5, 2.5]]])
@@ -575,7 +565,7 @@ class TestHausdorff:
         rng = np.random.default_rng(3)
         points = np.concatenate([rng.uniform(-1.0, 9.0, (700, 2)), [[9.0, 9.0]]])
         for p, q, window in ((4, 3, 8.0), (1, 3, 2.5), (0, 0, 3.0), (Fraction(3, 2), 3, 5.5)):
-            pieces = amoeba._window_pieces(tropicalize_line(fam(p, q)), window)
+            pieces = amoeba._window_pieces(tropicalize_line(LineFamily(p, q)), window)
             assert np.array_equal(
                 amoeba._squared_distance_to_pieces(points[:, 0], points[:, 1], *pieces),
                 reference_distance_to_pieces(points, *pieces),
@@ -656,17 +646,17 @@ class TestHausdorff:
         if corners:
             points.append([[window, window], [window, 0.0], [0.0, window]])
         if dense:
-            points.append(sample_amoeba(fam(p, q), 1e4, 300).points)
+            points.append(sample_amoeba(LineFamily(p, q), 1e4, 300).points)
         points = np.vstack(points)
         sample = AmoebaSample(n=10.0, points=points)
-        curve = tropicalize_line(fam(p, q))
+        curve = tropicalize_line(LineFamily(p, q))
         assert hausdorff(sample, curve, window) == reference_hausdorff(sample, curve, window)
 
     @pytest.mark.parametrize("p, q", [(2, 1), (Fraction(3, 2), 3)])
     def test_certified_ladder_equals_full_matrix(self, branches, p, q):
-        curve = tropicalize_line(fam(p, q))
+        curve = tropicalize_line(LineFamily(p, q))
         for n in (1e3, 1e4, 1e6, 1e8):
-            sample = sample_amoeba(fam(p, q), n, 20000)
+            sample = sample_amoeba(LineFamily(p, q), n, 20000)
             window = float(p + q + 1)
             assert hausdorff(sample, curve, window) == reference_hausdorff(sample, curve, window)
         assert branches["certified"] > 0
@@ -674,8 +664,8 @@ class TestHausdorff:
     def test_deep_family_falls_back_to_exact_search(self, branches):
         # At 2000 samples the (40, 27) polyline has gaps wider than the
         # cloud's distance to the curve, so curve -> cloud decides.
-        curve = tropicalize_line(fam(40, 27))
-        sample = sample_amoeba(fam(40, 27), 1e4, 2000)
+        curve = tropicalize_line(LineFamily(40, 27))
+        sample = sample_amoeba(LineFamily(40, 27), 1e4, 2000)
         d = hausdorff(sample, curve, 68.0)
         assert d == reference_hausdorff(sample, curve, 68.0)
         cloud = sample.points[(sample.points <= 68.0).all(axis=1)]
@@ -687,8 +677,8 @@ class TestHausdorff:
         assert branches["searched"] > 0
 
     def test_wide_window_falls_back_to_exact_search(self, branches):
-        curve = tropicalize_line(fam(1, 2))
-        sample = sample_amoeba(fam(1, 2), 1e6, 2000)
+        curve = tropicalize_line(LineFamily(1, 2))
+        sample = sample_amoeba(LineFamily(1, 2), 1e6, 2000)
         assert hausdorff(sample, curve, 10.0) == reference_hausdorff(sample, curve, 10.0)
         assert branches["searched"] > 0
 
@@ -697,13 +687,13 @@ class TestHausdorff:
         # Slices of one target, of a few targets and of many: the nearest
         # distances do not depend on how a round is cut.
         monkeypatch.setattr(amoeba, "_PAIRS", pairs)
-        curve = tropicalize_line(fam(1, 2))
-        sample = sample_amoeba(fam(1, 2), 1e6, 600)
+        curve = tropicalize_line(LineFamily(1, 2))
+        sample = sample_amoeba(LineFamily(1, 2), 1e6, 600)
         assert hausdorff(sample, curve, 10.0) == reference_hausdorff(sample, curve, 10.0)
         assert branches["searched"] > 0
 
     def test_one_point_cloud(self, branches):
-        curve = tropicalize_line(fam(1, 2))
+        curve = tropicalize_line(LineFamily(1, 2))
         sample = AmoebaSample(n=10.0, points=np.array([[2.5, 0.5]]))
         assert hausdorff(sample, curve, 4.0) == reference_hausdorff(sample, curve, 4.0)
         assert branches["certified"] > 0 and branches["searched"] > 0
@@ -711,7 +701,7 @@ class TestHausdorff:
     def test_cloud_on_the_curve_certifies_nothing(self, branches):
         # The polyline points at distance exactly 0 from the pieces: the
         # cloud -> curve distance is 0, so every point is searched.
-        curve = tropicalize_line(fam(4, 3))
+        curve = tropicalize_line(LineFamily(4, 3))
         poly = discretize_curve(curve, 8.0)
         pieces = amoeba._window_pieces(curve, 8.0)
         points = poly[amoeba._squared_distance_to_pieces(poly[:, 0], poly[:, 1], *pieces) == 0]
@@ -721,14 +711,16 @@ class TestHausdorff:
         assert branches == {"certified": 0, "searched": len(poly)}
 
     def test_mirror_family_statistics(self):
-        d1 = hausdorff(sample_amoeba(fam(4, 3), 1e4, 2000), tropicalize_line(fam(4, 3)), 8.0)
-        d2 = hausdorff(sample_amoeba(fam(3, 4), 1e4, 2000), tropicalize_line(fam(3, 4)), 8.0)
+        d1, d2 = (
+            hausdorff(sample_amoeba(family, 1e4, 2000), tropicalize_line(family), 8.0)
+            for family in (LineFamily(4, 3), LineFamily(3, 4))
+        )
         assert abs(d1 - d2) < 0.25 * max(d1, d2)
 
 
 class TestConvergence:
     def test_example_ladder(self):
-        report = convergence_report(fam(4, 3), [1e3, 1e4, 1e6, 1e8], 2000, 8.0)
+        report = convergence_report(LineFamily(4, 3), [1e3, 1e4, 1e6, 1e8], 2000, 8.0)
         distances = [d for _, d in report.entries]
         assert report.monotone
         for a, b in zip(distances, distances[1:]):
@@ -740,7 +732,7 @@ class TestConvergence:
     def test_deep_family_ladder(self):
         # At (40, 27) n^(-p) underflows in linear space; in log space every
         # point is kept and the ladder converges.
-        family = fam(40, 27)
+        family = LineFamily(40, 27)
         report = convergence_report(family, [1e3, 1e4, 1e6, 1e8], 20000, 68.0)
         distances = [d for _, d in report.entries]
         assert report.monotone
@@ -754,7 +746,7 @@ class TestConvergence:
         # Two bases fit a line exactly, and the closed form rounds to
         # 1.0000000000000002 on this ladder (`trop amoeba --p 1 --q 2
         # --n 1e3,1e4`) unless it is kept at or below 1.
-        report = convergence_report(fam(1, 2), [1e3, 1e4], 2000, 4.0)
+        report = convergence_report(LineFamily(1, 2), [1e3, 1e4], 2000, 4.0)
         assert report.r_squared == 1.0
 
     def test_ladder_builds_one_polyline(self, monkeypatch):
@@ -767,11 +759,11 @@ class TestConvergence:
         monkeypatch.setattr(amoeba, "discretize_curve", counting)
         # The second ladder builds its own, though the first left one behind.
         for _ in range(2):
-            convergence_report(fam(1, 2), [1e3, 1e4, 1e6, 1e8], 2000, 4.0)
+            convergence_report(LineFamily(1, 2), [1e3, 1e4, 1e6, 1e8], 2000, 4.0)
             info = amoeba._curve_in_window.cache_info()
             assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
         assert polylines == [4.0, 4.0]
-        for a in amoeba._curve_in_window(tropicalize_line(fam(1, 2)), 4.0):
+        for a in amoeba._curve_in_window(tropicalize_line(LineFamily(1, 2)), 4.0):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.0
 
@@ -780,7 +772,7 @@ class TestConvergence:
             raise AssertionError("a ladder reads only the clouds")
 
         monkeypatch.setattr(amoeba, "sample_domain", refuse)
-        report = convergence_report(fam(1, 2), [1e3, 1e4, 1e6, 1e8], 2000, 4.0)
+        report = convergence_report(LineFamily(1, 2), [1e3, 1e4, 1e6, 1e8], 2000, 4.0)
         assert len(report.entries) == 4
 
     def test_ladder_samples_only_the_window(self, monkeypatch):
@@ -791,40 +783,40 @@ class TestConvergence:
             return sample_amoeba(family, n, count, window)
 
         monkeypatch.setattr(amoeba, "sample_amoeba", recording)
-        convergence_report(fam(1, 2), [1e3, 1e4, 1e6, 1e8], 2000, 4.0)
+        convergence_report(LineFamily(1, 2), [1e3, 1e4, 1e6, 1e8], 2000, 4.0)
         assert windows == [4.0] * 4
 
     def test_ring_probe_certifies_dense_ladder(self, branches):
         """On a dense ladder every polyline point that its own cell leaves
         uncertified is certified by one of the 8 cells around it, so none
         reaches the exact search; without that probe 44 of them would."""
-        convergence_report(fam(4, 3), [1e3, 1e4, 1e6, 1e8], 20000, 8.0)
+        convergence_report(LineFamily(4, 3), [1e3, 1e4, 1e6, 1e8], 20000, 8.0)
         assert branches == {"certified": 3404, "searched": 0}
 
     @pytest.mark.parametrize("bases", [[1e3], [1e3, 1e3], []])
     def test_fewer_than_two_distinct_bases(self, bases):
         with pytest.raises(ValueError, match="two distinct bases"):
-            convergence_report(fam(1, 2), bases, 200, 4.0)
+            convergence_report(LineFamily(1, 2), bases, 200, 4.0)
 
     @pytest.mark.parametrize("window", [math.inf, math.nan, 0.0, -1.0, 1e300])
     def test_window_out_of_range(self, window):
         with pytest.raises(ValueError, match="window .* must be positive"):
-            convergence_report(fam(1, 2), [1e3, 1e4], 200, window)
+            convergence_report(LineFamily(1, 2), [1e3, 1e4], 200, window)
 
     def test_tiny_window_is_empty_at_once(self):
         """A window far below the curve's vertices builds no polyline, so
         the ladder stops at its empty cloud instead of walking every piece
         at window / 512."""
         with pytest.raises(EmptySample, match="no sample points inside the window"):
-            convergence_report(fam(1, 2), [1e3, 1e4], 200, 1e-7)
+            convergence_report(LineFamily(1, 2), [1e3, 1e4], 200, 1e-7)
         with pytest.raises(ValueError, match=r"^window 5e-324 is too small"):
-            convergence_report(fam(1, 2), [1e3, 1e4], 200, 5e-324)
+            convergence_report(LineFamily(1, 2), [1e3, 1e4], 200, 5e-324)
 
     def test_window_beyond_sampled_depth(self):
         """The cloud reaches depth p + q + 2; a wider window would measure the
         unsampled part of the rays, so it is refused, and the bound itself is
         accepted."""
         with pytest.raises(ValueError, match=r"sampled depth p \+ q \+ 2 = 9/2"):
-            convergence_report(fam(Fraction(1, 2), 2), [1e3, 1e4], 200, 4.75)
-        report = convergence_report(fam(Fraction(1, 2), 2), [1e3, 1e4], 200, 4.5)
+            convergence_report(LineFamily(Fraction(1, 2), 2), [1e3, 1e4], 200, 4.75)
+        report = convergence_report(LineFamily(Fraction(1, 2), 2), [1e3, 1e4], 200, 4.5)
         assert len(report.entries) == 2

@@ -20,9 +20,11 @@ from tropline.matching import build_system, realize, solve, torus_weights
 from tropline.geometry import LatticeVector, QuadrantPoint
 from tropline.tropical import LineFamily, Ray, Segment, TropicalCurve, Vertex, tropicalize_line
 
+from oracles import piece_positions
+
 
 def building_of(p, q, extra=()):
-    return build_building(tropicalize_line(LineFamily.of(p, q)), extra_levels=extra)
+    return build_building(tropicalize_line(LineFamily(p, q)), extra_levels=extra)
 
 
 def multilevels(graph):
@@ -49,17 +51,17 @@ class TestLevelCoordinate:
 
 class TestExtractLevels:
     def test_example_level_map(self):
-        levels = extract_levels(tropicalize_line(LineFamily.of(4, 3)))
+        levels = extract_levels(tropicalize_line(LineFamily(4, 3)))
         assert levels.values == (F(1), F(3), F(4))
         assert levels.m == 3
         assert [levels.phi(a) for a in range(4)] == [0, 1, 3, 4]
 
     def test_ordinary_line(self):
-        levels = extract_levels(tropicalize_line(LineFamily.of(0, 0)))
+        levels = extract_levels(tropicalize_line(LineFamily(0, 0)))
         assert levels.values == () and levels.m == 0
 
     def test_three_two(self):
-        levels = extract_levels(tropicalize_line(LineFamily.of(3, 2)))
+        levels = extract_levels(tropicalize_line(LineFamily(3, 2)))
         assert levels.values == (F(1), F(2), F(3))
 
 
@@ -115,7 +117,7 @@ class TestBuildBuilding:
         for _ in range(40):
             p = F(rng.randint(0, 16), rng.choice([1, 2, 4]))
             q = F(rng.randint(0, 16), rng.choice([1, 2, 4]))
-            curve = tropicalize_line(LineFamily.of(p, q))
+            curve = tropicalize_line(LineFamily(p, q))
             b = build_building(curve)
             levels = b.levels
             pos = {v.id: v.position for v in curve.vertices}
@@ -273,7 +275,7 @@ class TestGraphTables:
         cone = solve(build_system(g))
         torus_weights(g, cone)
         realize(g, cone.witness)
-        realize(g, cone.witness, keep_trivial=True)
+        piece_positions(g, cone.witness)
         assert g.multilevels == multilevels
         assert g.incidence == incidence
         assert all(

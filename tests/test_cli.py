@@ -89,7 +89,7 @@ class TestPipeline:
         curve_doc = tmp_path / "curve.json"
         curve_doc.write_text(out)
         curve = curve_from_json(json.loads(out))
-        assert curves_equal(curve, tropicalize_line(LineFamily.of(4, 3)))
+        assert curves_equal(curve, tropicalize_line(LineFamily(4, 3)))
 
         code, out, _ = run(capsys, "building", "--curve", str(curve_doc), "--json")
         assert code == 0
@@ -260,6 +260,25 @@ class TestSvgAndCsv:
         )
         code, _, _ = run(capsys, "tropicalize", "--p", "9" * 306, "--q", "1", "--svg", str(path))
         assert code == 0 and path.read_text().startswith("<svg")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fan", "--which", "ionel", "--svg", ""],
+            ["tropicalize", "--p", "1", "--q", "2", "--svg", ""],
+            ["amoeba", "--p", "1", "--q", "2", "--n", "1e3,1e4", "--csv", ""],
+            ["amoeba", "--p", "1", "--q", "2", "--n", "1e3,1e4", "--points-csv", ""],
+            ["render", "--graph", str(FIXTURES / "example1.json"), "--svg", ""],
+        ],
+        ids=["fan-svg", "tropicalize-svg", "amoeba-csv", "amoeba-points-csv", "render-svg"],
+    )
+    def test_empty_output_path_exits_2(self, capsys, argv):
+        # An empty path names no file; it is refused, not read as no path.
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == (
+            f"trop {argv[0]}: error: argument {argv[-2]}: an empty path names no file"
+        )
 
     def test_fan_svg(self, capsys, tmp_path):
         path = tmp_path / "f.svg"
@@ -591,7 +610,7 @@ class TestCommandArguments:
                 assert out == (GOLDENS / f"fan-{last['--which']}.txt").read_text(), argv
             else:
                 assert out == (GOLDENS / f"{command}.txt").read_text(), argv
-            if last.get("--svg"):
+            if "--svg" in last:
                 assert Path(last["--svg"]).read_text().startswith("<svg"), argv
         else:
             assert code == 2, (argv, err.getvalue())

@@ -122,7 +122,7 @@ def building_systems():
         (5, 7, [F(k, 3) for k in range(1, 30, 2)]),
         (3, 10, [F(k, 4) for k in range(1, 44, 3)]),
     ):
-        curve = tropicalize_line(LineFamily.of(p, q))
+        curve = tropicalize_line(LineFamily(p, q))
         system = build_system(build_building(curve, extra_levels=levels).graph)
         assert len(system.variables) == 36
         yield system.coefficient_rows(), 36

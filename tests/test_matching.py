@@ -30,7 +30,7 @@ from tropline.matching import (
 )
 from tropline.tropical import LineFamily, tropicalize_line
 
-from oracles import curves_equal, evaluate, piece_lattice, piece_rank, rank
+from oracles import curves_equal, evaluate, piece_lattice, piece_positions, piece_rank, rank
 
 V = LatticeVector
 AT = LevelCoordinate.at
@@ -103,12 +103,12 @@ class TestBuildSystem:
             assert rank(rows + [row_for(system, redundant)]) == rank(rows)
 
     def test_single_piece_empty_system(self):
-        b = build_building(tropicalize_line(LineFamily.of(0, 0)))
+        b = build_building(tropicalize_line(LineFamily(0, 0)))
         system = build_system(b.graph)
         assert system.variables == () and system.equations == ()
 
     def test_three_two_kernel_dimension(self):
-        b = build_building(tropicalize_line(LineFamily.of(3, 2)))
+        b = build_building(tropicalize_line(LineFamily(3, 2)))
         assert solve(build_system(b.graph)).dimension == 1
 
     def test_zero_contact_gap_is_inconsistent(self):
@@ -165,7 +165,7 @@ class TestBuildSystem:
         columns, and the dense rows list the same entries."""
         for p, q, cuts in ((4, 3, ()), (F(9, 2), 2, [F(1, 3), 3]),
                            (40, 27, [F(2 * k + 1, 2) for k in range(25)])):
-            curve = tropicalize_line(LineFamily.of(p, q))
+            curve = tropicalize_line(LineFamily(p, q))
             system = build_system(build_building(curve, extra_levels=cuts).graph)
             for eq, dense in zip(system.equations, system.coefficient_rows()):
                 columns = [j for j, _ in eq.row]
@@ -237,7 +237,7 @@ class TestSolve:
             assert len(calls) == 1
 
     def test_empty_system_on_zero_variables(self):
-        b = build_building(tropicalize_line(LineFamily.of(0, 0)))
+        b = build_building(tropicalize_line(LineFamily(0, 0)))
         cone = solve(build_system(b.graph))
         assert cone.dimension == 0 and cone.feasible and cone.witness == ()
 
@@ -253,13 +253,13 @@ class TestStability:
         assert not verdict.stable
 
     def test_extra_level_breaks_stability(self):
-        curve = tropicalize_line(LineFamily.of(4, 3))
+        curve = tropicalize_line(LineFamily(4, 3))
         refined = build_building(curve, extra_levels=[F(2)])
         verdict = check_stability(refined.graph)
         assert not verdict.stable and 2 not in verdict.covered
 
     def test_trivial_building_is_stable(self):
-        b = build_building(tropicalize_line(LineFamily.of(0, 0)))
+        b = build_building(tropicalize_line(LineFamily(0, 0)))
         assert check_stability(b.graph).stable
 
     def test_unknown_rule(self, example1_graph):
@@ -269,7 +269,7 @@ class TestStability:
 
 class TestTorusWeights:
     def test_ray_type_weight_vectors(self):
-        b = build_building(tropicalize_line(LineFamily.of(3, 2)))
+        b = build_building(tropicalize_line(LineFamily(3, 2)))
         cone = solve(build_system(b.graph))
         assert cone.dimension == 1
         weights = torus_weights(b.graph, cone)
@@ -285,7 +285,7 @@ class TestTorusWeights:
     def test_double_contact_ray_weight_vectors(self):
         # The p = 2q family: pieces at (2,1), (1,0), (2,2) carry weight
         # exponents (2,1), (1,0), (2,2).
-        b = build_building(tropicalize_line(LineFamily.of(2, 1)))
+        b = build_building(tropicalize_line(LineFamily(2, 1)))
         cone = solve(build_system(b.graph))
         assert cone.dimension == 1
         weights = torus_weights(b.graph, cone)
@@ -310,7 +310,7 @@ class TestTorusWeights:
         assert piece_rank(weights, by_level[("3", "3")]) == 1
 
     def test_origin_piece_zero_matrix(self):
-        b = build_building(tropicalize_line(LineFamily.of(0, 0)))
+        b = build_building(tropicalize_line(LineFamily(0, 0)))
         cone = solve(build_system(b.graph))
         weights = torus_weights(b.graph, cone)
         assert weights.entries["c1"] == ((), ())
@@ -346,20 +346,17 @@ class TestTorusWeights:
                 if basis_vec[i] > 0:
                     delta = min(delta, -witness[i] / (2 * basis_vec[i]))
             moved = [w + delta * b for w, b in zip(witness, basis_vec)]
-            base_curve = realize(example1_graph, witness, keep_trivial=True)
-            moved_curve = realize(example1_graph, moved, keep_trivial=True)
-            base_pos = {v.id: v.position for v in base_curve.vertices}
-            moved_pos = {v.id: v.position for v in moved_curve.vertices}
-            for piece, vid in zip(example1_graph.pieces, base_curve.vertices):
+            base_pos = piece_positions(example1_graph, witness)
+            moved_pos = piece_positions(example1_graph, moved)
+            for piece in example1_graph.pieces:
                 rows = weights.entries[piece.id]
-                dx = (moved_pos[vid.id].x - base_pos[vid.id].x) / delta
-                dy = (moved_pos[vid.id].y - base_pos[vid.id].y) / delta
-                assert dx == rows[0][k] and dy == rows[1][k]
+                (bx, by), (mx, my) = base_pos[piece.id], moved_pos[piece.id]
+                assert (mx - bx) / delta == rows[0][k] and (my - by) / delta == rows[1][k]
 
     @staticmethod
     def assert_weights_place_the_witness(graph):
-        """Every vertex of the realized witness, trivial pieces kept, is its
-        piece's weight matrix applied to the witness's basis coordinates.
+        """Every piece's position under the witness, trivial pieces included,
+        is its weight matrix applied to the witness's basis coordinates.
 
         Basis vector k is the only one nonzero at its free column f_k, its
         last nonzero column, so the witness w has coordinate
@@ -374,12 +371,12 @@ class TestTorusWeights:
             f = max(j for j, b in enumerate(vec) if b)
             lam.append(w[f] / vec[f])
         assert [sum(c * b[j] for c, b in zip(lam, cone.basis)) for j in range(len(w))] == list(w)
-        curve = realize(graph, w, keep_trivial=True)
-        assert len(curve.vertices) == len(graph.pieces)
-        for piece, vertex in zip(graph.pieces, curve.vertices):
+        positions = piece_positions(graph, w)
+        assert len(positions) == len(graph.pieces)
+        for piece in graph.pieces:
             wx, wy = weights.entries[piece.id]
             placed = (sum(c * x for c, x in zip(lam, wx)), sum(c * y for c, y in zip(lam, wy)))
-            assert (vertex.position.x, vertex.position.y) == placed, piece.id
+            assert positions[piece.id] == placed, piece.id
 
     def test_weights_place_the_witness_on_seeded_families(self):
         """300 seeded families, each cut at 0-10 extra quarter-integer levels."""
@@ -389,7 +386,7 @@ class TestTorusWeights:
             p = F(rng.randint(0, 10), rng.choice([1, 2]))
             q = F(rng.randint(0, 10), rng.choice([1, 2]))
             cuts = [F(rng.randint(1, 48), 4) for _ in range(rng.randint(0, 10))]
-            graph = build_building(tropicalize_line(LineFamily.of(p, q)), extra_levels=cuts).graph
+            graph = build_building(tropicalize_line(LineFamily(p, q)), extra_levels=cuts).graph
             if solve(build_system(graph)).feasible:
                 self.assert_weights_place_the_witness(graph)
                 pieces += len(graph.pieces)
@@ -420,8 +417,8 @@ class TestTorusWeights:
 
     def test_cone_of_another_graph_rejected(self):
         # A cone solved for (4, 3) names variables that (2, 1) lacks.
-        cone = solve(build_system(build_building(tropicalize_line(LineFamily.of(4, 3))).graph))
-        other = build_building(tropicalize_line(LineFamily.of(2, 1))).graph
+        cone = solve(build_system(build_building(tropicalize_line(LineFamily(4, 3))).graph))
+        other = build_building(tropicalize_line(LineFamily(2, 1))).graph
         with pytest.raises(SolutionNotInCone) as info:
             torus_weights(other, cone)
         message = str(info.value)
@@ -442,7 +439,7 @@ class TestRealize:
             level_var(3): F(-1),
         }
         curve = realize(example1_graph, solution)
-        assert curves_equal(curve, tropicalize_line(LineFamily.of(4, 3)))
+        assert curves_equal(curve, tropicalize_line(LineFamily(4, 3)))
 
     def test_asymmetric_solution_moves_the_vertex(self, example1_graph):
         # a = -1, b = -2 gives levels 1, 4, 5 and the vertex at (5, 4).
@@ -460,7 +457,7 @@ class TestRealize:
         assert positions == [(1, 0), (5, 4)]
 
     def test_zero_node_graph(self):
-        b = build_building(tropicalize_line(LineFamily.of(0, 0)))
+        b = build_building(tropicalize_line(LineFamily(0, 0)))
         curve = realize(b.graph, {})
         assert len(curve.vertices) == 1
         assert tuple(curve.vertices[0].position) == (0, 0)
@@ -471,15 +468,10 @@ class TestRealize:
         for _ in range(30):
             p = F(rng.randint(0, 12), rng.choice([1, 2, 3]))
             q = F(rng.randint(0, 12), rng.choice([1, 2, 3]))
-            curve = tropicalize_line(LineFamily.of(p, q))
+            curve = tropicalize_line(LineFamily(p, q))
             b = build_building(curve)
             realized = realize(b.graph, building_solution(b))
             assert curves_equal(realized, curve)
-
-    def test_keep_trivial_retains_all_pieces(self, example1_graph):
-        cone = solve(build_system(example1_graph))
-        curve = realize(example1_graph, cone.witness, keep_trivial=True)
-        assert len(curve.vertices) == len(example1_graph.pieces)
 
     def test_scale_equivariance(self, example1_graph):
         cone = solve(build_system(example1_graph))
@@ -555,6 +547,6 @@ class TestFeasibilityAcrossTypes:
         for _ in range(25):
             p = F(rng.randint(0, 10), rng.choice([1, 2]))
             q = F(rng.randint(0, 10), rng.choice([1, 2]))
-            b = build_building(tropicalize_line(LineFamily.of(p, q)))
+            b = build_building(tropicalize_line(LineFamily(p, q)))
             cone = solve(build_system(b.graph))
             assert cone.feasible

@@ -235,7 +235,7 @@ class TestTypeTable:
         14 pairwise different leveled dual graphs, and only the interior's
         has no level."""
         graphs = {
-            label: build_building(tropicalize_line(LineFamily.of(p, q))).graph
+            label: build_building(tropicalize_line(LineFamily(p, q))).graph
             for label, (p, q) in ROW_SAMPLES.items()
         }
         boundary = [r.label for r in type_table() if r.kind != "INTERIOR"]
@@ -268,6 +268,6 @@ class TestKernelDimensionLaw:
         for label, pts in regions:
             for p, q in pts:
                 assert classify(p, q).label == label
-                b = build_building(tropicalize_line(LineFamily.of(p, q)))
+                b = build_building(tropicalize_line(LineFamily(p, q)))
                 cone = solve(build_system(b.graph))
                 assert cone.dimension == rows[label].kernel_dim, (label, p, q)

@@ -28,7 +28,7 @@ from tropline.tropical import (
     validate_curve,
 )
 
-from oracles import curves_equal, piece_rank, reflect
+from oracles import curves_equal, piece_positions, piece_rank, reflect
 
 
 def random_rationals(seed, count, max_num=18, dens=(1, 2, 3, 4, 5)):
@@ -43,7 +43,7 @@ def random_rationals(seed, count, max_num=18, dens=(1, 2, 3, 4, 5)):
 def test_full_pipeline_consistency():
     rows = {r.label: r for r in type_table()}
     for p, q in random_rationals(99, 120):
-        family = LineFamily.of(p, q)
+        family = LineFamily(p, q)
         curve = tropicalize_line(family)
         validate_curve(curve)
 
@@ -66,8 +66,14 @@ def test_full_pipeline_consistency():
             assert len(realized.vertices) == len(curve.vertices)
             assert len(realized.segments) == len(curve.segments)
             assert len(realized.rays) == len(curve.rays)
-            subdivided = realize(b.graph, cone.witness, keep_trivial=True)
-            assert len(subdivided.vertices) == len(b.graph.pieces)
+            # Every piece is placed, and the realized vertices sit where
+            # their nontrivial pieces do.
+            positions = piece_positions(b.graph, cone.witness)
+            assert positions.keys() == {piece.id for piece in b.graph.pieces}
+            nontrivial = [piece.id for piece in b.graph.pieces if not piece.trivial]
+            assert [tuple(v.position) for v in realized.vertices] == [
+                positions[pid] for pid in nontrivial
+            ]
             weights = torus_weights(b.graph, cone)
             for piece in b.graph.pieces:
                 assert piece_rank(weights, piece.id) <= cone.dimension
@@ -78,12 +84,12 @@ def test_full_pipeline_consistency():
 
 def test_reflection_commutes_with_building():
     for p, q in random_rationals(7, 60):
-        left = extract_levels(tropicalize_line(LineFamily.of(p, q)))
-        right = extract_levels(tropicalize_line(LineFamily.of(q, p)))
+        left = extract_levels(tropicalize_line(LineFamily(p, q)))
+        right = extract_levels(tropicalize_line(LineFamily(q, p)))
         assert left.values == right.values
-        mirrored = reflect(tropicalize_line(LineFamily.of(p, q)))
+        mirrored = reflect(tropicalize_line(LineFamily(p, q)))
         g1 = build_building(mirrored).graph
-        g2 = build_building(tropicalize_line(LineFamily.of(q, p))).graph
+        g2 = build_building(tropicalize_line(LineFamily(q, p))).graph
         assert {
             (str(x.levels[0]), str(x.levels[1]), x.trivial) for x in g1.pieces
         } == {(str(x.levels[0]), str(x.levels[1]), x.trivial) for x in g2.pieces}
@@ -95,11 +101,11 @@ def test_unrefined_buildings_always_stable_refined_mostly_not():
     for p, q in random_rationals(13, 40):
         if p == 0 and q == 0:
             continue
-        b = build_building(tropicalize_line(LineFamily.of(p, q)))
+        b = build_building(tropicalize_line(LineFamily(p, q)))
         assert check_stability(b.graph).stable
         extra = max(b.levels.values) + F(1, 7) if b.levels.m else F(1, 7)
         refined = build_building(
-            tropicalize_line(LineFamily.of(p, q)), extra_levels=[extra]
+            tropicalize_line(LineFamily(p, q)), extra_levels=[extra]
         )
         assert not check_stability(refined.graph).stable
 
@@ -107,9 +113,9 @@ def test_unrefined_buildings_always_stable_refined_mostly_not():
 def test_public_fields_keep_their_types():
     # The pipeline runs on integers inside; its public fields stay exact
     # rationals, and torus weights stay integers.
-    b = build_building(tropicalize_line(LineFamily.of(F(7, 2), F(3, 2))), [F(1, 3)])
+    b = build_building(tropicalize_line(LineFamily(F(7, 2), F(3, 2))), [F(1, 3)])
     cone = solve(build_system(b.graph))
-    realized = realize(b.graph, cone.witness, keep_trivial=True)
+    realized = realize(b.graph, cone.witness)
     weights = torus_weights(b.graph, cone)
     assert {type(c) for xy in b.positions.values() for c in xy} == {F}
     assert {type(w) for w in cone.witness} == {F}

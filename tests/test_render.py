@@ -6,7 +6,7 @@ from xml.etree import ElementTree
 
 import pytest
 
-from tropline.building import build_building, extract_levels
+from tropline.building import LevelStructure, build_building, extract_levels
 from tropline.moduli import exploded_fan, ionel_fan
 from tropline.render import RenderSpec, render_fan, render_tropical
 from tropline.geometry import Fan, complete_fan
@@ -16,7 +16,7 @@ GOLDENS = Path(__file__).parent / "goldens"
 
 
 def curve_svg(p, q, window=6) -> str:
-    curve = tropicalize_line(LineFamily.of(p, q))
+    curve = tropicalize_line(LineFamily(p, q))
     levels = extract_levels(curve)
     return render_tropical(curve, levels, RenderSpec(window=F(window)))
 
@@ -26,8 +26,7 @@ GRID_VALUES = ("0", "1/3", "1/2", "1", "3/2", "2", "5/2", "3", "4", "7")
 
 def render_grid_lines() -> list[str]:
     """`p q window sha256` per SVG: each family of GRID_VALUES^2 drawn with
-    its building's levels at window p + q + 2 and at window 3/2, and with no
-    levels at the default window ("none")."""
+    its building's levels at window p + q + 2 and at window 3/2."""
     lines = []
     for p in map(F, GRID_VALUES):
         for q in map(F, GRID_VALUES):
@@ -36,7 +35,6 @@ def render_grid_lines() -> list[str]:
             for window, svg in (
                 (p + q + 2, render_tropical(curve, levels, RenderSpec(window=p + q + 2))),
                 (F(3, 2), render_tropical(curve, levels, RenderSpec(window=F(3, 2)))),
-                ("none", render_tropical(curve)),
             ):
                 digest = hashlib.sha256(svg.encode()).hexdigest()
                 lines.append(f"{p} {q} {window} {digest}")
@@ -50,8 +48,8 @@ class TestRenderTropical:
         assert doc.count('class="curve"') == 4  # segment, two rays, boundary run
 
     def test_no_levels_no_dashes(self):
-        curve = tropicalize_line(LineFamily.of(4, 3))
-        doc = render_tropical(curve, None, RenderSpec(window=F(6)))
+        curve = tropicalize_line(LineFamily(4, 3))
+        doc = render_tropical(curve, LevelStructure(()), RenderSpec(window=F(6)))
         assert doc.count('class="level"') == 0
 
     def test_determinism(self):

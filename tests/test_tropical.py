@@ -25,7 +25,7 @@ V = LatticeVector
 
 
 def fam(p, q) -> LineFamily:
-    return LineFamily.of(p, q)
+    return LineFamily(p, q)
 
 
 small_rational = st.fractions(min_value=0, max_value=4, max_denominator=4)
@@ -67,7 +67,7 @@ class TestTropicalizeCases:
 
     def test_negative_exponent(self):
         with pytest.raises(NegativeExponent):
-            LineFamily.of(-1, 0)
+            LineFamily(-1, 0)
 
     @given(small_rational, small_rational)
     @settings(max_examples=60, deadline=None)
