@@ -93,14 +93,17 @@ class LevelCoordinate:
 
     @classmethod
     def from_json(cls, data: dict) -> "LevelCoordinate":
+        if ("at" in data) == ("between" in data):
+            raise GraphInvalid(
+                f"bad level coordinate document {data!r}: it needs exactly one of"
+                " 'at' and 'between'"
+            )
         if "at" in data:
             return cls.at(_json_typed(data["at"], int))
-        if "between" in data:
-            a, b = _json_pair(data["between"])
-            if _json_typed(b, int) != _json_typed(a, int) + 1:
-                raise GraphInvalid(f"between-pair {data['between']} is not consecutive")
-            return cls.between(a)
-        raise GraphInvalid(f"bad level coordinate document {data!r}")
+        a, b = _json_pair(data["between"])
+        if _json_typed(b, int) != _json_typed(a, int) + 1:
+            raise GraphInvalid(f"between-pair {data['between']} is not consecutive")
+        return cls.between(a)
 
 
 Multilevel = tuple[LevelCoordinate, LevelCoordinate]
@@ -468,7 +471,7 @@ def graph_from_json(data: dict) -> LeveledDualGraph:
     try:
         pieces = tuple(
             Piece(
-                str(p["id"]),
+                _json_typed(p["id"], str, "id"),
                 tuple(LevelCoordinate.from_json(lc) for lc in p["levels"]),
                 _json_typed(p["trivial"], bool),
             )
@@ -476,15 +479,16 @@ def graph_from_json(data: dict) -> LeveledDualGraph:
         )
         nodes = tuple(
             NodeEdge(
-                str(n["id"]),
-                str(n["tail"]),
-                str(n["head"]),
+                _json_typed(n["id"], str, "id"),
+                _json_typed(n["tail"], str, "tail"),
+                _json_typed(n["head"], str, "head"),
                 LatticeVector.from_json(n["contact"]),
             )
             for n in data["nodes"]
         )
         ends = tuple(
-            EndEdge(str(e["piece"]), LatticeVector.from_json(e["contact"])) for e in data["ends"]
+            EndEdge(_json_typed(e["piece"], str, "piece"), LatticeVector.from_json(e["contact"]))
+            for e in data["ends"]
         )
         return LeveledDualGraph(_json_typed(data["num_levels"], int), pieces, nodes, ends)
     except (KeyError, TypeError, IndexError) as exc:

@@ -2,18 +2,19 @@
 
 Everything here is exact.  Scalars are `fractions.Fraction`, directions are
 integer vectors, and all cone/fan predicates are decided by one integer side
-test, `Cone.side`, on integer directions.  Fans are rank-2 only: rays are
-kept sorted counterclockwise starting from the most clockwise ray at or
-above the positive x-axis, and every two-dimensional cone is spanned by a
-pair of adjacent rays.  Lattice vectors, quadrant points, cones and fans
-check themselves when they are built, so a `Fan` in hand is a genuine fan.
+test, `Cone.side`, on integer directions.  Fans are rank-2 only, and a fan
+is its rays: they are kept sorted counterclockwise starting from the most
+clockwise ray at or above the positive x-axis, and every pair of adjacent
+rays that turns by less than a half turn spans a two-dimensional cone.
+Lattice vectors, quadrant points, cones and fans check themselves when they
+are built, so a `Fan` in hand is a genuine fan.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -26,11 +27,9 @@ __all__ = [
     "StructuralInvalid",
     "PointOutsideSupport",
     "RayNotInterior",
-    "TargetNotInFan",
     "locate",
     "stellar_subdivide",
     "complete_fan",
-    "fan_from_cones",
     "fan_to_text",
     "rational_str",
     "parse_rational",
@@ -42,7 +41,7 @@ class GeometryError(ValueError):
 
 
 class StructuralInvalid(GeometryError):
-    """A fan violates its structural invariants (overlapping cones, bad rays)."""
+    """A cone or fan violates its structural invariants (bad generators or rays)."""
 
 
 class PointOutsideSupport(GeometryError):
@@ -50,11 +49,7 @@ class PointOutsideSupport(GeometryError):
 
 
 class RayNotInterior(GeometryError):
-    """A subdivision ray does not lie strictly inside the target cone."""
-
-
-class TargetNotInFan(GeometryError):
-    """The cone passed to a subdivision is not a cone of the fan."""
+    """A subdivision ray does not lie strictly inside a cone of the fan."""
 
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
@@ -73,11 +68,12 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
-def _json_typed(value, kind: type):
+def _json_typed(value, kind: type, key: str = ""):
     """`value` itself when its type is exactly `kind`, so that a JSON `true`
-    is not an integer; raises TypeError otherwise."""
+    is not an integer; raises TypeError, naming `key` if given, otherwise."""
     if type(value) is not kind:
-        raise TypeError(f"expected a JSON {kind.__name__}, got {value!r}")
+        named = f" for {key!r}" if key else ""
+        raise TypeError(f"expected a JSON {kind.__name__}{named}, got {value!r}")
     return value
 
 
@@ -238,17 +234,17 @@ ZERO_CONE = Cone(())
 
 @dataclass(frozen=True)
 class Fan:
-    """A rational polyhedral fan in the plane.
+    """A rational polyhedral fan in the plane, given by its rays.
 
-    `cones` holds every cone of the fan: the zero cone, one ray cone per
-    ray, and the two-dimensional cones.  Construction checks that the cones
-    form a fan and puts rays and cones in one canonical order, so two fans
-    with the same cones are equal; use :func:`fan_from_cones` to build from
-    the maximal cones alone.
+    Every fan here is the largest fan on its rays: each pair of adjacent
+    rays that turns by less than a half turn spans a two-dimensional cone.
+    Construction sorts the rays counterclockwise and derives `cones`: the
+    zero cone, one ray cone per ray, then the two-dimensional cones in ray
+    order.  Two fans with the same rays are equal.
     """
 
     rays: tuple[LatticeVector, ...]
-    cones: tuple[Cone, ...]
+    cones: tuple[Cone, ...] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         rays = tuple(sorted(self.rays, key=_ccw_key))
@@ -257,39 +253,18 @@ class Fan:
         for r in rays:
             if not r.is_primitive():
                 raise StructuralInvalid(f"ray {r} is not primitive")
-        # Every 2-D cone must span two angularly adjacent rays, and no cone
-        # may repeat.  Such cones cannot overlap: each one is the gap after
-        # its first ray, so that ray's place orders them canonically.
-        cones2 = [c for c in self.cones if c.dim == 2]
-        for cone in cones2:
-            u, v = cone.generators
-            if u not in rays or v not in rays:
-                raise StructuralInvalid(f"cone generator of {cone} missing from ray list")
-            for r in rays:
-                if r not in (u, v) and cone.side(r.x, r.y) > 0:
-                    raise StructuralInvalid(f"ray {r} lies inside cone {cone}")
-        cones2.sort(key=lambda c: rays.index(c.generators[0]))
-        for a, b in zip(cones2, cones2[1:]):
-            if a == b:
-                raise StructuralInvalid(f"duplicate cone {a}")
-        normalized = (ZERO_CONE,) + tuple(Cone((r,)) for r in rays) + tuple(cones2)
+        # Adjacent rays that turn by less than a half turn span a cone; such
+        # cones cannot overlap, since each one is the gap after its first ray.
+        pairs = zip(rays, rays[1:] + rays[:1])
+        cones2 = tuple(Cone((u, v)) for u, v in pairs if u.cross(v) > 0)
         object.__setattr__(self, "rays", rays)
-        object.__setattr__(self, "cones", normalized)
+        object.__setattr__(
+            self, "cones", (ZERO_CONE,) + tuple(Cone((r,)) for r in rays) + cones2
+        )
 
     @property
     def cones2d(self) -> tuple[Cone, ...]:
         return tuple(c for c in self.cones if c.dim == 2)
-
-
-def fan_from_cones(cones: Iterable[Cone]) -> Fan:
-    """Assemble a fan from its maximal cones, collecting rays and faces."""
-    cones = list(cones)
-    rays: list[LatticeVector] = []
-    for cone in cones:
-        for g in cone.generators:
-            if g not in rays:
-                rays.append(g)
-    return Fan(rays=tuple(rays), cones=tuple(c for c in cones if c.dim == 2))
 
 
 def locate(fan: Fan, p) -> Cone:
@@ -311,40 +286,27 @@ def locate(fan: Fan, p) -> Cone:
     )
 
 
-def stellar_subdivide(fan: Fan, target: Cone, ray: LatticeVector) -> Fan:
-    """Insert `ray` into the 2D cone `target`, splitting it in two.
+def stellar_subdivide(fan: Fan, ray: LatticeVector) -> Fan:
+    """Insert `ray` into the 2D cone whose interior holds it, splitting it in two.
 
     This is the fan operation matching the blowup of a toric surface at the
-    fixed point of `target`.  The ray must be primitive and strictly
-    interior to the target cone.
+    fixed point of that cone.  Raises :class:`RayNotInterior` unless the
+    ray is primitive and strictly interior to a two-dimensional cone.
     """
-    if target.dim != 2 or target not in fan.cones:
-        raise TargetNotInFan(f"{target} is not a 2D cone of the fan")
     if not ray.is_primitive():
         raise RayNotInterior(f"subdivision ray {ray} must be primitive")
-    if target.side(ray.x, ray.y) <= 0:
-        raise RayNotInterior(f"ray {ray} is not interior to {target}")
-    u, v = target.generators
-    new_cones = [c for c in fan.cones2d if c != target]
-    new_cones.extend([Cone((u, ray)), Cone((ray, v))])
-    return Fan(rays=fan.rays + (ray,), cones=tuple(new_cones))
+    if not any(c.side(ray.x, ray.y) > 0 for c in fan.cones2d):
+        raise RayNotInterior(f"ray {ray} is not interior to a 2D cone of the fan")
+    return Fan(fan.rays + (ray,))
 
 
 def complete_fan(fan: Fan) -> Fan:
-    """Close a quadrant-supported fan with the down and left rays.
-
-    Adds rays (-1, 0) and (0, -1) together with the three closing cones, so
-    the result is a complete fan describing the ambient toric surface.
-    """
+    """Close a quadrant-supported fan with the left and down rays, so the
+    result is a complete fan describing the ambient toric surface."""
     down, left = LatticeVector(0, -1), LatticeVector(-1, 0)
-    first, last = fan.rays[0], fan.rays[-1]
-    if first != LatticeVector(1, 0) or last != LatticeVector(0, 1):
+    if fan.rays[0] != LatticeVector(1, 0) or fan.rays[-1] != LatticeVector(0, 1):
         raise StructuralInvalid("completion expects a fan supported on the quadrant")
-    cones = list(fan.cones2d)
-    cones.append(Cone((last, left)))
-    cones.append(Cone((left, down)))
-    cones.append(Cone((down, first)))
-    return Fan(rays=fan.rays + (left, down), cones=tuple(cones))
+    return Fan(fan.rays + (left, down))
 
 
 def fan_to_text(fan: Fan) -> str:

@@ -3,15 +3,17 @@
 The moduli space of the tropical curves is the quadrant, parameterized by
 the position (p, q) of the central vertex and divided along the diagonal
 ray: that is the coarse ("exploded") fan.  Tracking level coincidences
-refines it by four smooth blowups into the fine fan with rays
+refines it into the fine fan with rays
 
     (1,0), (2,1), (3,2), (1,1), (2,3), (1,2), (0,1),
 
 whose cones cut the quadrant into 14 limit types: the interior point, 7
-rays and 6 open two-dimensional cones.  Interior type curves have a rigid
-matching system; ray types a one-parameter kernel; cone types a
-two-parameter kernel.  Kernel dimension and post-quotient complex dimension
-always sum to 2, the dimension of the space of lines.
+rays and 6 open two-dimensional cones.  `blowup_sequence` finds the four
+smooth blowups between the two fans.  A type's kernel dimension is its
+cone's: interior type curves have a rigid matching system; ray types a
+one-parameter kernel; cone types a two-parameter kernel.  Kernel dimension
+and post-quotient complex dimension always sum to 2, the dimension of the
+space of lines.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .geometry import (
     LatticeVector,
     ZERO_CONE,
     _fraction,
-    fan_from_cones,
     locate,
     stellar_subdivide,
 )
@@ -67,23 +68,15 @@ class TypeRow:
 @functools.cache
 def exploded_fan() -> Fan:
     """The coarse moduli fan: the quadrant divided along the diagonal."""
-    e10, e11, e01 = LatticeVector(1, 0), LatticeVector(1, 1), LatticeVector(0, 1)
-    return fan_from_cones([Cone((e10, e11)), Cone((e11, e01))])
+    return Fan((LatticeVector(1, 0), LatticeVector(1, 1), LatticeVector(0, 1)))
 
 
 @functools.cache
 def ionel_fan() -> Fan:
-    """The fine moduli fan: four stellar subdivisions of the coarse fan.
-
-    Two blowups at the corners adjacent to the diagonal, then two more at
-    the corners the first pair created.
-    """
-    fan = exploded_fan()
-    e10, e11, e01 = LatticeVector(1, 0), LatticeVector(1, 1), LatticeVector(0, 1)
-    fan = stellar_subdivide(fan, Cone((e10, e11)), LatticeVector(2, 1))
-    fan = stellar_subdivide(fan, Cone((e11, e01)), LatticeVector(1, 2))
-    fan = stellar_subdivide(fan, Cone((LatticeVector(2, 1), e11)), LatticeVector(3, 2))
-    return stellar_subdivide(fan, Cone((e11, LatticeVector(1, 2))), LatticeVector(2, 3))
+    """The fine moduli fan on the seven rays of the module docstring; the
+    four blowups that give it from the coarse fan are `blowup_sequence`'s."""
+    rays = ((1, 0), (2, 1), (3, 2), (1, 1), (2, 3), (1, 2), (0, 1))
+    return Fan(tuple(LatticeVector(x, y) for x, y in rays))
 
 
 def _cone_label(cone: Cone) -> str:
@@ -156,7 +149,7 @@ def blowup_sequence(coarse: Fan, fine: Fan) -> list[tuple[Cone, LatticeVector]]:
                 f"no missing ray of {missing} is a sum of adjacent generators"
             )
         for cone, ray in round_steps:
-            current = stellar_subdivide(current, cone, ray)
+            current = stellar_subdivide(current, ray)
             steps.append((cone, ray))
         missing = [r for r in fine.rays if r not in current.rays]
     if current != fine:
@@ -183,16 +176,14 @@ _CONDITIONS = {
     "RAY(1,1)": "p = q and p > 0",
 }
 
-_EXPECTED_DIMS = {"INTERIOR": (0, 2), "RAY": (1, 1), "CONE": (2, 0)}
-
 
 def type_table() -> list[TypeRow]:
     """All 14 limit types with their expected dimensions: the interior, 7
     rays and 6 cones.
 
-    Kernel dimension of the matching system and complex dimension after the
-    torus quotient; the two always sum to the dimension of the space of
-    lines.
+    The kernel dimension of the matching system is the dimension of the
+    type's cone, and the complex dimension after the torus quotient is the
+    rest of the dimension 2 of the space of lines.
 
     The abstract counts 13 types of curves in Ionel's compactified moduli
     space.  This table reads them as its 13 boundary types, every row but
@@ -201,14 +192,13 @@ def type_table() -> list[TypeRow]:
     """
     rows = []
     for lt in _limit_types().values():
-        kernel_dim, quotient_dim = _EXPECTED_DIMS[lt.kind]
         rows.append(
             TypeRow(
                 label=lt.label,
                 kind=lt.kind,
                 conditions=_CONDITIONS[lt.label],
-                kernel_dim=kernel_dim,
-                quotient_dim=quotient_dim,
+                kernel_dim=lt.cone.dim,
+                quotient_dim=2 - lt.cone.dim,
                 mirror=lt.mirror,
             )
         )

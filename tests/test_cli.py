@@ -638,6 +638,8 @@ class TestJsonTypes:
             ("match", ("nodes", 0, "contact"), [1, 1, 7]),
             ("match", ("pieces", 1, "levels", 0, "between"), [1, 2, 3]),
             ("building", ("rays", 0, "contact"), [1, 0, 5]),
+            ("match", ("nodes", 0, "id"), 1),
+            ("match", ("nodes", 0, "tail"), None),
         ],
         ids=[
             "end-contact-float",
@@ -654,6 +656,8 @@ class TestJsonTypes:
             "node-contact-triple",
             "between-triple",
             "ray-contact-triple",
+            "node-id-int",
+            "node-tail-null",
         ],
     )
     def test_wrong_json_type_exits_2(self, capsys, tmp_path, example1_path, command, keys, value):
@@ -720,6 +724,46 @@ class TestJsonTypes:
         code, out, err = run(capsys, "match", "--graph", str(path))
         assert (code, out) == (2, "")
         assert err == f"error: num_levels {num_levels} is negative\n"
+
+    @pytest.mark.parametrize(
+        "names",
+        [(None, None, None), (5, "5", "5"), ("5", 5, "5"), ("5", "5", 5)],
+        ids=["null", "int-id", "int-head", "int-end-piece"],
+    )
+    def test_ids_must_be_strings_exits_2(self, capsys, tmp_path, example1_path, names):
+        """A piece named `null` is not the piece "None", nor `5` the piece "5":
+        piece ids and the pieces that nodes and ends name are JSON strings,
+        and the message names the field that is not."""
+        doc = json.loads(example1_path.read_text())
+        piece, node, end = doc["pieces"][4], doc["nodes"][3], doc["ends"][1]
+        assert piece["id"] == node["head"] == end["piece"] == "c5"
+        piece["id"], node["head"], end["piece"] = names
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "match", "--graph", str(path))
+        fields = zip(("id", "head", "piece"), names)
+        key, bad = next((k, n) for k, n in fields if not isinstance(n, str))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: malformed graph document: expected a JSON str for {key!r}, got {bad!r}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "level", [{"at": 1, "between": [1, 2]}, {"level": 1}], ids=["both", "neither"]
+    )
+    def test_level_coordinate_needs_one_key_exits_2(self, capsys, tmp_path, example1_path, level):
+        """A level coordinate document holds exactly one of `at` and
+        `between`; with both, neither wins."""
+        doc = json.loads(example1_path.read_text())
+        doc["pieces"][0]["levels"][0] = level
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "match", "--graph", str(path))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: bad level coordinate document {level!r}: it needs exactly one of"
+            " 'at' and 'between'\n"
+        )
 
 
 class TestDeterminism:
@@ -811,9 +855,8 @@ class TestInvariantChecks:
                 (CurveInvalid, lambda: TropicalCurve(V0, (Segment("a", "b", V(0, 0), 1),), ())),
                 (CurveInvalid, lambda: TropicalCurve(V0, (Segment("a", "b", V(1, 1), 0),), ())),
                 (CurveInvalid, lambda: TropicalCurve(V0, (), ())),
-                (StructuralInvalid, lambda: Fan(rays=(x, x), cones=())),
-                (StructuralInvalid, lambda: Fan(rays=(V(2, 0),), cones=())),
-                (StructuralInvalid, lambda: Fan(rays=(x, y), cones=(Cone((x, y)),) * 2)),
+                (StructuralInvalid, lambda: Fan((x, x))),
+                (StructuralInvalid, lambda: Fan((V(2, 0),))),
                 (StructuralInvalid, lambda: Cone((x, V(1, 1), y))),
                 (StructuralInvalid, lambda: Cone((y, x))),
                 # n1 runs right from `a`, at levels (1, 1), to `c`, between
@@ -830,10 +873,6 @@ class TestInvariantChecks:
                 )),
                 (SolutionNotInCone, lambda: realize(
                     build_building(tropicalize_line(LineFamily(4, 3))).graph, {{}}
-                )),
-                (StructuralInvalid, lambda: Fan(
-                    rays=(V(1, 0), V(1, 1), V(1, 2)),
-                    cones=(Cone((V(1, 0), V(1, 2))), Cone((V(1, 0), V(1, 1)))),
                 )),
                 (GraphInvalid, lambda: build_building(tropicalize_line(LineFamily(4, 3)), [0])),
             ]

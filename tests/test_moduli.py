@@ -7,7 +7,6 @@ import pytest
 
 from tropline.building import build_building, graph_to_json
 from tropline.geometry import (
-    Cone,
     LatticeVector,
     complete_fan,
     locate,
@@ -178,20 +177,20 @@ class TestBlowupSequence:
 
     def test_replaying_steps_gives_fine_fan(self):
         fan = exploded_fan()
-        for cone, ray in blowup_sequence(exploded_fan(), ionel_fan()):
-            fan = stellar_subdivide(fan, cone, ray)
+        for _, ray in blowup_sequence(exploded_fan(), ionel_fan()):
+            fan = stellar_subdivide(fan, ray)
         assert fan == ionel_fan()
         assert validate_fan(fan).smooth
 
     def test_non_smooth_refinement_rejected(self):
         coarse = exploded_fan()
-        fine = stellar_subdivide(coarse, Cone((V(1, 0), V(1, 1))), V(5, 2))
+        fine = stellar_subdivide(coarse, V(5, 2))
         with pytest.raises(NotSmoothlyFactorizable):
             blowup_sequence(coarse, fine)
 
     def test_single_generator_sum_step(self):
         coarse = exploded_fan()
-        fine = stellar_subdivide(coarse, Cone((V(1, 0), V(1, 1))), V(2, 1))
+        fine = stellar_subdivide(coarse, V(2, 1))
         steps = blowup_sequence(coarse, fine)
         assert len(steps) == 1 and tuple(steps[0][1]) == (2, 1)
 
@@ -265,9 +264,15 @@ class TestKernelDimensionLaw:
                 pts.append((a * u.x + b * v.x, a * u.y + b * v.y))
             label = classify(*pts[0]).label
             regions.append((label, pts))
+        documents = {}
         for label, pts in regions:
             for p, q in pts:
                 assert classify(p, q).label == label
                 b = build_building(tropicalize_line(LineFamily(p, q)))
                 cone = solve(build_system(b.graph))
                 assert cone.dimension == rows[label].kernel_dim, (label, p, q)
+                documents.setdefault(label, set()).add(json.dumps(graph_to_json(b.graph)))
+        # One leveled dual graph per region, and a different one in each: the
+        # 13 boundary types and the interior.
+        assert all(len(docs) == 1 for docs in documents.values()), documents
+        assert len({docs.pop() for docs in documents.values()}) == len(regions) == 14

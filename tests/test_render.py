@@ -104,7 +104,7 @@ class TestRenderFan:
         assert doc.count('class="cone"') == 6
 
     def test_empty_fan_axes_only(self):
-        doc = render_fan(Fan(rays=(), cones=()), RenderSpec(window=F(3)))
+        doc = render_fan(Fan(()), RenderSpec(window=F(3)))
         assert doc.count('class="axis"') == 2
         assert doc.count('class="ray"') == 0
 
