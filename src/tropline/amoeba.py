@@ -14,13 +14,14 @@ stands in for the Gromov-Hausdorff statement.
 The sampler works in log space, so no exponent of n is ever formed for the
 image points: the cloud neither underflows nor overflows, whatever (p, q).
 Along a ladder of bases only the in-window part of the cloud and its two
-distances are computed per base: the depths and angles of the samples, and
-the curve's pieces inside the window and the polyline walked along them,
-are built once, and the samples whose image leaves the window are never
-formed.  One routine, `_window_pieces`, cuts the curve to the window; the
-distance to the curve and the polyline both read its pieces.  A full
-cloud, and the complex domain points behind it, are built only on request
-(`sample_amoeba` without a window, `sample_domain`).
+distances are computed per base: the depths of the samples, the curve's
+pieces inside the window and the polyline walked along them are built once,
+the golden angles once for the largest sample count so far, and the samples
+whose image leaves the window are never formed.  One routine,
+`_window_pieces`, cuts the curve to the window; the distance to the curve
+and the polyline both read its pieces.  A full cloud, and the complex
+domain points behind it, are built only on request (`sample_amoeba`
+without a window, `sample_domain`).
 
 numpy is imported at the first amoeba computation, not with this module:
 `tropline.cli` imports this module for `trop amoeba`, and every exact
@@ -80,6 +81,13 @@ _MAX_WINDOW = 1.0e150
 # 48 B each.
 _PAIRS = 1 << 19
 
+# `_squared_nearest` certifies against every `_PROBE_STRIDE`-th cloud point.
+_PROBE_STRIDE = 4
+
+# The golden-angle table: the largest count asked of `_sphere` so far and,
+# per end, the read-only half-angle factors and golden angles of its samples.
+_golden = (0, ())
+
 
 class EmptySample(ValueError):
     """No sample points survive inside the requested window."""
@@ -108,29 +116,38 @@ def _sphere(count: int, max_depth: float, cap: float) -> tuple[tuple[np.ndarray,
     """The part of a `count`-point sample that does not depend on the base:
     for each end (0, -1, infinity, the last capped at depth `cap`), the
     depths t, their negatives -t, the squared half-angle factor (sin(a/2)^2
-    near -1, cos(a/2)^2 elsewhere) and the golden angles a.  Ends 0 and -1
-    reach the same depth, so when they hold as many samples (every count
-    but those of the form 3m + 1) end -1 shares end 0's t and -t arrays.
-    The arrays are read-only, since every caller with the same key shares
-    them."""
-    ends = []
-    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        for end, reach in enumerate((max_depth, max_depth, cap)):
-            k = np.arange(end, count, 3)
-            if end == 1 and len(k) == len(ends[0][0]):
-                t, minus_t = ends[0][:2]
-            else:
-                t = reach * (np.arange(len(k)) + 0.5) / len(k)
-                minus_t = -t
+    near -1, cos(a/2)^2 elsewhere) and the golden angles a.  Only t and -t
+    are built per key: the other two depend on the sample index alone and
+    are prefix views of `_golden`, rebuilt only for a larger count.  Ends 0
+    and -1 reach the same depth, so when they hold as many samples (every
+    count but those of the form 3m + 1) end -1 shares end 0's t and -t
+    arrays.  The arrays are read-only, since every caller with the same key
+    shares them."""
+    global _golden
+    if _golden[0] < count:
+        table = []
+        for end in range(3):
             # The fractional part, x - floor(x), is x % 1.0 for x >= 0.
-            turns = k * _GOLDEN
+            turns = np.arange(end, count, 3) * _GOLDEN
             turns -= np.floor(turns)
             angle = 2.0 * math.pi * turns
             half = np.sin(0.5 * angle) if end == 1 else np.cos(0.5 * angle)
-            arrays = (t, minus_t, half**2, angle)
+            arrays = (half**2, angle)
             for a in arrays:
                 a.flags.writeable = False
-            ends.append(arrays)
+            table.append(arrays)
+        _golden = (count, tuple(table))
+    ends = []
+    with np.errstate(over="ignore"):
+        for end, (reach, (half2, angle)) in enumerate(zip((max_depth, max_depth, cap), _golden[1])):
+            size = len(range(end, count, 3))
+            if end == 1 and size == len(ends[0][0]):
+                t, minus_t = ends[0][:2]
+            else:
+                t = reach * (np.arange(size) + 0.5) / size
+                minus_t = -t
+                t.flags.writeable = minus_t.flags.writeable = False
+            ends.append((t, minus_t, half2[:size], angle[:size]))
     return tuple(ends)
 
 
@@ -187,9 +204,10 @@ def sample_amoeba(
 
     A ladder of bases shares all but the base: the depths t and -t, the
     half-angle factors and the golden angles come from `_sphere`, a memo
-    keyed by (count, p + q + 2, min(p, q)).  It holds one entry, 4 arrays of
-    about count / 3 floats per end, ends 0 and -1 sharing t and -t (about
-    27 B per sample), which the next call with another key replaces.  Each
+    keyed by (count, p + q + 2, min(p, q)), holding one entry: t and -t of
+    each end, ends 0 and -1 sharing them (about 11 B per sample), and views
+    of `_golden`, the golden-angle table of the largest count so far (16 B
+    per sample of that count), which other families and counts share.  Each
     base computes only eps = n^(-t), (1 - eps)^2 and 4 eps, once for the
     two ends that share their depths (over the longer of their prefixes),
     then the log term and the points.  The points are allocated
@@ -373,11 +391,13 @@ def _squared_nearest(
     exact where it exceeds `bound` and at most `bound` elsewhere.
 
     One grid of square cells covers a box holding the targets and the
-    cloud, and one cloud point represents each cell, the last cloud point
-    an empty one.  A target is certified, with that distance, when the
-    representative of its own cell, or else of one of the 8 around it,
-    passes the exact test `dx * dx + dy * dy <= bound`; a bound of 0
-    certifies none.  The others get `_grid_search` on the same grid.
+    cloud.  Every `_PROBE_STRIDE`-th cloud point represents its cell, the
+    last cloud point an empty one: a certificate needs only some cloud
+    point within the bound.  A target is certified, with that distance,
+    when the representative of its own cell, or else of one of the 8 around
+    it, passes the exact test `dx * dx + dy * dy <= bound`; a bound of 0
+    certifies none.  The others get `_grid_search` on the same grid over
+    the whole cloud, whose cell keys are computed only then.
     """
     lo = min(targets.min(), cx.min(), cy.min())
     extent = max(targets.max(), cx.max(), cy.max()) - lo
@@ -391,12 +411,11 @@ def _squared_nearest(
         column = ((x - lo) / cell).astype(np.int64) + 1
         return column * side + ((y - lo) / cell).astype(np.int64) + 1
 
-    keys = cells(cx, cy)
     tx, ty = targets[:, 0].copy(), targets[:, 1].copy()
     centre = cells(tx, ty)
     if bound > 0:
         rep = np.full(side * side, -1)
-        rep[keys] = np.arange(len(cx))
+        rep[cells(cx[::_PROBE_STRIDE], cy[::_PROBE_STRIDE])] = np.arange(0, len(cx), _PROBE_STRIDE)
         # Index -1 of an empty cell picks the last cloud point: a distance
         # to a cloud point still bounds the nearest one from above.  The
         # centre cell certifies most targets; only the others try the 8
@@ -416,7 +435,7 @@ def _squared_nearest(
         best = np.full(len(tx), math.inf)
     far = np.flatnonzero(~(best <= bound))
     if len(far):
-        best[far] = _grid_search(tx[far], ty[far], centre[far], cx, cy, keys, side, cell)
+        best[far] = _grid_search(tx[far], ty[far], centre[far], cx, cy, cells(cx, cy), side, cell)
     return best
 
 
@@ -514,11 +533,13 @@ def convergence_report(
     family: LineFamily,
     bases,
     count: int,
-    window: float,
+    window: float | None = None,
 ) -> ConvergenceReport:
     """Hausdorff distances over a ladder of bases, with a 1/log n fit.
 
-    The fit needs bases with at least two distinct values of 1 / log n.
+    The window defaults to p + q + 1; an exponent that puts it past the
+    float range is refused by name.  The fit needs bases with at least two
+    distinct values of 1 / log n.
     Two distinct bases need not give them: 1000.0 and 1000.0000000000001
     have the same float 1 / log n, and such a ladder is refused after it
     is sampled.  The window must be positive and small enough that squared
@@ -529,6 +550,13 @@ def convergence_report(
     with `window`), the only ones `hausdorff` measures, so each distance is
     the float that the full cloud gives.
     """
+    # The one float-range check of the exponents: if p + q + 1 converts, so do p and q.
+    try:
+        default = float(family.p + family.q + 1)
+    except OverflowError:
+        name = "p" if family.p >= family.q else "q"
+        raise ValueError(f"exponent {name} is past the float range") from None
+    window = default if window is None else window
     bases = [float(n) for n in bases]
     if len(set(bases)) < 2:
         raise ValueError("a convergence ladder needs at least two distinct bases")

@@ -282,8 +282,7 @@ def _cmd_amoeba(args) -> int:
     except ValueError as exc:
         raise ValueError(f"bad base list {args.n!r}") from exc
     family = tropical_mod.LineFamily(args.p, args.q)
-    window = args.window if args.window is not None else float(args.p + args.q + 1)
-    report = amoeba_mod.convergence_report(family, bases, args.samples, window)
+    report = amoeba_mod.convergence_report(family, bases, args.samples, args.window)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as handle:
             handle.write("n,hausdorff\n")

@@ -31,16 +31,42 @@ from oracles import ZeroCoordinate, log_image
 GOLDENS = Path(__file__).resolve().parent / "goldens"
 
 
-def run_fresh(script: str) -> None:
+def run_fresh(script: str, **env: str) -> None:
     """Run `script` in a fresh interpreter that imports this checkout's
-    `tropline`; it must exit 0."""
+    `tropline`, with `env` added to the environment; it must exit 0."""
     paths = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
     proc = subprocess.run(
         [sys.executable, "-c", script],
-        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths))),
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)), **env),
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# The half-angle factors and golden angles that `_sphere` reads from the
+# golden-angle table of count 20003 have the bytes of those it builds for
+# each smaller count checked alone, under the numpy dispatch that
+# NPY_DISABLE_CPU_FEATURES leaves.
+GOLDEN_PREFIX_CHECK = """\
+import os, sys
+import numpy as np
+from tropline import amoeba
+
+off = os.environ.get("NPY_DISABLE_CPU_FEATURES", "").split()
+if any(np._core._multiarray_umath.__cpu_features__[feature] for feature in off):
+    sys.exit(f"numpy still dispatches one of {off}")
+sphere = amoeba._sphere.__wrapped__
+sphere(20003, 5.0, 1.0)
+large = amoeba._golden
+for count in (*range(1, 200), *range(1999, 2003), *range(19999, 20003)):
+    amoeba._golden = large
+    prefixes = sphere(count, 5.0, 1.0)
+    amoeba._golden = (0, ())
+    for read, built in zip(prefixes, sphere(count, 5.0, 1.0)):
+        if any(a.tobytes() != b.tobytes() for a, b in zip(read[2:], built[2:])):
+            sys.exit(f"the table of count {count} is no prefix of a larger one")
+amoeba._golden = large
+"""
 
 
 def test_numpy_loads_on_first_amoeba_name():
@@ -254,11 +280,34 @@ class TestSampler:
                 got = sample_domain(family, n, count)
                 assert np.array_equal(got, domain, equal_nan=True)
 
-    def test_ladder_builds_one_sphere(self):
+    def test_ladder_builds_one_sphere(self, monkeypatch):
+        """A ladder builds one sphere.  Ladders of two families at one
+        count build the golden-angle table once, and a smaller count
+        afterwards reads it without building another."""
+        monkeypatch.setattr(amoeba, "_golden", (0, ()))
         amoeba._sphere.cache_clear()
-        convergence_report(LineFamily(1, 2), [1e3, 1e4, 1e6, 1e8], 2000, 4.0)
+        bases = [1e3, 1e4, 1e6, 1e8]
+        convergence_report(LineFamily(1, 2), bases, 2000, 4.0)
         info = amoeba._sphere.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
+        table = amoeba._golden
+        assert table[0] == 2000
+        convergence_report(LineFamily(Fraction(3, 2), 2), bases, 2000, 4.0)
+        convergence_report(LineFamily(1, 2), bases, 300, 4.0)
+        assert amoeba._sphere.cache_info().misses == 3
+        assert amoeba._golden is table
+
+    def test_golden_table_prefixes_are_smaller_tables(self):
+        """Each array of the golden-angle table built for a larger count
+        begins with the bytes of the table built for a smaller one, here and
+        in a fresh interpreter with numpy's AVX-512 dispatch targets off."""
+        exec(GOLDEN_PREFIX_CHECK, {})
+        umath = np._core._multiarray_umath
+        found = [
+            feature for feature in ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+            if feature in umath.__cpu_dispatch__ and umath.__cpu_features__[feature]
+        ]
+        run_fresh(GOLDEN_PREFIX_CHECK, NPY_DISABLE_CPU_FEATURES=" ".join(found))
 
     def test_sphere_arrays_are_read_only(self):
         sphere = amoeba._sphere(2000, 5.0, 1.0)
@@ -709,6 +758,25 @@ class TestHausdorff:
         d = hausdorff(sample, curve, 8.0)
         assert d == reference_hausdorff(sample, curve, 8.0) and d > 0
         assert branches == {"certified": 0, "searched": len(poly)}
+
+    def test_thinned_probe_searches_the_whole_cloud(self, branches):
+        """The probe grid holds every 4th cloud point; a polyline point it
+        leaves uncertified is searched over the whole cloud.  Here the
+        farthest one's nearest cloud point is not among those the probe
+        holds, and without it the distance would be larger."""
+        curve = tropicalize_line(LineFamily(1, 2))
+        poly = discretize_curve(curve, 4.0)
+        points = poly[::60] + 0.01
+        sample = AmoebaSample(n=10.0, points=points)
+        pieces = amoeba._window_pieces(curve, 4.0)
+        bound = amoeba._squared_distance_to_pieces(points[:, 0], points[:, 1], *pieces).max()
+        squared = ((poly[:, None, :] - points[None]) ** 2).sum(-1)
+        farthest = squared.min(axis=1).argmax()
+        assert squared[farthest].argmin() % 4 != 0
+        assert squared[farthest].min() > bound > 0
+        assert squared[:, ::4].min(axis=1).max() > squared[farthest].min()
+        assert hausdorff(sample, curve, 4.0) == reference_hausdorff(sample, curve, 4.0)
+        assert branches["searched"] > 0
 
     def test_mirror_family_statistics(self):
         d1, d2 = (

@@ -330,10 +330,27 @@ class TestSvgAndCsv:
         distances = [e["hausdorff"] for e in json.loads(out)["entries"]]
         assert len(distances) == 4 and all(math.isfinite(d) for d in distances)
 
-    def test_arithmetic_error_exits_2(self, capsys):
-        huge = "1" + "0" * 400
-        code, out, err = run(capsys, "amoeba", "--p", huge, "--q", "1", "--n", "1e3,1e4")
-        assert code == 2 and out == "" and err.startswith("error:")
+    def test_arithmetic_error_exits_2(self, capsys, monkeypatch):
+        def overflowing(family, n, count, window=None):
+            raise OverflowError("integer division result too large for a float")
+
+        monkeypatch.setattr(amoeba, "sample_amoeba", overflowing)
+        code, out, err = run(capsys, "amoeba", "--p", "1", "--q", "2", "--n", "1e3,1e4")
+        assert code == 2 and out == ""
+        assert err == "error: integer division result too large for a float\n"
+
+    @pytest.mark.parametrize("window", [(), ("--window", "4")], ids=["default-window", "window-4"])
+    @pytest.mark.parametrize(
+        "p, q, name",
+        [("9" * 400, "1", "p"), ("1", "1" + "0" * 400 + "/3", "q"), ("9" * 308, "9" * 308, "p")],
+        ids=["p", "q", "sum"],
+    )
+    def test_amoeba_exponent_past_float_range_exits_2(self, capsys, window, p, q, name):
+        """The default window p + q + 1 and the sampler's floats of p and q
+        pass through one check, which names the exponent."""
+        code, out, err = run(capsys, "amoeba", "--p", p, "--q", q, "--n", "1e3,1e4", *window)
+        assert code == 2 and out == ""
+        assert err == f"error: exponent {name} is past the float range\n"
 
     @pytest.mark.parametrize(
         "message, line",
