@@ -113,15 +113,17 @@ Multilevel = tuple[LevelCoordinate, LevelCoordinate]
 class LevelStructure:
     """The strictly increasing positive level values l_1 < ... < l_m.
 
-    The level map sends 0 to 0 and a to l_a.
+    The level map sends 0 to 0 and a to l_a.  The order is checked in
+    integers: a/b < c/d as a*d < c*b, for positive denominators.
     """
 
     values: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        values = tuple(_fraction(v) for v in self.values)
+        values = tuple(v if type(v) is Fraction else Fraction(v) for v in self.values)
         object.__setattr__(self, "values", values)
-        if any(a >= b for a, b in zip((0, *values), values)):
+        ratios = [v.as_integer_ratio() for v in values]
+        if any(a * d >= c * b for (a, b), (c, d) in zip(((0, 1), *ratios), ratios)):
             raise GraphInvalid(
                 "levels must be strictly increasing and positive: "
                 + ", ".join(str(v) for v in values)
@@ -146,21 +148,16 @@ class Piece:
 
 @dataclass(frozen=True)
 class NodeEdge:
-    """A bounded edge from `tail` to `head`; it stores `reversed_contact`,
-    the contact seen from the head, outside ==, hash and repr."""
+    """A bounded edge from `tail` to `head`."""
 
     id: str
     tail: str
     head: str
     contact: LatticeVector
-    reversed_contact: LatticeVector = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "reversed_contact", -self.contact)
 
     def away_from(self, piece: str) -> LatticeVector:
         """The contact vector oriented away from `piece`, one of the node's ends."""
-        return self.contact if self.tail == piece else self.reversed_contact
+        return self.contact if self.tail == piece else -self.contact
 
     def other_end(self, piece: str) -> str:
         """The piece at the far side from `piece`."""
@@ -236,7 +233,7 @@ class LeveledDualGraph:
         for n in self.nodes:
             for i, (ci, lt, lh) in enumerate(zip(n.contact, levels[n.tail], levels[n.head])):
                 if ci != 0:
-                    if lh.sort_key() < lt.sort_key():
+                    if lh.lo + lh.hi < lt.lo + lt.hi:
                         raise GraphInvalid(f"node {n.id} runs downward in direction {i + 1}")
                 elif lt != lh:
                     raise GraphInvalid(
@@ -263,12 +260,12 @@ class LeveledDualGraph:
                 )
         if not _connected(levels, ((n.tail, n.head) for n in self.nodes)):
             raise GraphInvalid("graph is not connected")
-        named = [(f"node {n.id}", n.contact) for n in self.nodes]
-        named += [(f"end from {e.piece}", e.contact) for e in self.ends]
-        for name, c in named:
-            if c.is_zero() or c.x < 0 or c.y < 0:
+        for edge in (*self.nodes, *self.ends):
+            x, y = edge.contact.x, edge.contact.y
+            if x < 0 or y < 0 or not (x or y):
+                name = f"end from {edge.piece}" if isinstance(edge, EndEdge) else f"node {edge.id}"
                 raise GraphInvalid(
-                    f"{name} has contact ({c.x}, {c.y}), not nonzero with no negative component"
+                    f"{name} has contact ({x}, {y}), not nonzero with no negative component"
                 )
         for p in self.pieces:
             if not p.trivial and not (p.levels[0].is_integer and p.levels[1].is_integer):
@@ -317,9 +314,9 @@ def build_building(curve: TropicalCurve, extra_levels=()) -> Building:
     # an integer in units of 1/unit: the lcm of the denominators times the
     # lcm of the contact components, so that each v - c0 is a multiple of c.
     contacts = math.lcm(
-        *(abs(c) for e in (*curve.segments, *curve.rays) for c in e.contact if c)
+        *(abs(c) for e in (*curve.segments, *curve.rays) for c in (e.contact.x, e.contact.y) if c)
     )
-    coords = [c for v in curve.vertices for c in v.position]
+    coords = [c for v in curve.vertices for c in (v.position.x, v.position.y)]
     extra = [_fraction(v) for v in extra_levels]
     unit, scaled = _cleared([*coords, *extra, *(s.length for s in curve.segments)], contacts)
     nc, ne = len(coords), len(extra)
@@ -395,26 +392,28 @@ def build_building(curve: TropicalCurve, extra_levels=()) -> Building:
         return r
 
     multilevels = [(coordinate(x), coordinate(y)) for (x, y), _ in pieces]
+    # The sort key lo + hi of a level coordinate is its place in the ladder.
     order = sorted(
         range(len(pieces)),
-        key=lambda k: (multilevels[k][0].sort_key(), multilevels[k][1].sort_key(), pieces[k][0]),
+        key=lambda k: (
+            multilevels[k][0].lo + multilevels[k][0].hi,
+            multilevels[k][1].lo + multilevels[k][1].hi,
+            pieces[k][0],
+        ),
     )
-    rank = {k: i for i, k in enumerate(order, 1)}
+    rank = [0] * len(pieces)
+    name = [""] * len(pieces)
+    for i, k in enumerate(order, 1):
+        rank[k], name[k] = i, f"c{i}"
     nodes.sort(key=lambda n: (rank[n[0]], rank[n[1]]))
-    ends.sort(key=lambda e: (rank[e[0]], tuple(e[1])))
+    ends.sort(key=lambda e: (rank[e[0]], e[1].x, e[1].y))
     graph = LeveledDualGraph(
         levels.m,
-        tuple(Piece(f"c{rank[k]}", multilevels[k], pieces[k][1]) for k in order),
-        tuple(
-            NodeEdge(f"n{i + 1}", f"c{rank[t]}", f"c{rank[h]}", c)
-            for i, (t, h, c) in enumerate(nodes)
-        ),
-        tuple(EndEdge(f"c{rank[k]}", c) for k, c in ends),
+        tuple(Piece(name[k], multilevels[k], pieces[k][1]) for k in order),
+        tuple(NodeEdge(f"n{i}", name[t], name[h], c) for i, (t, h, c) in enumerate(nodes, 1)),
+        tuple(EndEdge(name[k], c) for k, c in ends),
     )
-    positions = {
-        f"c{i}": (rational(pieces[k][0][0]), rational(pieces[k][0][1]))
-        for i, k in enumerate(order, 1)
-    }
+    positions = {name[k]: (rational(pieces[k][0][0]), rational(pieces[k][0][1])) for k in order}
     return Building(graph, levels, positions)
 
 

@@ -358,6 +358,10 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
+    except ImportError as exc:
+        # numpy, which only `trop amoeba` loads, may be missing.
+        print(f"error: cannot import {exc.name}: {exc}", file=sys.stderr)
+        return 2
     except (AssertionError, RuntimeError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3

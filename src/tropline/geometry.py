@@ -133,6 +133,8 @@ def _connected(ids: Iterable[str], pairs: Iterable[tuple[str, str]]) -> bool:
     """Whether the graph on `ids` with edges `pairs` is connected (an empty
     or single-vertex graph is)."""
     parent = {i: i for i in ids}
+    # Each union of two components leaves one component fewer.
+    components = len(parent)
 
     def find(a: str) -> str:
         while parent[a] != a:
@@ -141,8 +143,10 @@ def _connected(ids: Iterable[str], pairs: Iterable[tuple[str, str]]) -> bool:
         return a
 
     for a, b in pairs:
-        parent[find(a)] = find(b)
-    return len({find(i) for i in parent}) <= 1
+        a, b = find(a), find(b)
+        parent[a] = b
+        components -= a != b
+    return components <= 1
 
 
 def _ccw_key(v: LatticeVector) -> tuple[int, bool, Fraction | int]:
@@ -155,8 +159,9 @@ def _ccw_key(v: LatticeVector) -> tuple[int, bool, Fraction | int]:
 
 def _cleared(values, factor: int = 1) -> tuple[int, list[int]]:
     """The unit `factor * lcm(denominators)` and each rational as an integer in it."""
-    unit = factor * math.lcm(*(v.denominator for v in values))
-    return unit, [v.numerator * (unit // v.denominator) for v in values]
+    ratios = [v.as_integer_ratio() for v in values]
+    unit = factor * math.lcm(*[d for _, d in ratios])
+    return unit, [n * (unit // d) for n, d in ratios]
 
 
 def _fraction(value) -> Fraction:
@@ -172,8 +177,10 @@ class QuadrantPoint:
     y: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "x", _fraction(self.x))
-        object.__setattr__(self, "y", _fraction(self.y))
+        if type(self.x) is not Fraction:
+            object.__setattr__(self, "x", Fraction(self.x))
+        if type(self.y) is not Fraction:
+            object.__setattr__(self, "y", Fraction(self.y))
         if self.x.numerator < 0 or self.y.numerator < 0:
             raise GeometryError(f"point {self.x}, {self.y} leaves the quadrant")
 
@@ -216,15 +223,16 @@ class Cone:
         The values tested are the generator coordinates of (x, y) times the
         positive determinant, or, on a ray, the dot product with it.
         """
-        if self.dim == 0:
+        gens = self.generators
+        if not gens:
             return 1 if x == 0 and y == 0 else -1
-        u = self.generators[0]
-        if self.dim == 1:
+        u = gens[0]
+        if len(gens) == 1:
             if u.x * y != u.y * x:
                 return -1
             low = u.x * x + u.y * y
         else:
-            v = self.generators[1]
+            v = gens[1]
             low = min(x * v.y - y * v.x, u.x * y - u.y * x)
         return (low > 0) - (low < 0)
 

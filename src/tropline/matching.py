@@ -25,10 +25,10 @@ the vectors it is given, the cleared solution of `realize` or the basis of
 
 from __future__ import annotations
 
-from collections.abc import Collection, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, sub
+from operator import sub
 
 from . import _linalg
 from .building import Building, LeveledDualGraph
@@ -135,12 +135,14 @@ class WeightTable:
     entries: dict[str, tuple[tuple[int, ...], tuple[int, ...]]]
 
 
-def _variable_index(graph: LeveledDualGraph) -> dict[str, int]:
-    """The system's variables in order, nodes then levels, each mapped to
-    its place; `tuple(index)` is the variable tuple."""
-    names = [node_var(n.id) for n in graph.nodes]
-    names += [level_var(j) for j in range(1, graph.num_levels + 1)]
-    return {name: i for i, name in enumerate(names)}
+def _variable_names(graph: LeveledDualGraph) -> tuple[str, ...]:
+    """The system's variables in column order: node i is column i, and level
+    j is column len(graph.nodes) + j - 1.  Only callers that hand names back
+    or read a named solution build them."""
+    return (
+        *(node_var(n.id) for n in graph.nodes),
+        *(level_var(j) for j in range(1, graph.num_levels + 1)),
+    )
 
 
 def build_system(graph: LeveledDualGraph) -> MatchingSystem:
@@ -153,7 +155,8 @@ def build_system(graph: LeveledDualGraph) -> MatchingSystem:
     on at most one anchored chain per direction, so the nodes of each chain
     walked to an anchor are marked, and a marked node starts no walk.
     """
-    index = _variable_index(graph)
+    # Node i is column i, and level j + 1 is column levels + j.
+    column, levels = {n.id: i for i, n in enumerate(graph.nodes)}, len(graph.nodes)
     multilevels = graph.multilevels
 
     equations: list[Equation] = []
@@ -174,13 +177,12 @@ def build_system(graph: LeveledDualGraph) -> MatchingSystem:
                     continue  # ran into an end: no equation
                 ids = tuple(n.id for n in chain)
                 walked.update(ids)
-                a, b = sorted(multilevels[p][direction].level for p in (anchor, terminal))
+                a, b = sorted([multilevels[p][direction].lo for p in (anchor, terminal)])
                 # A chain repeats no node, and node columns precede levels.
-                row = sorted([(index[node_var(node_id)], s) for node_id in ids])
-                for j in range(a + 1, b + 1):
-                    row.append((index[level_var(j)], -1))
+                row = [(i, s) for i in sorted([column[node_id] for node_id in ids])]
+                row += [(levels + j, -1) for j in range(a, b)]
                 equations.append(Equation(tuple(row), direction + 1, ids, (a, b)))
-    return MatchingSystem(variables=tuple(index), equations=tuple(equations))
+    return MatchingSystem(variables=_variable_names(graph), equations=tuple(equations))
 
 
 def _walk_chain(incidence, start, first, stop):
@@ -197,9 +199,10 @@ def _walk_chain(incidence, start, first, stop):
     chain = [first]
     current = first.other_end(start)
     while current is not None and not stop(current):
-        # The walk entered `current` from another piece, so `chain[-1]` is
-        # listed once and the other edge is the way on.
-        nxt = next(e for e in incidence[current] if e is not chain[-1])
+        # The walk entered the two-valent `current` from another piece, so
+        # `chain[-1]` is one of its two edges and the other is the way on.
+        a, b = incidence[current]
+        nxt = b if a is chain[-1] else a
         current = nxt.other_end(current)
         chain.append(nxt)
     return chain, current
@@ -213,27 +216,24 @@ def solve(system: MatchingSystem) -> SolutionCone:
     Feasibility of the open all-negative cone is decided from its pivots by
     a zero-cost dual simplex, seeking a solution with every coordinate <= -1
     (homogeneity makes the two formulations equivalent).  Infeasibility is
-    a value, not an error.
+    a value, not an error.  Every basis vector and the cleared witness are
+    checked against A row by row, each sparse row summed over its two or
+    three terms.
     """
     nvars = len(system.variables)
     rows = [eq.row for eq in system.equations]
-    # Column j's nonzeros as (row, coefficient), so A v is summed over the
-    # support of v alone.
-    columns: dict[int, list[tuple[int, int]]] = {}
-    for i, row in enumerate(rows):
-        for j, a in row:
-            columns.setdefault(j, []).append((i, a))
 
     def solves(vec) -> bool:
-        residual = [0] * len(rows)
-        for j, x in enumerate(vec):
-            if x:
-                for i, a in columns.get(j, ()):
-                    residual[i] += a * x
-        return not any(residual)
+        for row in rows:
+            total = 0
+            for j, a in row:
+                total += a * vec[j]
+            if total:
+                return False
+        return True
 
     # The right-hand side -A.1 goes in column nvars.
-    reduced, pivots = _linalg.rref([(*row, (nvars, -sum(a for _, a in row))) for row in rows])
+    reduced, pivots = _linalg.rref([(*row, (nvars, -sum([a for _, a in row]))) for row in rows])
     basis = tuple(map(tuple, _linalg.kernel_basis(reduced, pivots, nvars)))
     if not all(map(solves, basis)):
         raise _linalg.InvariantViolation("kernel vector violates a matching equation")
@@ -274,16 +274,19 @@ def check_stability(graph: LeveledDualGraph, rule: str = "union") -> StabilityVe
     return StabilityVerdict(stable=required <= covered, covered=frozenset(covered), rule=rule)
 
 
-def _solution_values(solution, variables: Collection[str]) -> list[Fraction]:
+def _solution_values(graph: LeveledDualGraph, solution) -> list[Fraction]:
+    """The solution's values in column order.  A `Mapping` is read by
+    variable name, which is the only use of the names here."""
     if isinstance(solution, Mapping):
         try:
-            return [_fraction(solution[name]) for name in variables]
+            return [_fraction(solution[name]) for name in _variable_names(graph)]
         except KeyError as exc:
             raise SolutionNotInCone(f"solution is missing variable {exc}") from exc
-    values = [_fraction(v) for v in solution]
-    if len(values) != len(variables):
+    values = [v if type(v) is Fraction else Fraction(v) for v in solution]
+    width = len(graph.nodes) + graph.num_levels
+    if len(values) != width:
         raise SolutionNotInCone(
-            f"solution has {len(values)} entries, system has {len(variables)} variables"
+            f"solution has {len(values)} entries, system has {width} variables"
         )
     return values
 
@@ -296,7 +299,7 @@ def _piece_positions(
     """Positions of all pieces induced by integer solution vectors, found in
     one walk: each coordinate is a tuple with one entry per vector.
 
-    Each vector lists its values in the order of `_variable_index`, the
+    Each vector lists its values in the order of `_variable_names`, the
     nodes and then the levels.  Fully-integer pieces sit at their level-map
     values; the rest are reached by propagating edge displacements, and
     every piece is, since the graph is connected and a nontrivial piece is
@@ -311,12 +314,7 @@ def _piece_positions(
     height = [(0,) * len(vectors)]
     for alpha in values[len(nodes):]:
         height.append(tuple(map(sub, height[-1], alpha)))
-    # A node's head sits at its tail plus length * contact, and its length
-    # is -alpha, so each head coordinate is the tail's minus contact * alpha.
-    drops = {}
-    for n, alpha in zip(nodes, values):
-        x, y = n.contact.x, n.contact.y
-        drops[n.id] = (tuple([x * a for a in alpha]), tuple([y * a for a in alpha]))
+    alphas = {n.id: alpha for n, alpha in zip(nodes, values)}
 
     positions: dict[str, tuple[tuple[int, ...], tuple[int, ...]]] = {}
     for pid, (lx, ly) in multilevels.items():
@@ -333,9 +331,14 @@ def _piece_positions(
             if other is None or edge.id in crossed:
                 continue
             crossed.add(edge.id)
-            step = sub if edge.tail == current else add
-            dx, dy = drops[edge.id]
-            candidate = (tuple(map(step, cx, dx)), tuple(map(step, cy, dy)))
+            # A node's head sits at its tail plus length * contact, and its
+            # length is -alpha: the head is the tail minus contact * alpha.
+            alpha, sign = alphas[edge.id], (-1 if edge.tail == current else 1)
+            x, y = sign * edge.contact.x, sign * edge.contact.y
+            candidate = (
+                tuple([c + x * a for c, a in zip(cx, alpha)]),
+                tuple([c + y * a for c, a in zip(cy, alpha)]),
+            )
             if other in positions:
                 if positions[other] != candidate:
                     raise SolutionNotInCone(
@@ -367,10 +370,10 @@ def torus_weights(graph: LeveledDualGraph, cone: SolutionCone) -> WeightTable:
     """
     if not cone.feasible:
         raise InfeasibleCone("torus weights need a feasible solution cone")
-    index = _variable_index(graph)
-    if cone.variables != tuple(index):
+    variables = _variable_names(graph)
+    if cone.variables != variables:
         raise SolutionNotInCone(
-            f"cone variables {cone.variables} differ from the graph's {tuple(index)}"
+            f"cone variables {cone.variables} differ from the graph's {variables}"
         )
     positions = _piece_positions(graph, cone.basis)
     return WeightTable(len(cone.basis), {piece.id: positions[piece.id] for piece in graph.pieces})
@@ -383,11 +386,12 @@ def realize(graph: LeveledDualGraph, solution) -> TropicalCurve:
     -alpha(y), ends become rays.  Trivial pieces are interior points of
     their chains and are merged away.  The solution's denominators are
     cleared once; fractions are built only for the kept vertices and the
-    segment lengths.
+    segment lengths.  The solution is read in column order, so a node's
+    length is read by its position among the graph's nodes; a `Mapping` is
+    first read by variable name.
     """
-    index = _variable_index(graph)
-    unit, values = _cleared(_solution_values(solution, index))
-    if any(v >= 0 for v in values):
+    unit, values = _cleared(_solution_values(graph, solution))
+    if values and max(values) >= 0:
         raise SolutionNotInCone("solution must be strictly negative in every coordinate")
     # Every node displacement and every integer coordinate is checked here,
     # which implies each chain equation of the system.
@@ -403,6 +407,7 @@ def realize(graph: LeveledDualGraph, solution) -> TropicalCurve:
         for (x,), (y,) in [positions[pid]]
     )
 
+    alpha = {n.id: v for n, v in zip(graph.nodes, values)}
     segments: list[Segment] = []
     rays: list[Ray] = []
     visited_edges: set[int] = set()
@@ -413,11 +418,11 @@ def realize(graph: LeveledDualGraph, solution) -> TropicalCurve:
                 continue
             contact = edge.away_from(start)
             chain, terminal = _walk_chain(graph.incidence, start, edge, vertex_ids.__contains__)
-            visited_edges.update(id(e) for e in chain)
+            visited_edges.update(map(id, chain))
             if terminal is None:
                 rays.append(Ray(vertex_ids[start], contact))
             else:
-                length = Fraction(-sum(values[index[node_var(e.id)]] for e in chain), unit)
+                length = Fraction(-sum([alpha[e.id] for e in chain]), unit)
                 segments.append(Segment(vertex_ids[start], vertex_ids[terminal], contact, length))
 
     return TropicalCurve(vertices, tuple(segments), tuple(rays))

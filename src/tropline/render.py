@@ -27,17 +27,26 @@ _AXIS_COLOR = "#222222"
 _CONE_FILLS = ("#f2e8d5", "#dbe9f2")
 
 
+# The largest float is an integer, so a side is compared with it exactly.
+_FLOAT_MAX = int(sys.float_info.max)
+
+
 @dataclass(frozen=True)
 class RenderSpec:
+    """The window [0, window]^2 to draw.  The canvas draws in float pixels:
+    the side, window * _SCALE, and each coordinate up to the window, as a
+    float times _SCALE.  So the side may not pass the largest float, which
+    is checked in integers, as n * _SCALE > max * d for the window n/d,
+    before the window is converted; nor may the float window times _SCALE."""
+
     window: Fraction
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "window", _fraction(self.window))
-        if self.window.numerator <= 0:
+        n, d = self.window.as_integer_ratio()
+        if n <= 0:
             raise ValueError("window must be positive")
-        # The canvas draws in float pixels: the side, window * _SCALE, and
-        # each coordinate up to the window, as a float times _SCALE.
-        if self.window * _SCALE > sys.float_info.max or math.isinf(float(self.window) * _SCALE):
+        if n * _SCALE > _FLOAT_MAX * d or math.isinf(n / d * _SCALE):
             raise ValueError(
                 f"window is too large to draw: its side, window * {_SCALE} px, "
                 "is past the float range"
@@ -55,8 +64,11 @@ class _Canvas:
     """SVG lines on the window [0, window]^2; world coordinates are floats."""
 
     def __init__(self, spec: RenderSpec):
-        self.window = float(spec.window)
-        side = float(spec.window * _SCALE)
+        # Integer true division rounds correctly, so these are
+        # float(window) and float(window * _SCALE).
+        n, d = spec.window.as_integer_ratio()
+        self.window = n / d
+        side = n * _SCALE / d
         self.size = side + 2 * _MARGIN
         self.top = self.size - _MARGIN
         self.lines: list[str] = []

@@ -14,7 +14,9 @@ intersected with the quadrant [0, oo)^2.  Traveling right means moving
 toward the first coordinate divisor, traveling up toward the second.
 Curves are stored with exact rational positions, integral edge directions,
 and segments and rays kept separate.  A `TropicalCurve` checks its structure
-when it is built; `validate()` checks head - tail = length * contact.
+when it is built; `validate()` checks head - tail = length * contact, in
+integers by cross-multiplying the numerators and denominators of the
+positions and the length, and builds fractions only for its message.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .geometry import (
     LatticeVector,
     QuadrantPoint,
     _connected,
-    _fraction,
     parse_rational,
     rational_str,
 )
@@ -66,8 +67,10 @@ class LineFamily:
     q: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "p", _fraction(self.p))
-        object.__setattr__(self, "q", _fraction(self.q))
+        if type(self.p) is not Fraction:
+            object.__setattr__(self, "p", Fraction(self.p))
+        if type(self.q) is not Fraction:
+            object.__setattr__(self, "q", Fraction(self.q))
         if self.p.numerator < 0 or self.q.numerator < 0:
             raise NegativeExponent(f"exponents must be >= 0, got ({self.p}, {self.q})")
 
@@ -124,16 +127,23 @@ class TropicalCurve:
             raise CurveInvalid("curve is not connected")
 
     def validate(self) -> None:
-        """Check head - tail = length * contact on every segment."""
+        """Check head - tail = length * contact on every segment.
+
+        With a = tail, b = head and length ln/ld, each coordinate is checked
+        in integers as (bn*ad - an*bd) * ld == ln * c * ad * bd.
+        """
         pos = {v.id: v.position for v in self.vertices}
         for s in self.segments:
-            dx = pos[s.head].x - pos[s.tail].x
-            dy = pos[s.head].y - pos[s.tail].y
-            if dx != s.length * s.contact.x or dy != s.length * s.contact.y:
-                raise CurveInvalid(
-                    f"segment identity broken on {s.tail}->{s.head}: "
-                    f"delta ({dx}, {dy}) != {s.length} * {tuple(s.contact)}"
-                )
+            ln, ld = s.length.as_integer_ratio()
+            tail, head = pos[s.tail], pos[s.head]
+            for a, b, c in ((tail.x, head.x, s.contact.x), (tail.y, head.y, s.contact.y)):
+                (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
+                if (bn * ad - an * bd) * ld != ln * c * ad * bd:
+                    dx, dy = head.x - tail.x, head.y - tail.y
+                    raise CurveInvalid(
+                        f"segment identity broken on {s.tail}->{s.head}: "
+                        f"delta ({dx}, {dy}) != {s.length} * {tuple(s.contact)}"
+                    )
 
 
 _E10, _E01, _E11 = LatticeVector(1, 0), LatticeVector(0, 1), LatticeVector(1, 1)
@@ -150,7 +160,7 @@ def tropicalize_line(family: LineFamily) -> TropicalCurve:
       emits the two rays.  The boundary vertex is the origin when p == q.
     """
     p, q = family.p, family.q
-    if p == 0 or q == 0:
+    if not p or not q:
         v0 = Vertex("v0", QuadrantPoint(p, q))
         return TropicalCurve((v0,), (), (Ray("v0", _E10), Ray("v0", _E01)))
     m = min(p, q)

@@ -240,8 +240,7 @@ def piece_positions(graph, solution) -> dict[str, tuple[Fraction, Fraction]]:
     """The position of every piece, trivial ones included, that `solution`
     places it at, as `matching.realize` finds it before merging the trivial
     pieces away."""
-    index = matching._variable_index(graph)
-    unit, values = _cleared(matching._solution_values(solution, index))
+    unit, values = _cleared(matching._solution_values(graph, solution))
     return {
         pid: (Fraction(x, unit), Fraction(y, unit))
         for pid, ((x,), (y,)) in matching._piece_positions(graph, [values], unit).items()

@@ -33,6 +33,40 @@ def multilevels(graph):
     }
 
 
+class TestLevelOrder:
+    """`LevelStructure` checks 0 < l_1 < ... < l_m by cross-multiplying."""
+
+    BIG = 10**30
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            (F(1, BIG), F(1, BIG - 1)),
+            (F(BIG + 2, BIG + 1), F(BIG + 1, BIG)),
+            (F(1, BIG), F(1), F(BIG)),
+        ],
+    )
+    def test_increasing_levels_accepted(self, values):
+        assert LevelStructure(values).values == values
+
+    @pytest.mark.parametrize(
+        "values, listed",
+        [
+            ((F(0), F(1)), "0, 1"),
+            ((F(-1, BIG),), f"-1/{BIG}"),
+            ((F(1), F(1)), "1, 1"),
+            ((F(2), F(1)), "2, 1"),
+            ((F(1, BIG - 1), F(1, BIG)), f"1/{BIG - 1}, 1/{BIG}"),
+            ((F(BIG + 1, BIG), F(BIG + 2, BIG + 1)), f"{BIG + 1}/{BIG}, {BIG + 2}/{BIG + 1}"),
+            ((F(1), F(BIG, BIG - 1), F(BIG, BIG - 1)), f"1, {BIG}/{BIG - 1}, {BIG}/{BIG - 1}"),
+        ],
+    )
+    def test_zero_equal_or_decreasing_levels_refused(self, values, listed):
+        with pytest.raises(GraphInvalid) as info:
+            LevelStructure(values)
+        assert str(info.value) == f"levels must be strictly increasing and positive: {listed}"
+
+
 class TestLevelCoordinate:
     def test_ordering_key(self):
         at1 = LevelCoordinate.at(1)

@@ -431,7 +431,7 @@ class TestSvgAndCsv:
         path = tmp_path / "g.svg"
         code, _, _ = run(capsys, "render", "--graph", str(example1_path), "--svg", str(path))
         assert code == 0
-        assert path.read_text().startswith("<svg")
+        assert path.read_bytes() == (GOLDENS / "render-example1.svg").read_bytes()
 
     def test_render_graph_with_no_variables(self, capsys, tmp_path):
         # The one-piece building of (0, 0) has no node and no level, so its
@@ -442,7 +442,7 @@ class TestSvgAndCsv:
         graph.write_text(out)
         code, out, err = run(capsys, "render", "--graph", str(graph), "--svg", str(svg))
         assert (code, out, err) == (0, f"wrote {svg}\n", "")
-        assert svg.read_text().startswith("<svg")
+        assert svg.read_bytes() == (GOLDENS / "render-0-0.svg").read_bytes()
 
     @pytest.mark.parametrize("num_levels", [0, 2])
     def test_render_graph_with_no_pieces_exits_2(self, capsys, tmp_path, num_levels):

@@ -31,6 +31,7 @@ from tropline.matching import (
 from tropline.tropical import LineFamily, tropicalize_line
 
 from oracles import curves_equal, evaluate, piece_lattice, piece_positions, piece_rank, rank
+from test_linalg import sweep_families
 
 V = LatticeVector
 AT = LevelCoordinate.at
@@ -539,6 +540,29 @@ class TestRealize:
             else:
                 realize(example1_graph, values)
         assert verdicts == {True, False}
+
+    def test_named_and_positional_solutions_realize_equal_curves(self, example1_graph):
+        """A `Mapping` solution is read by variable name into the positional
+        list, so both forms of one witness give one curve: on the worked
+        example and on ten seeded families of each of the 14 limit types."""
+        graphs = [example1_graph] + [
+            build_building(tropicalize_line(LineFamily(p, q))).graph
+            for p, q in sweep_families(61)
+        ]
+        assert len(graphs) == 141
+        for graph in graphs:
+            system = build_system(graph)
+            witness = solve(system).witness
+            named = dict(zip(system.variables, witness))
+            assert realize(graph, named) == realize(graph, witness)
+
+    def test_named_solution_missing_a_variable_is_named(self, example1_graph):
+        system = build_system(example1_graph)
+        named = dict(zip(system.variables, solve(system).witness))
+        del named[node_var("n3")]
+        with pytest.raises(SolutionNotInCone) as info:
+            realize(example1_graph, named)
+        assert str(info.value) == "solution is missing variable 'alpha(n3)'"
 
 
 class TestFeasibilityAcrossTypes:

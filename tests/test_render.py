@@ -1,4 +1,5 @@
 import hashlib
+import math
 import sys
 from fractions import Fraction as F
 from pathlib import Path
@@ -81,6 +82,22 @@ class TestRenderTropical:
         for window in (F(top, 60), F(top + 1, 60), F(10**400)):
             with pytest.raises(ValueError, match="window is too large to draw"):
                 RenderSpec(window=window)
+
+    def test_window_at_the_float_boundary(self):
+        # Near sys.float_info.max / 60 the float side decides: the largest
+        # float window whose float times 60 is finite is drawn, and the next
+        # float is refused.  The exact bound, window * 60 <= max, lets
+        # through every window whose side is within one ulp below max.
+        largest = float.fromhex("0x1.1111111111110p+1018")
+        assert math.isfinite(largest * 60)
+        assert RenderSpec(window=F(largest)).window == F(largest)
+        below_max = int(math.nextafter(sys.float_info.max, 0))
+        assert RenderSpec(window=F(below_max, 60) + 1).window * 60 > below_max
+        with pytest.raises(ValueError) as info:
+            RenderSpec(window=F(math.nextafter(largest, math.inf)))
+        assert str(info.value) == (
+            "window is too large to draw: its side, window * 60 px, is past the float range"
+        )
 
     def test_axis_case_boundary_run(self):
         # The (3,0) vertex sits on the x-axis: one run back to the origin.

@@ -94,6 +94,18 @@ def test_exact_commands_run_without_numpy(tmp_path):
         assert got == expected, argv
 
 
+def test_amoeba_without_numpy_exits_2_naming_numpy():
+    """With numpy unimportable, `trop amoeba` exits 2 with one `error:` line
+    that names numpy, not a traceback."""
+    proc = fresh(
+        "import sys; sys.modules['numpy'] = None\n" + RUN_COMMANDS,
+        json.dumps([[["amoeba", "--p", "1", "--q", "2", "--n", "1e3,1e4"], None]]),
+    )
+    [[code, out, err, _]] = json.loads(proc.stdout)["results"]
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot import numpy: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv, loads",
     [

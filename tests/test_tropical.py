@@ -266,6 +266,42 @@ class TestValidateCurve:
             validate_curve(curve)
 
 
+class TestSegmentIdentityBoundary:
+    """`validate` cross-multiplies: with tail a, head b and length l, each
+    coordinate checks (bn*ad - an*bd) * ld == ln * c * ad * bd.  The curve
+    below has the distinct denominators ad = 3, bd = 21 and ld = 7 in x, so
+    dropping any factor breaks the identity it satisfies."""
+
+    @staticmethod
+    def curve(dx=F(0), dy=F(0)) -> TropicalCurve:
+        head = QuadrantPoint(F(10, 21) + dx, F(17, 35) + dy)
+        return TropicalCurve(
+            vertices=(Vertex("a", QuadrantPoint(F(1, 3), F(1, 5))), Vertex("b", head)),
+            segments=(Segment("a", "b", V(1, 2), F(1, 7)),),
+            rays=(),
+        )
+
+    def test_identity_with_three_denominators_holds(self):
+        curve = self.curve()
+        validate_curve(curve)
+        assert curves_equal(curve_from_json(curve_to_json(curve)), curve)
+
+    @pytest.mark.parametrize(
+        "dx, dy, delta",
+        [
+            (F(1, 10**40), F(0), f"{F(1, 7) + F(1, 10**40)}, 2/7"),
+            (F(0), -F(1, 10**40), f"1/7, {F(2, 7) - F(1, 10**40)}"),
+        ],
+    )
+    def test_miss_by_one_part_in_10_to_the_40_is_refused(self, dx, dy, delta):
+        message = f"segment identity broken on a->b: delta ({delta}) != 1/7 * (1, 2)"
+        curve = self.curve(dx, dy)
+        for check in (validate_curve, lambda c: curve_from_json(curve_to_json(c))):
+            with pytest.raises(CurveInvalid) as info:
+                check(curve)
+            assert str(info.value) == message
+
+
 class TestCurveJson:
     def test_round_trip(self):
         curve = tropicalize_line(fam(F(7, 2), F(5, 3)))
