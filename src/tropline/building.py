@@ -81,10 +81,6 @@ class LevelCoordinate:
             raise GraphInvalid(f"coordinate {self} is between levels")
         return self.lo
 
-    def sort_key(self) -> int:
-        # 2a for "at a", 2a + 1 for "between a and a+1": the natural order.
-        return self.lo + self.hi
-
     def __str__(self) -> str:
         return str(self.lo) if self.is_integer else f"{self.lo}..{self.hi}"
 
@@ -392,7 +388,8 @@ def build_building(curve: TropicalCurve, extra_levels=()) -> Building:
         return r
 
     multilevels = [(coordinate(x), coordinate(y)) for (x, y), _ in pieces]
-    # The sort key lo + hi of a level coordinate is its place in the ladder.
+    # lo + hi, 2a at level a and 2a + 1 between a and a + 1, is a level
+    # coordinate's place in the ladder.
     order = sorted(
         range(len(pieces)),
         key=lambda k: (

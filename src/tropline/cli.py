@@ -171,6 +171,8 @@ def _cmd_building(args) -> int:
     from . import building as building_mod
 
     if args.curve is not None:
+        if args.p is not None or args.q is not None:
+            raise ValueError("building takes --curve or --p/--q, not both")
         curve = tropical_mod.curve_from_json(_read_json(args.curve))
     elif args.p is not None and args.q is not None:
         curve = tropical_mod.tropicalize_line(_family(args))

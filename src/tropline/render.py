@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .building import LevelStructure
 from .geometry import Fan, LatticeVector, _fraction
-from .tropical import BalanceReport, TropicalCurve, validate_curve
+from .tropical import TropicalCurve
 
 __all__ = ["RenderSpec", "render_tropical", "render_fan"]
 
@@ -111,21 +111,31 @@ def _clip_ray(x0: float, y0: float, dx: float, dy: float, window: float):
     return t if t > 0 else None
 
 
-def _boundary_shadows(pos: dict[str, tuple[float, float]], report: BalanceReport):
+def _boundary_shadows(curve: TropicalCurve, pos: dict[str, tuple[float, float]]):
     """Clipped continuations of unbalanced boundary vertices, at the float
-    positions `pos`.
+    positions `pos`, in vertex order.
 
-    A boundary vertex with outgoing contact sum d has lost an edge of
-    direction -d through the quadrant boundary; its image runs along the
-    boundary toward the origin.  These strokes are part of the pictures of
-    limit curves.
+    A vertex with a zero coordinate whose outgoing contact sum d is nonzero
+    has lost an edge of direction -d through the quadrant boundary; its
+    image runs along the boundary toward the origin.  These strokes are
+    part of the pictures of limit curves.  Only those vertices are summed.
     """
+    sums = {v.id: [0, 0] for v in curve.vertices if not (v.position.x and v.position.y)}
+    for s in curve.segments:
+        if s.tail in sums:
+            sums[s.tail][0] += s.contact.x
+            sums[s.tail][1] += s.contact.y
+        if s.head in sums:
+            sums[s.head][0] -= s.contact.x
+            sums[s.head][1] -= s.contact.y
+    for r in curve.rays:
+        if r.base in sums:
+            sums[r.base][0] += r.contact.x
+            sums[r.base][1] += r.contact.y
     shadows = []
-    for entry in report.entries:
-        if entry.balanced or entry.stratum == "interior":
-            continue
-        x, y = pos[entry.vertex]
-        dx, dy = float(-entry.contact_sum.x), float(-entry.contact_sum.y)
+    for vid, (sx, sy) in sums.items():
+        x, y = pos[vid]
+        dx, dy = float(-sx), float(-sy)
         # The clamped path max(0, position + t*d) pins a zero coordinate at
         # 0, and a boundary vertex has one, so the path is one straight step
         # until the other coordinate reaches 0.
@@ -148,7 +158,7 @@ def render_tropical(curve: TropicalCurve, levels: LevelStructure, spec: RenderSp
 
     Each level, vertex and window value is converted to float once.
     """
-    report = validate_curve(curve)
+    curve.validate()
     canvas = _Canvas(spec)
     window = canvas.window
     style = f'stroke="{_LEVEL_COLOR}" stroke-width="1" stroke-dasharray="6 4"'
@@ -168,7 +178,7 @@ def render_tropical(curve: TropicalCurve, levels: LevelStructure, spec: RenderSp
         t = _clip_ray(x0, y0, float(cx), float(cy), window)
         if t is not None:
             canvas.line((x0, y0), (x0 + t * cx, y0 + t * cy), "curve", style)
-    for a, b in _boundary_shadows(pos, report):
+    for a, b in _boundary_shadows(curve, pos):
         if a != b:
             canvas.line(a, b, "curve", style)
     return canvas.finish()

@@ -29,6 +29,7 @@ from .geometry import (
     LatticeVector,
     QuadrantPoint,
     _connected,
+    _json_typed,
     parse_rational,
     rational_str,
 )
@@ -41,10 +42,7 @@ __all__ = [
     "Segment",
     "Ray",
     "TropicalCurve",
-    "VertexBalance",
-    "BalanceReport",
     "tropicalize_line",
-    "validate_curve",
     "curve_to_json",
     "curve_from_json",
 ]
@@ -170,55 +168,6 @@ def tropicalize_line(family: LineFamily) -> TropicalCurve:
     return TropicalCurve((v0, v1), (seg,), (Ray("v1", _E10), Ray("v1", _E01)))
 
 
-@dataclass(frozen=True)
-class VertexBalance:
-    vertex: str
-    contact_sum: LatticeVector
-    stratum: str  # "interior" | "x-axis" | "y-axis" | "origin"
-    balanced: bool
-
-
-@dataclass(frozen=True)
-class BalanceReport:
-    entries: tuple[VertexBalance, ...]
-
-
-def validate_curve(curve: TropicalCurve) -> BalanceReport:
-    """Check the segment identity and report the outgoing contact sum per vertex.
-
-    Vertices on the open boundary strata of the quadrant are routinely
-    unbalanced (an edge has left through the boundary); they are reported,
-    never rejected.
-    """
-    curve.validate()
-    sums = {v.id: [0, 0] for v in curve.vertices}
-    for s in curve.segments:
-        tail, head = sums[s.tail], sums[s.head]
-        tail[0] += s.contact.x
-        tail[1] += s.contact.y
-        head[0] -= s.contact.x
-        head[1] -= s.contact.y
-    for r in curve.rays:
-        total = sums[r.base]
-        total[0] += r.contact.x
-        total[1] += r.contact.y
-    entries = []
-    for v in curve.vertices:
-        # A QuadrantPoint holds no negative coordinate.
-        x, y = v.position.x.numerator, v.position.y.numerator
-        if x and y:
-            stratum = "interior"
-        elif x:
-            stratum = "x-axis"
-        elif y:
-            stratum = "y-axis"
-        else:
-            stratum = "origin"
-        sx, sy = sums[v.id]
-        entries.append(VertexBalance(v.id, LatticeVector(sx, sy), stratum, sx == sy == 0))
-    return BalanceReport(tuple(entries))
-
-
 def curve_to_json(curve: TropicalCurve) -> dict:
     return {
         "vertices": [
@@ -243,20 +192,24 @@ def curve_to_json(curve: TropicalCurve) -> dict:
 def curve_from_json(data: dict) -> TropicalCurve:
     try:
         vertices = tuple(
-            Vertex(v["id"], QuadrantPoint(parse_rational(v["x"]), parse_rational(v["y"])))
+            Vertex(
+                _json_typed(v["id"], str, "id"),
+                QuadrantPoint(parse_rational(v["x"]), parse_rational(v["y"])),
+            )
             for v in data["vertices"]
         )
         segments = tuple(
             Segment(
-                s["tail"],
-                s["head"],
+                _json_typed(s["tail"], str, "tail"),
+                _json_typed(s["head"], str, "head"),
                 LatticeVector.from_json(s["contact"]),
                 parse_rational(s["length"]),
             )
             for s in data["segments"]
         )
         rays = tuple(
-            Ray(r["base"], LatticeVector.from_json(r["contact"])) for r in data["rays"]
+            Ray(_json_typed(r["base"], str, "base"), LatticeVector.from_json(r["contact"]))
+            for r in data["rays"]
         )
         curve = TropicalCurve(vertices, segments, rays)
     except (KeyError, TypeError, GeometryError) as exc:

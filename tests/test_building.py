@@ -68,12 +68,6 @@ class TestLevelOrder:
 
 
 class TestLevelCoordinate:
-    def test_ordering_key(self):
-        at1 = LevelCoordinate.at(1)
-        between12 = LevelCoordinate.between(1)
-        at2 = LevelCoordinate.at(2)
-        assert at1.sort_key() < between12.sort_key() < at2.sort_key()
-
     def test_json_round_trip(self):
         for lc in (LevelCoordinate.at(3), LevelCoordinate.between(0)):
             assert LevelCoordinate.from_json(lc.to_json()) == lc

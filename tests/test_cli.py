@@ -178,6 +178,33 @@ class TestPipeline:
         code, _, err = run(capsys, "building", "--json")
         assert code == 2 and err
 
+    @pytest.mark.parametrize("given", [["--p", "1", "--q", "2"], ["--p", "1"], ["--q", "2"]])
+    def test_building_curve_with_p_or_q_exits_2(self, capsys, tmp_path, given):
+        path = tmp_path / "curve.json"
+        path.write_text(json.dumps(curve_to_json(tropicalize_line(LineFamily(4, 3)))))
+        code, out, err = run(capsys, "building", "--curve", str(path), *given)
+        assert (code, out) == (2, "")
+        assert err == "error: building takes --curve or --p/--q, not both\n"
+
+    @pytest.mark.parametrize("ids, shown", [((0, None), "0"), ((True, 1), "True")])
+    def test_building_curve_with_non_string_ids_exits_2(self, capsys, tmp_path, ids, shown):
+        """Vertex ids, segment ends and ray bases are JSON strings: nothing
+        else is read as an id, so ids 0 and null are not accepted, and ids
+        true and 1 are not called duplicates."""
+        a, b = ids
+        doc = {
+            "vertices": [{"id": a, "x": "1", "y": "0"}, {"id": b, "x": "2", "y": "1"}],
+            "segments": [{"tail": a, "head": b, "contact": [1, 1], "length": "1"}],
+            "rays": [{"base": b, "contact": [1, 0]}, {"base": b, "contact": [0, 1]}],
+        }
+        path = tmp_path / "curve.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "building", "--curve", str(path))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: malformed tropical curve document: expected a JSON str for 'id', got {shown}\n"
+        )
+
 
 class TestFanCommands:
     def test_fan_text(self, capsys):
@@ -657,6 +684,8 @@ class TestJsonTypes:
             ("building", ("rays", 0, "contact"), [1, 0, 5]),
             ("match", ("nodes", 0, "id"), 1),
             ("match", ("nodes", 0, "tail"), None),
+            ("building", ("segments", 0, "head"), None),
+            ("building", ("rays", 0, "base"), 1),
         ],
         ids=[
             "end-contact-float",
@@ -675,6 +704,8 @@ class TestJsonTypes:
             "ray-contact-triple",
             "node-id-int",
             "node-tail-null",
+            "segment-head-null",
+            "ray-base-int",
         ],
     )
     def test_wrong_json_type_exits_2(self, capsys, tmp_path, example1_path, command, keys, value):

@@ -25,7 +25,6 @@ from tropline.tropical import (
     TropicalCurve,
     Vertex,
     tropicalize_line,
-    validate_curve,
 )
 
 from oracles import curves_equal, piece_positions, piece_rank, reflect
@@ -45,7 +44,7 @@ def test_full_pipeline_consistency():
     for p, q in random_rationals(99, 120):
         family = LineFamily(p, q)
         curve = tropicalize_line(family)
-        validate_curve(curve)
+        curve.validate()
 
         b = build_building(curve)
         assert dataclasses.replace(b.graph) == b.graph
@@ -62,7 +61,7 @@ def test_full_pipeline_consistency():
         assert curves_equal(realize(b.graph, building_solution(b)), curve)
         if cone.witness:
             realized = realize(b.graph, cone.witness)
-            validate_curve(realized)
+            realized.validate()
             assert len(realized.vertices) == len(curve.vertices)
             assert len(realized.segments) == len(curve.segments)
             assert len(realized.rays) == len(curve.rays)

@@ -10,8 +10,15 @@ import pytest
 from tropline.building import LevelStructure, build_building, extract_levels
 from tropline.moduli import exploded_fan, ionel_fan
 from tropline.render import RenderSpec, render_fan, render_tropical
-from tropline.geometry import Fan, complete_fan
-from tropline.tropical import LineFamily, tropicalize_line
+from tropline.geometry import Fan, LatticeVector, QuadrantPoint, complete_fan
+from tropline.tropical import (
+    LineFamily,
+    Ray,
+    Segment,
+    TropicalCurve,
+    Vertex,
+    tropicalize_line,
+)
 
 GOLDENS = Path(__file__).parent / "goldens"
 
@@ -108,6 +115,38 @@ class TestRenderTropical:
         doc = curve_svg(0, 3)
         assert doc.count('class="curve"') == 3
         assert 'x1="40.00" y1="220.00" x2="40.00" y2="400.00"' in doc
+
+
+class TestBoundaryRuns:
+    """A vertex with a zero coordinate and a nonzero outgoing contact sum
+    draws its run along the boundary toward the origin; on the 6 x 6 window
+    a unit is 60 px and the x-axis is at y = 400 px."""
+
+    @staticmethod
+    def draw(vertices, segments, rays) -> str:
+        curve = TropicalCurve(
+            tuple(Vertex(vid, QuadrantPoint(F(x), F(y))) for vid, x, y in vertices),
+            tuple(Segment(t, h, LatticeVector(*c), F(length)) for t, h, c, length in segments),
+            tuple(Ray(base, LatticeVector(*c)) for base, c in rays),
+        )
+        return render_tropical(curve, LevelStructure(()), RenderSpec(window=F(6)))
+
+    def test_unbalanced_interior_vertex_draws_no_run(self):
+        # Two (1, 0) rays sum to (2, 0), but (1, 1) is off both axes.
+        doc = self.draw([("a", 1, 1)], [], [("a", (1, 0)), ("a", (1, 0))])
+        assert doc.count('class="curve"') == 2
+
+    def test_segment_head_on_axis_draws_its_run(self):
+        # The head (2, 0) takes in a (-1, -1) segment: its sum (1, 1) runs
+        # back along the x-axis to the origin.
+        doc = self.draw([("b", 3, 1), ("a", 2, 0)], [("b", "a", (-1, -1), 1)], [])
+        assert doc.count('class="curve"') == 2
+        assert 'x1="160.00" y1="400.00" x2="40.00" y2="400.00"' in doc
+
+    def test_origin_draws_no_run(self):
+        # Every step from the origin against (1, 2) leaves the quadrant.
+        doc = self.draw([("o", 0, 0), ("a", 1, 2)], [("o", "a", (1, 2), 1)], [])
+        assert doc.count('class="curve"') == 1
 
 
 class TestRenderFan:

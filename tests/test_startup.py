@@ -1,5 +1,5 @@
 """Start-up: `trop` loads numpy and each exact module only when a command
-uses them, and the package resolves its public names on first access."""
+uses them, and each public name lives in the one module that lists it."""
 
 import contextlib
 import importlib
@@ -13,7 +13,6 @@ from pathlib import Path
 
 import pytest
 
-import tropline
 from tropline.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -158,16 +157,23 @@ def test_trop_amoeba_loads_numpy_and_prints_golden():
     assert proc.stdout == (GOLDENS / "amoeba-1-2.json").read_text()
 
 
+# The modules whose `__all__` lists the package's public names.
+PUBLIC_MODULES = ("geometry", "tropical", "building", "matching", "moduli", "render", "amoeba")
+
+
 def test_package_names_resolve_to_their_modules():
-    """Each name in `tropline.__all__` is its module's attribute, is listed
-    by `dir(tropline)`, and belongs to exactly one module of the table."""
-    assert len(set(tropline.__all__)) == len(tropline.__all__)
-    listed = dir(tropline)
-    for module, names in tropline._EXPORTS.items():
+    """Each public name is listed once, in the `__all__` of the module that
+    defines it, and `import tropline` loads none of its modules."""
+    owner = {}
+    for module in PUBLIC_MODULES:
         mod = importlib.import_module(f"tropline.{module}")
-        for name in names:
-            assert name in tropline.__all__ and name in listed
-            assert getattr(tropline, name) is getattr(mod, name), name
-    assert sum(map(len, tropline._EXPORTS.values())) == len(tropline.__all__)
-    with pytest.raises(AttributeError):
-        tropline.no_such_name
+        for name in mod.__all__:
+            assert name in vars(mod), f"{mod.__name__}.__all__ lists {name!r}, which it lacks"
+            value = vars(mod)[name]
+            assert getattr(value, "__module__", mod.__name__) == mod.__name__, name
+            assert owner.setdefault(name, module) == module, name
+    proc = fresh(
+        "import sys, tropline\n"
+        "print(sorted(m for m in sys.modules if m.startswith('tropline.')))"
+    )
+    assert proc.stdout == "[]\n"

@@ -4,7 +4,9 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tropline.building import LevelStructure
 from tropline.geometry import LatticeVector, QuadrantPoint
+from tropline.render import RenderSpec, render_tropical
 from tropline.tropical import (
     CurveInvalid,
     LineFamily,
@@ -16,7 +18,6 @@ from tropline.tropical import (
     curve_from_json,
     curve_to_json,
     tropicalize_line,
-    validate_curve,
 )
 
 from oracles import corner_locus_oracle, curves_equal, min_squared_distance, reflect
@@ -200,49 +201,29 @@ class TestReflect:
         )
 
 
+def render(curve: TropicalCurve) -> str:
+    return render_tropical(curve, LevelStructure(()), RenderSpec(window=F(6)))
+
+
 class TestValidateCurve:
-    def test_example_balance(self):
-        curve = tropicalize_line(fam(4, 3))
-        entry = {e.vertex: e for e in validate_curve(curve).entries}
-        trivalent = entry["v1"]
-        assert trivalent.balanced and trivalent.stratum == "interior"
-        boundary = entry["v0"]
-        assert not boundary.balanced
-        assert boundary.contact_sum == V(1, 1)
-        assert boundary.stratum == "x-axis"
-
-    def test_opposite_rays_balance(self):
-        curve = TropicalCurve(
-            vertices=(Vertex("a", QuadrantPoint(F(1), F(1))),),
-            segments=(),
-            rays=(Ray("a", V(1, 0)), Ray("a", V(1, 0))),
-        )
-        # Two equal rays are unbalanced ...
-        (a,) = (e for e in validate_curve(curve).entries if e.vertex == "a")
-        assert not a.balanced
-
-    def test_bivalent_cylinder_vertex(self):
-        # ... but a vertex between two opposite edge germs is balanced:
-        # model it as incoming segment + outgoing ray of equal contact.
-        curve = TropicalCurve(
-            vertices=(
-                Vertex("a", QuadrantPoint(F(0), F(1))),
-                Vertex("b", QuadrantPoint(F(2), F(1))),
-            ),
-            segments=(Segment("a", "b", V(1, 0), F(2)),),
-            rays=(Ray("b", V(1, 0)),),
-        )
-        (b,) = (e for e in validate_curve(curve).entries if e.vertex == "b")
-        assert b.balanced
+    """A curve checks its structure when it is built, and `validate`, which
+    `render_tropical` and `curve_from_json` run, checks head - tail =
+    length * contact on every segment."""
 
     def test_interior_vertices_balanced_for_all_lines(self):
         rng = random.Random(5)
         for _ in range(30):
             p, q = F(rng.randint(0, 12), 3), F(rng.randint(0, 12), 3)
-            report = validate_curve(tropicalize_line(fam(p, q)))
-            for entry in report.entries:
-                if entry.stratum == "interior":
-                    assert entry.balanced
+            curve = tropicalize_line(fam(p, q))
+            sums = {v.id: V(0, 0) for v in curve.vertices}
+            for s in curve.segments:
+                sums[s.tail] = sums[s.tail] + s.contact
+                sums[s.head] = sums[s.head] + -s.contact
+            for r in curve.rays:
+                sums[r.base] = sums[r.base] + r.contact
+            for v in curve.vertices:
+                if v.position.x and v.position.y:
+                    assert sums[v.id].is_zero(), (p, q, v.id)
 
     def test_broken_segment_identity(self):
         curve = TropicalCurve(
@@ -253,17 +234,22 @@ class TestValidateCurve:
             segments=(Segment("a", "b", V(1, 1), F(1)),),
             rays=(),
         )
-        with pytest.raises(CurveInvalid):
-            validate_curve(curve)
+        message = "segment identity broken on a->b: delta (1, 2) != 1 * (1, 1)"
+        for check in (TropicalCurve.validate, render, lambda c: curve_from_json(curve_to_json(c))):
+            with pytest.raises(CurveInvalid) as info:
+                check(curve)
+            assert str(info.value) == message
 
     def test_escaping_ray_rejected(self):
-        with pytest.raises(CurveInvalid):
-            curve = TropicalCurve(
+        with pytest.raises(CurveInvalid) as info:
+            TropicalCurve(
                 vertices=(Vertex("a", QuadrantPoint(F(1), F(1))),),
                 segments=(),
                 rays=(Ray("a", V(-1, 0)),),
             )
-            validate_curve(curve)
+        assert str(info.value) == (
+            "ray Ray(base='a', contact=LatticeVector(x=-1, y=0)) eventually leaves the quadrant"
+        )
 
 
 class TestSegmentIdentityBoundary:
@@ -283,7 +269,8 @@ class TestSegmentIdentityBoundary:
 
     def test_identity_with_three_denominators_holds(self):
         curve = self.curve()
-        validate_curve(curve)
+        curve.validate()
+        render(curve)
         assert curves_equal(curve_from_json(curve_to_json(curve)), curve)
 
     @pytest.mark.parametrize(
@@ -296,7 +283,7 @@ class TestSegmentIdentityBoundary:
     def test_miss_by_one_part_in_10_to_the_40_is_refused(self, dx, dy, delta):
         message = f"segment identity broken on a->b: delta ({delta}) != 1/7 * (1, 2)"
         curve = self.curve(dx, dy)
-        for check in (validate_curve, lambda c: curve_from_json(curve_to_json(c))):
+        for check in (TropicalCurve.validate, render, lambda c: curve_from_json(curve_to_json(c))):
             with pytest.raises(CurveInvalid) as info:
                 check(curve)
             assert str(info.value) == message
