@@ -361,8 +361,12 @@ def main(argv=None) -> int:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except ImportError as exc:
-        # numpy, which only `trop amoeba` loads, may be missing.
-        print(f"error: cannot import {exc.name}: {exc}", file=sys.stderr)
+        # numpy, which only `trop amoeba` loads, is an optional extra.
+        print(
+            f"error: cannot import {exc.name}: {exc}"
+            " (trop amoeba needs the 'amoeba' extra: pip install 'tropline[amoeba]')",
+            file=sys.stderr,
+        )
         return 2
     except (AssertionError, RuntimeError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)

@@ -25,14 +25,14 @@ the vectors it is given, the cleared solution of `realize` or the basis of
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import sub
 
 from . import _linalg
 from .building import Building, LeveledDualGraph
-from .geometry import QuadrantPoint, _cleared, _fraction
+from .geometry import QuadrantPoint, _cleared
 from .tropical import Ray, Segment, TropicalCurve, Vertex
 
 __all__ = [
@@ -43,8 +43,6 @@ __all__ = [
     "SolutionCone",
     "StabilityVerdict",
     "WeightTable",
-    "node_var",
-    "level_var",
     "build_system",
     "solve",
     "check_stability",
@@ -60,14 +58,6 @@ class InfeasibleCone(ValueError):
 
 class SolutionNotInCone(ValueError):
     """A proposed solution fails the system or strict negativity."""
-
-
-def node_var(node_id: str) -> str:
-    return f"alpha({node_id})"
-
-
-def level_var(j: int) -> str:
-    return f"alpha_{j}"
 
 
 @dataclass(frozen=True)
@@ -138,10 +128,10 @@ class WeightTable:
 def _variable_names(graph: LeveledDualGraph) -> tuple[str, ...]:
     """The system's variables in column order: node i is column i, and level
     j is column len(graph.nodes) + j - 1.  Only callers that hand names back
-    or read a named solution build them."""
+    build them."""
     return (
-        *(node_var(n.id) for n in graph.nodes),
-        *(level_var(j) for j in range(1, graph.num_levels + 1)),
+        *(f"alpha({n.id})" for n in graph.nodes),
+        *(f"alpha_{j}" for j in range(1, graph.num_levels + 1)),
     )
 
 
@@ -274,23 +264,6 @@ def check_stability(graph: LeveledDualGraph, rule: str = "union") -> StabilityVe
     return StabilityVerdict(stable=required <= covered, covered=frozenset(covered), rule=rule)
 
 
-def _solution_values(graph: LeveledDualGraph, solution) -> list[Fraction]:
-    """The solution's values in column order.  A `Mapping` is read by
-    variable name, which is the only use of the names here."""
-    if isinstance(solution, Mapping):
-        try:
-            return [_fraction(solution[name]) for name in _variable_names(graph)]
-        except KeyError as exc:
-            raise SolutionNotInCone(f"solution is missing variable {exc}") from exc
-    values = [v if type(v) is Fraction else Fraction(v) for v in solution]
-    width = len(graph.nodes) + graph.num_levels
-    if len(values) != width:
-        raise SolutionNotInCone(
-            f"solution has {len(values)} entries, system has {width} variables"
-        )
-    return values
-
-
 def _piece_positions(
     graph: LeveledDualGraph,
     vectors: Sequence[Sequence[int]],
@@ -379,7 +352,7 @@ def torus_weights(graph: LeveledDualGraph, cone: SolutionCone) -> WeightTable:
     return WeightTable(len(cone.basis), {piece.id: positions[piece.id] for piece in graph.pieces})
 
 
-def realize(graph: LeveledDualGraph, solution) -> TropicalCurve:
+def realize(graph: LeveledDualGraph, solution: Sequence[Fraction | int]) -> TropicalCurve:
     """Build the tropical curve of a strictly negative solution.
 
     Non-trivial pieces become vertices, nodes become segments of length
@@ -387,10 +360,14 @@ def realize(graph: LeveledDualGraph, solution) -> TropicalCurve:
     their chains and are merged away.  The solution's denominators are
     cleared once; fractions are built only for the kept vertices and the
     segment lengths.  The solution is read in column order, so a node's
-    length is read by its position among the graph's nodes; a `Mapping` is
-    first read by variable name.
+    length is read by its position among the graph's nodes.
     """
-    unit, values = _cleared(_solution_values(graph, solution))
+    unit, values = _cleared(solution)
+    width = len(graph.nodes) + graph.num_levels
+    if len(values) != width:
+        raise SolutionNotInCone(
+            f"solution has {len(values)} entries, system has {width} variables"
+        )
     if values and max(values) >= 0:
         raise SolutionNotInCone("solution must be strictly negative in every coordinate")
     # Every node displacement and every integer coordinate is checked here,
@@ -428,23 +405,20 @@ def realize(graph: LeveledDualGraph, solution) -> TropicalCurve:
     return TropicalCurve(vertices, tuple(segments), tuple(rays))
 
 
-def building_solution(building: Building) -> dict[str, Fraction]:
+def building_solution(building: Building) -> tuple[Fraction, ...]:
     """Read the tautological solution off a building's realized positions.
 
-    Level variables are the negated level gaps and each node variable is the
-    negated length of its fragment; realizing this solution reproduces the
-    original curve exactly.
+    In column order, each node variable is the negated length of its
+    fragment and each level variable the negated level gap; realizing this
+    solution reproduces the original curve exactly.
     """
-    values: dict[str, Fraction] = {}
-    levels = building.levels
-    for j in range(1, levels.m + 1):
-        values[level_var(j)] = levels.phi(j - 1) - levels.phi(j)
+    values = []
     for node in building.graph.nodes:
         tx, ty = building.positions[node.tail]
         hx, hy = building.positions[node.head]
         if node.contact.x != 0:
-            length = Fraction(hx - tx, node.contact.x)
+            values.append(Fraction(tx - hx, node.contact.x))
         else:
-            length = Fraction(hy - ty, node.contact.y)
-        values[node_var(node.id)] = -length
-    return values
+            values.append(Fraction(ty - hy, node.contact.y))
+    phi = building.levels.phi
+    return (*values, *(phi(j - 1) - phi(j) for j in range(1, building.levels.m + 1)))

@@ -21,8 +21,6 @@ from tropline.matching import (
     build_system,
     building_solution,
     check_stability,
-    level_var,
-    node_var,
     realize,
     solve,
     torus_weights,
@@ -83,10 +81,10 @@ def test_c01_example_matching_system(example1_graph):
     # Relations alpha(1) = alpha(3) = alpha(4) = alpha_1 = alpha_3 and
     # alpha_2 = alpha(1) + alpha(2) hold on the whole kernel.
     for vec in cone.basis:
-        first = vec[idx[node_var("n1")]]
-        for name in (node_var("n3"), node_var("n4"), level_var(1), level_var(3)):
+        first = vec[idx["alpha(n1)"]]
+        for name in ("alpha(n3)", "alpha(n4)", "alpha_1", "alpha_3"):
             ok = ok and vec[idx[name]] == first
-        ok = ok and vec[idx[level_var(2)]] == first + vec[idx[node_var("n2")]]
+        ok = ok and vec[idx["alpha_2"]] == first + vec[idx["alpha(n2)"]]
     elapsed = time.monotonic() - start
     ok = ok and elapsed < 1.0
     report(1, "example matching system", ok, f"dim={cone.dimension}, {elapsed:.3f}s")

@@ -408,6 +408,18 @@ class TestSvgAndCsv:
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "flags, line",
+        [
+            (("--n", "1e3,1e4", "--samples", "0"), "error: need at least one sample point"),
+            (("--n", "1e3,abc"), "error: bad base list '1e3,abc'"),
+        ],
+        ids=["no-samples", "bad-base"],
+    )
+    def test_amoeba_bad_argument_is_named(self, capsys, flags, line):
+        code, out, err = run(capsys, "amoeba", "--p", "1", "--q", "2", *flags)
+        assert (code, out, err) == (2, "", line + "\n")
+
     def test_amoeba_bases_with_one_log_exits_2(self, capsys):
         # Distinct bases one ulp apart give one value of 1 / log n to fit on.
         code, out, err = run(
@@ -812,6 +824,30 @@ class TestJsonTypes:
             f"error: bad level coordinate document {level!r}: it needs exactly one of"
             " 'at' and 'between'\n"
         )
+
+    @pytest.mark.parametrize(
+        "level, shown",
+        [({"at": -1}, "(-1, -1)"), ({"between": [-1, 0]}, "(-1, 0)")],
+        ids=["at", "between"],
+    )
+    def test_negative_level_coordinate_exits_2(self, capsys, tmp_path, example1_path, level,
+                                               shown):
+        """A level coordinate below level 0 names no column of the system,
+        so the document is refused before any equation is written."""
+        doc = json.loads(example1_path.read_text())
+        doc["pieces"][0]["levels"][1] = level
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "match", "--graph", str(path))
+        assert (code, out, err) == (2, "", f"error: bad level coordinate {shown}\n")
+
+    def test_duplicate_node_ids_exits_2(self, capsys, tmp_path, example1_path):
+        doc = json.loads(example1_path.read_text())
+        doc["nodes"][1]["id"] = doc["nodes"][0]["id"]
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "match", "--graph", str(path))
+        assert (code, out, err) == (2, "", "error: duplicate node ids\n")
 
 
 class TestDeterminism:

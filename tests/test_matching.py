@@ -22,8 +22,6 @@ from tropline.matching import (
     build_system,
     building_solution,
     check_stability,
-    level_var,
-    node_var,
     realize,
     solve,
     torus_weights,
@@ -31,7 +29,6 @@ from tropline.matching import (
 from tropline.tropical import LineFamily, tropicalize_line
 
 from oracles import curves_equal, evaluate, piece_lattice, piece_positions, piece_rank, rank
-from test_linalg import sweep_families
 
 V = LatticeVector
 AT = LevelCoordinate.at
@@ -197,12 +194,12 @@ class TestSolve:
         assert cone.feasible
         idx = {name: i for i, name in enumerate(cone.variables)}
         for vec in cone.basis:
-            first = vec[idx[node_var("n1")]]
+            first = vec[idx["alpha(n1)"]]
             for name in ("alpha(n3)", "alpha(n4)", "alpha_1", "alpha_3"):
                 assert vec[idx[name]] == first
             assert (
-                vec[idx[level_var(2)]]
-                == vec[idx[node_var("n1")]] + vec[idx[node_var("n2")]]
+                vec[idx["alpha_2"]]
+                == vec[idx["alpha(n1)"]] + vec[idx["alpha(n2)"]]
             )
 
     def test_example_witness_strictly_negative(self, example1_graph):
@@ -429,37 +426,22 @@ class TestTorusWeights:
 
 class TestRealize:
     def test_example_witness_realizes_the_curve(self, example1_graph):
-        # The solution with a = b = -1 puts the levels at 1, 3, 4.
-        solution = {
-            node_var("n1"): F(-1),
-            node_var("n2"): F(-1),
-            node_var("n3"): F(-1),
-            node_var("n4"): F(-1),
-            level_var(1): F(-1),
-            level_var(2): F(-2),
-            level_var(3): F(-1),
-        }
+        # The solution with a = b = -1 puts the levels at 1, 3, 4.  Columns:
+        # alpha(n1), ..., alpha(n4), alpha_1, alpha_2, alpha_3.
+        solution = (F(-1), F(-1), F(-1), F(-1), F(-1), F(-2), F(-1))
         curve = realize(example1_graph, solution)
         assert curves_equal(curve, tropicalize_line(LineFamily(4, 3)))
 
     def test_asymmetric_solution_moves_the_vertex(self, example1_graph):
         # a = -1, b = -2 gives levels 1, 4, 5 and the vertex at (5, 4).
-        solution = {
-            node_var("n1"): F(-1),
-            node_var("n2"): F(-2),
-            node_var("n3"): F(-1),
-            node_var("n4"): F(-1),
-            level_var(1): F(-1),
-            level_var(2): F(-3),
-            level_var(3): F(-1),
-        }
+        solution = (F(-1), F(-2), F(-1), F(-1), F(-1), F(-3), F(-1))
         curve = realize(example1_graph, solution)
         positions = sorted((v.position.x, v.position.y) for v in curve.vertices)
         assert positions == [(1, 0), (5, 4)]
 
     def test_zero_node_graph(self):
         b = build_building(tropicalize_line(LineFamily(0, 0)))
-        curve = realize(b.graph, {})
+        curve = realize(b.graph, ())
         assert len(curve.vertices) == 1
         assert tuple(curve.vertices[0].position) == (0, 0)
         assert len(curve.rays) == 2
@@ -541,28 +523,12 @@ class TestRealize:
                 realize(example1_graph, values)
         assert verdicts == {True, False}
 
-    def test_named_and_positional_solutions_realize_equal_curves(self, example1_graph):
-        """A `Mapping` solution is read by variable name into the positional
-        list, so both forms of one witness give one curve: on the worked
-        example and on ten seeded families of each of the 14 limit types."""
-        graphs = [example1_graph] + [
-            build_building(tropicalize_line(LineFamily(p, q))).graph
-            for p, q in sweep_families(61)
-        ]
-        assert len(graphs) == 141
-        for graph in graphs:
-            system = build_system(graph)
-            witness = solve(system).witness
-            named = dict(zip(system.variables, witness))
-            assert realize(graph, named) == realize(graph, witness)
-
-    def test_named_solution_missing_a_variable_is_named(self, example1_graph):
-        system = build_system(example1_graph)
-        named = dict(zip(system.variables, solve(system).witness))
-        del named[node_var("n3")]
-        with pytest.raises(SolutionNotInCone) as info:
-            realize(example1_graph, named)
-        assert str(info.value) == "solution is missing variable 'alpha(n3)'"
+    def test_solution_of_the_wrong_width_rejected(self, example1_graph):
+        witness = list(solve(build_system(example1_graph)).witness)
+        for values in (witness[:-1], witness + [F(-1)]):
+            with pytest.raises(SolutionNotInCone) as info:
+                realize(example1_graph, values)
+            assert str(info.value) == f"solution has {len(values)} entries, system has 7 variables"
 
 
 class TestFeasibilityAcrossTypes:

@@ -90,6 +90,12 @@ class TestRenderTropical:
             with pytest.raises(ValueError, match="window is too large to draw"):
                 RenderSpec(window=window)
 
+    @pytest.mark.parametrize("window", [0, -1])
+    def test_window_not_positive_is_refused(self, window):
+        with pytest.raises(ValueError) as info:
+            RenderSpec(window=window)
+        assert str(info.value) == "window must be positive"
+
     def test_window_at_the_float_boundary(self):
         # Near sys.float_info.max / 60 the float side decides: the largest
         # float window whose float times 60 is finite is drawn, and the next

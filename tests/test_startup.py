@@ -95,14 +95,17 @@ def test_exact_commands_run_without_numpy(tmp_path):
 
 def test_amoeba_without_numpy_exits_2_naming_numpy():
     """With numpy unimportable, `trop amoeba` exits 2 with one `error:` line
-    that names numpy, not a traceback."""
+    that names numpy and the extra that installs it, not a traceback."""
     proc = fresh(
         "import sys; sys.modules['numpy'] = None\n" + RUN_COMMANDS,
         json.dumps([[["amoeba", "--p", "1", "--q", "2", "--n", "1e3,1e4"], None]]),
     )
     [[code, out, err, _]] = json.loads(proc.stdout)["results"]
     assert (code, out) == (2, "")
-    assert err.startswith("error: cannot import numpy: ") and err.count("\n") == 1
+    assert err == (
+        "error: cannot import numpy: import of numpy halted; None in sys.modules"
+        " (trop amoeba needs the 'amoeba' extra: pip install 'tropline[amoeba]')\n"
+    )
 
 
 @pytest.mark.parametrize(
